@@ -1,9 +1,9 @@
 """How subgoals are mined from replayed episodes.
 
-Collects a few scripted episodes, freezes a parameter snapshot, and shows
-the per-timestep scores alpha*max_u Q_i + (1-alpha)*Q_tot/N together with
-the selected subgoal timestep for each agent, across the alpha sweep the
-ablations use.
+Collects a few epsilon-greedy episodes, trains briefly, and shows the
+per-timestep scores alpha*max_u Q_i + (1-alpha)*Q_tot/N together with the
+subgoal timestep the trainer selects for each agent, across the alpha
+sweep the ablations use.
 
 Run:  python3 demos/03_subgoal_selection.py
 """
@@ -13,8 +13,8 @@ import numpy as np
 from goalmix.config import TrainConfig
 from goalmix.env import SkirmishEnv, preset
 from goalmix.oracles import brute_force_subgoal
-from goalmix.subgoals import BlockSnapshot, score_all, select_subgoals
-from goalmix.training import Trainer
+from goalmix.subgoals import subgoal_scores
+from goalmix.training import Trainer, stack_episodes
 
 
 def main():
@@ -26,20 +26,30 @@ def main():
     for _ in range(10):  # a little training so the Q surfaces have structure
         trainer.train_block()
 
-    snapshot = BlockSnapshot.from_paramset(trainer.params, block=10)
     episode = trainer.buffer.episodes()[-1]
+    batch = stack_episodes([episode])  # a batch of M=1
     print(f"episode uid={episode.uid} length={episode.length} "
           f"return={episode.rewards.sum():+.1f}")
 
+    # the score inputs at block start: masked max local Q and the mixed Q
+    # of the taken actions
+    n = episode.n_agents
+    q_seq = np.stack([trainer.qnet.unroll(trainer.agent_params(i), batch["obs"][i])
+                      for i in range(n)])                              # (N, 1, T, U)
+    q_max = np.max(np.where(batch["avail"], q_seq, -np.inf), axis=-1)
+    q_taken = np.take_along_axis(q_seq, batch["actions"][..., None], axis=-1)[..., 0]
+    q_tot = trainer.mixer.forward(trainer.params.mixer, q_taken[:, 0].T, batch["states"][0])
+
     for alpha in (0.0, 0.5, 1.0):
-        scores = score_all(snapshot, trainer.qnet, trainer.mixer, episode, alpha)
-        assignment = select_subgoals(snapshot, trainer.qnet, trainer.mixer, episode, alpha)
-        oracle = brute_force_subgoal(snapshot, episode, alpha)
-        assert np.array_equal(assignment.t_star, oracle.t_star)
+        scores = subgoal_scores(q_max, q_tot[None], batch["valid"], alpha)
+        trainer.cfg = cfg.replace(alpha=alpha)
+        t_star = trainer.prepare_block(batch)["t_star"][:, 0]
+        oracle = brute_force_subgoal(trainer.params.agents, trainer.params.mixer, episode, alpha)
+        assert np.array_equal(t_star, oracle)
         print(f"\nalpha = {alpha}")
-        for i in range(episode.n_agents):
-            curve = " ".join(f"{scores[i, t]:+.2f}" for t in range(episode.length))
-            print(f"  agent {i}: t* = {assignment.t_star[i]:2d}   scores: {curve}")
+        for i in range(n):
+            curve = " ".join(f"{scores[i, 0, t]:+.2f}" for t in range(episode.length))
+            print(f"  agent {i}: t* = {t_star[i]:2d}   scores: {curve}")
     print("\nalpha=0 shares one subgoal timestep across agents; alpha=1 lets each")
     print("agent pick its own greedy observation (verified against the")
     print("exhaustive-scan oracle above).")

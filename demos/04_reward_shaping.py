@@ -8,56 +8,49 @@ import numpy as np
 
 from goalmix.config import TrainConfig
 from goalmix.env import SkirmishEnv, preset
-from goalmix.rewards import (
-    actionable_distance,
-    distance_targets,
-    individual_rewards,
-    proxy_reward,
-    softmax_credit,
-)
-from goalmix.subgoals import BlockSnapshot, select_subgoals, snapshot_q_seq
-from goalmix.training import Trainer
+from goalmix.rewards import actionable_distance, proxy_reward, softmax_credit
+from goalmix.training import Trainer, stack_episodes
+
+
+def distance(a, b):
+    return actionable_distance(np.array([a], dtype=np.float64), np.array(b, dtype=np.float64))[0]
 
 
 def main():
     print("actionable distance = 1 - cosine(Q-vector, Q-vector):")
-    print(f"  identical     -> {actionable_distance([1, 2, 3], [1, 2, 3]):.4f}")
-    print(f"  orthogonal    -> {actionable_distance([1, 0], [0, 1]):.4f}")
-    print(f"  [1,1] vs [1,0]-> {actionable_distance([1, 1], [1, 0]):.4f}  (= 1 - 1/sqrt(2))")
+    print(f"  identical     -> {distance([1, 2, 3], [1, 2, 3]):.4f}")
+    print(f"  orthogonal    -> {distance([1, 0], [0, 1]):.4f}")
+    print(f"  [1,1] vs [1,0]-> {distance([1, 1], [1, 0]):.4f}  (= 1 - 1/sqrt(2))")
 
     cfg = TrainConfig(seed=3, eval_episodes=2).validate()
     trainer = Trainer(cfg, lambda: SkirmishEnv(preset("skirmish-2v2")),
                       rng=np.random.default_rng(3))
     for _ in range(40):
         trainer.collect_episode()
-    snapshot = BlockSnapshot.from_paramset(trainer.params, block=0)
     episode = trainer.buffer.episodes()[-1]
-    assignment = select_subgoals(snapshot, trainer.qnet, trainer.mixer, episode, cfg.alpha)
-    print(f"\nepisode length {episode.length}, subgoal timesteps {assignment.t_star}")
+    batch = stack_episodes([episode])  # a batch of M=1
 
-    dq = distance_targets(snapshot, trainer.qnet, episode, assignment)
-    q_seq = snapshot_q_seq(snapshot, trainer.qnet, episode)
-    q_max = np.max(np.where(episode.avail, q_seq, -np.inf), axis=-1)
+    # the trainer's own block preparation: subgoals, D_Q targets and the
+    # shaped rewards, all under the block-start parameters
+    prep = trainer.prepare_block(batch)
+    t_star = prep["t_star"][:, 0]
+    dq = prep["dq_targets"][:, 0]
+    intr = prep["intrinsics"][:, 0]
+    r_t = prep["proxy"][0]
+    r_ind = prep["r_individual"][:, 0]
+    assert np.array_equal(prep["proxy"], proxy_reward(batch["rewards"], prep["intrinsics"], cfg.lam))
+    print(f"\nepisode length {episode.length}, subgoal timesteps {t_star}")
 
-    # goal embeddings gathered from the batched episode embeddings, exactly
-    # like the trainer, so r_int is 0.0 exactly at each subgoal step
-    intr = []
-    for i in range(episode.n_agents):
-        emb = trainer.repr_net.forward(trainer.repr_params(i), episode.obs[i])
-        intr.append(-np.linalg.norm(emb - emb[assignment.t_star[i]], axis=-1))
-    intr = np.stack(intr)
     print("\n  t  r_ex    D_Q(agent0)  r_int(agent0)  R_t      r_0       r_1")
     for t in range(episode.length):
-        r_t = proxy_reward(episode.rewards[t], intr[:, t], cfg.lam)
-        r_ind = individual_rewards(q_max[:, t], r_t, intr[:, t], cfg.lam)
         print(f"  {t:2d}  {episode.rewards[t]:+5.1f}  {dq[0, t]:>10.4f}  "
-              f"{intr[0, t]:>12.4f}  {r_t:+.4f}  {r_ind[0]:+.4f}  {r_ind[1]:+.4f}")
+              f"{intr[0, t]:>12.4f}  {r_t[t]:+.4f}  {r_ind[0, t]:+.4f}  {r_ind[1, t]:+.4f}")
 
-    w = softmax_credit(q_max[:, 0])
+    w = softmax_credit(prep["q_max_snapshot"][:, 0, 0])
     print(f"\ncredit weights at t=0: {w} (positive, sum={w.sum():.1f})")
     print("intrinsic reward is exactly 0 at each agent's subgoal step:")
     for i in range(episode.n_agents):
-        print(f"  agent {i}: r_int[t*={assignment.t_star[i]}] = {intr[i, assignment.t_star[i]]}")
+        print(f"  agent {i}: r_int[t*={t_star[i]}] = {intr[i, t_star[i]]}")
 
 
 if __name__ == "__main__":

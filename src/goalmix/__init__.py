@@ -29,17 +29,12 @@ from .rewards import (
     ReprNet,
     actionable_distance,
     individual_rewards,
-    intrinsic_reward,
+    intrinsic_rewards,
     proxy_reward,
     repr_loss,
 )
-from .subgoals import (
-    BlockSnapshot,
-    SubgoalAssignment,
-    select_subgoals,
-    select_subgoals_random,
-)
-from .training import BlockReport, Trainer, TrainingDiverged
+from .subgoals import random_subgoals, select_subgoals, subgoal_scores
+from .training import BlockReport, Trainer, TrainingDiverged, stack_episodes
 
 __all__ = [
     "__version__",
@@ -51,7 +46,7 @@ __all__ = [
     "ParamSet", "RMSProp", "load_checkpoint", "save_checkpoint", "sync_targets",
     "Episode", "ReplayBuffer",
     "ReprNet", "actionable_distance", "individual_rewards",
-    "intrinsic_reward", "proxy_reward", "repr_loss",
-    "BlockSnapshot", "SubgoalAssignment", "select_subgoals", "select_subgoals_random",
-    "BlockReport", "Trainer", "TrainingDiverged",
+    "intrinsic_rewards", "proxy_reward", "repr_loss",
+    "random_subgoals", "select_subgoals", "subgoal_scores",
+    "BlockReport", "Trainer", "TrainingDiverged", "stack_episodes",
 ]

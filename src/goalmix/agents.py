@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, relu, sigmoid, slice_time, stack, tanh
-from .nn import GRUCell, affine, linear_params
+from .autodiff import Tensor, relu, slice_time, stack
+from .nn import GRUCell, affine, gru_update, linear_params
 
 
 class RecurrentQNet:
@@ -57,10 +57,7 @@ class RecurrentQNet:
         h = self.initial_hidden(b)
         hs = []
         for t in range(t_len):
-            z = sigmoid(slice_time(xz, t) + h @ params["gru.hz.w"])
-            r = sigmoid(slice_time(xr, t) + h @ params["gru.hr.w"])
-            n = tanh(slice_time(xn, t) + (r * h) @ params["gru.hn.w"])
-            h = (1.0 - z) * n + z * h
+            h = gru_update(params, slice_time(xz, t), slice_time(xr, t), slice_time(xn, t), h)
             hs.append(h)
         hidden = stack(hs, axis=1)  # (B, T, hidden)
         return affine(params, "out", hidden)
@@ -84,11 +81,6 @@ def masked_argmax(q, mask):
         raise ValueError("no valid action in mask")
     scored = np.where(mask, q, -np.inf)
     return int(np.argmax(scored))
-
-
-def masked_max(q, mask):
-    q = np.asarray(q, dtype=np.float64)
-    return float(np.max(np.where(np.asarray(mask, dtype=bool), q, -np.inf)))
 
 
 def act_epsilon_greedy(q, epsilon, rng, mask):

@@ -103,6 +103,8 @@ def run_train(cfg: TrainConfig, out_dir) -> float:
 
 
 def run_eval(checkpoint_path, episodes, seed=0, env_name=None) -> float:
+    if episodes < 1:
+        raise ConfigError(f"episodes must be at least 1, got {episodes}")
     ps, meta = load_checkpoint(checkpoint_path)
     cfg = TrainConfig(**meta["config"]).validate()
     if env_name is not None:
@@ -128,6 +130,8 @@ def _run_variant(args):
 def run_ablation_matrix(base_cfg: TrainConfig, seeds, variants=None, out_dir="ablation",
                         jobs=1):
     """Run variant x seed training runs and write a summary CSV."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     names = list(variants) if variants else list(ABLATION_VARIANTS)

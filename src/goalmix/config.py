@@ -77,6 +77,7 @@ class TrainConfig:
             (self.batch_size >= 1, "batch_size must be >= 1"),
             (self.target_interval >= 1, "target_interval must be >= 1"),
             (self.eps_anneal_steps >= 1, "eps_anneal_steps must be >= 1"),
+            (self.eval_episodes >= 1, f"eval_episodes must be >= 1, got {self.eval_episodes}"),
             (self.subgoal_mode in SUBGOAL_MODES,
              f"subgoal_mode must be one of {SUBGOAL_MODES}, got {self.subgoal_mode!r}"),
             (self.correction in CORRECTION_MODES,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, sigmoid, tanh
 
 Params = dict  # name -> np.ndarray (or Tensor in graph mode)
 
@@ -76,12 +76,23 @@ class GRUCell:
         return p
 
     def step(self, params, x, h, prefix="gru"):
-        from .autodiff import sigmoid, tanh
+        return gru_update(
+            params,
+            affine(params, f"{prefix}.xz", x),
+            affine(params, f"{prefix}.xr", x),
+            affine(params, f"{prefix}.xn", x),
+            h,
+            prefix,
+        )
 
-        z = sigmoid(affine(params, f"{prefix}.xz", x) + h @ params[f"{prefix}.hz.w"])
-        r = sigmoid(affine(params, f"{prefix}.xr", x) + h @ params[f"{prefix}.hr.w"])
-        n = tanh(affine(params, f"{prefix}.xn", x) + (r * h) @ params[f"{prefix}.hn.w"])
-        return (1.0 - z) * n + z * h
+
+def gru_update(params, xz, xr, xn, h, prefix="gru"):
+    """Next hidden state from the input projections xz, xr, xn of the
+    update, reset and candidate gates and the previous state h."""
+    z = sigmoid(xz + h @ params[f"{prefix}.hz.w"])
+    r = sigmoid(xr + h @ params[f"{prefix}.hr.w"])
+    n = tanh(xn + (r * h) @ params[f"{prefix}.hn.w"])
+    return (1.0 - z) * n + z * h
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +111,12 @@ def grads_from_tensors(tensor_params):
     for name, t in tensor_params.items():
         out[name] = t.grad if t.grad is not None else np.zeros_like(t.data)
     return out
+
+
+def weighted_sq_error(pred, target, weights):
+    """sum(weights * (pred - target)^2): the form of the TD and representation losses."""
+    delta = pred - target
+    return (delta * delta * weights).sum()
 
 
 def gradient(loss, tensor_params):

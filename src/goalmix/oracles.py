@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .subgoals import SubgoalAssignment
-
 
 # ---------------------------------------------------------------------------
 # slow network evaluation (independent of goalmix.agents / goalmix.mixer)
@@ -59,11 +57,15 @@ def slow_mix(params, q_locals, state):
 # ---------------------------------------------------------------------------
 
 
-def brute_force_subgoal(snapshot, episode, alpha) -> SubgoalAssignment:
+def brute_force_subgoal(agent_params, mixer_params, episode, alpha):
     """Evaluate the subgoal score at every valid timestep by direct
-    computation and scan for the per-agent argmax (earliest tie wins)."""
+    computation and scan for the per-agent argmax (earliest tie wins).
+
+    ``agent_params`` holds one utility-net parameter dict per agent.
+    Returns t_star, (n_agents,) int.
+    """
     n = episode.n_agents
-    q_seqs = [slow_q_seq(snapshot.agent_params[i], episode.obs[i]) for i in range(n)]
+    q_seqs = [slow_q_seq(agent_params[i], episode.obs[i]) for i in range(n)]
     t_star = np.zeros(n, dtype=np.int64)
     for i in range(n):
         best, best_t = None, None
@@ -74,13 +76,12 @@ def brute_force_subgoal(snapshot, episode, alpha) -> SubgoalAssignment:
                 if episode.avail[i, t, u]
             )
             q_taken = [q_seqs[j][t][episode.actions[j, t]] for j in range(n)]
-            q_tot = slow_mix(snapshot.mixer_params, q_taken, episode.states[t])
+            q_tot = slow_mix(mixer_params, q_taken, episode.states[t])
             score = alpha * q_max + (1.0 - alpha) * q_tot / n
             if best is None or score > best:
                 best, best_t = score, t
         t_star[i] = best_t
-    goal_obs = np.stack([episode.obs[i, t_star[i]].copy() for i in range(n)])
-    return SubgoalAssignment(t_star=t_star, goal_obs=goal_obs, episode_uid=episode.uid)
+    return t_star
 
 
 # ---------------------------------------------------------------------------

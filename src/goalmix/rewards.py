@@ -1,16 +1,18 @@
 """Reward design: actionable distance, representation nets and shaped rewards.
 
 The actionable distance between two observations is one minus the
-cosine similarity of their Q-vectors under the block snapshot. Each
+cosine similarity of their Q-vectors under the block-start parameters. Each
 agent's representation net phi is trained so the Euclidean distance
 between two embedded observations matches that actionable distance.
 The intrinsic reward is the negative embedded distance to the agent's
 subgoal observation; the proxy reward adds the averaged intrinsic
 rewards to the extrinsic reward, and individual rewards split the
-proxy reward by a softmax over the agents' snapshot max-Q values.
+proxy reward by a softmax over the agents' block-start max-Q values.
 
 All distance targets, credit weights and reward scalars are computed
-from the frozen block snapshot and enter the TD losses as constants.
+from the block-start parameters and enter the losses as constants.
+Per-agent arrays carry the agents on their first axis, as in
+:mod:`goalmix.subgoals`.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import relu, sqrt
-from .nn import affine, linear_params
-from .subgoals import snapshot_q_seq
+from .nn import affine, linear_params, weighted_sq_error
+from .subgoals import at_subgoal
 
 
 class ReprNet:
@@ -58,46 +60,19 @@ class IdentityRepr:
 # ---------------------------------------------------------------------------
 
 
-def actionable_distance(q_a, q_b):
-    """1 - cosine similarity of two Q-vectors, clipped to [0, 2].
+def actionable_distance(q_seq, q_goal):
+    """D_Q = 1 - cos(q_seq[..., t, :], q_goal[..., :]), in [0, 2].
 
-    A zero-norm vector is treated as orthogonal to everything
-    (distance 1); this only occurs at degenerate initialisation.
+    q_seq (..., T, U), q_goal (..., U) -> (..., T). A zero-norm vector is
+    treated as orthogonal to everything (distance 1); this only occurs at
+    degenerate initialisation.
     """
-    q_a = np.asarray(q_a, dtype=np.float64)
-    q_b = np.asarray(q_b, dtype=np.float64)
-    na = np.linalg.norm(q_a)
-    nb = np.linalg.norm(q_b)
-    if na == 0.0 or nb == 0.0:
-        return 1.0
-    cos = np.clip(np.dot(q_a, q_b) / (na * nb), -1.0, 1.0)
-    return float(1.0 - cos)
-
-
-def actionable_distance_obs(snapshot, qnet, agent, o_a, o_b):
-    """Distance between two bare observations for one agent, each evaluated
-    single-step from a zero hidden state under the snapshot."""
-    params = snapshot.agent_params[agent]
-    h = qnet.initial_hidden(1)
-    q_a, _ = qnet.step(params, np.asarray(o_a, dtype=np.float64)[None], h)
-    q_b, _ = qnet.step(params, np.asarray(o_b, dtype=np.float64)[None], h)
-    return actionable_distance(q_a[0], q_b[0])
-
-
-def distance_targets(snapshot, qnet, episode, assignment):
-    """D_Q between every valid step and the subgoal step, per agent: (N, T).
-
-    Both Q-vectors come from the same snapshot unroll of the episode, so
-    hidden states are consistent. Padded steps get 0 (they carry no loss).
-    """
-    q_seq = snapshot_q_seq(snapshot, qnet, episode)  # (N, T, U)
-    n, t_len, _ = q_seq.shape
-    out = np.zeros((n, t_len))
-    for i in range(n):
-        q_goal = q_seq[i, assignment.t_star[i]]
-        for t in range(episode.length):
-            out[i, t] = actionable_distance(q_seq[i, t], q_goal)
-    return out
+    dots = np.einsum("...tu,...u->...t", q_seq, q_goal)
+    nt = np.linalg.norm(q_seq, axis=-1)
+    ng = np.linalg.norm(q_goal, axis=-1)[..., None]
+    denom = nt * ng
+    cos = np.where(denom > 0, dots / np.where(denom > 0, denom, 1.0), 0.0)
+    return 1.0 - np.clip(cos, -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -105,33 +80,19 @@ def distance_targets(snapshot, qnet, episode, assignment):
 # ---------------------------------------------------------------------------
 
 
-def embedding_distances(repr_net, params, obs, goal_obs):
-    """||phi(o_t) - phi(o_g)||_2 for a batch of observations.
+def repr_loss(repr_net, params, obs, goal_obs, dq_targets, weights):
+    """Weighted sum over (m, t) of (||phi(o_t) - phi(o_g)||_2 - D_Q)^2.
 
-    obs: (B, obs_dim), goal_obs: (obs_dim,) -> (B,). Differentiable when
-    ``params`` are Tensors.
+    obs (M, T, D), goal_obs (M, D), dq_targets and weights (M, T).
+    ``dq_targets`` are block-start constants; no gradient flows through
+    them. Differentiable when ``params`` are Tensors.
     """
-    emb = repr_net.forward(params, obs)
-    emb_g = repr_net.forward(params, np.asarray(goal_obs)[None, :])
-    diff = emb - emb_g  # broadcast over batch
-    return sqrt((diff * diff).sum(axis=-1))
-
-
-def repr_loss(repr_net, params, obs, goal_obs, dq_targets, weights=None):
-    """Mean over the batch of (||phi(o_t)-phi(o_g)||_2 - D_Q)^2.
-
-    ``dq_targets`` are precomputed snapshot constants; no gradient flows
-    through them. ``weights`` replaces the uniform 1/B mean when given
-    (the trainer passes validity-mask weights).
-    """
-    dist = embedding_distances(repr_net, params, obs, goal_obs)
-    dq = np.asarray(dq_targets, dtype=np.float64)
-    delta = dist - dq
-    sq = delta * delta
-    if weights is None:
-        b = obs.shape[0]
-        return sq.sum() * (1.0 / b)
-    return (sq * np.asarray(weights, dtype=np.float64)).sum()
+    m, t_len, d = obs.shape
+    emb = repr_net.forward(params, obs.reshape(m * t_len, d)).reshape(m, t_len, -1)
+    emb_g = repr_net.forward(params, goal_obs)
+    diff = emb - emb_g.reshape(m, 1, -1)
+    dist = sqrt((diff * diff).sum(axis=-1))
+    return weighted_sq_error(dist, dq_targets, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -139,34 +100,33 @@ def repr_loss(repr_net, params, obs, goal_obs, dq_targets, weights=None):
 # ---------------------------------------------------------------------------
 
 
-def intrinsic_reward(repr_net, params, o_t, o_g):
-    """Negative embedded distance to the subgoal observation (always <= 0)."""
-    phi_t = repr_net.forward(params, np.asarray(o_t, dtype=np.float64)[None])[0]
-    phi_g = repr_net.forward(params, np.asarray(o_g, dtype=np.float64)[None])[0]
-    return -float(np.linalg.norm(phi_t - phi_g))
+def intrinsic_rewards(emb, t_star):
+    """Negative embedded distance to each agent's subgoal step (always <= 0).
 
-
-def intrinsic_rewards_seq(repr_net, params, obs_seq, goal_obs):
-    """Vectorised intrinsic rewards over one agent's episode: (T,)."""
-    emb = repr_net.forward(params, obs_seq)
-    emb_g = repr_net.forward(params, np.asarray(goal_obs)[None, :])
+    emb (N, M, T, E) are the embedded observations, t_star (N, M); the goal
+    embedding is gathered from ``emb``, so the reward at t_star is exactly 0.
+    """
+    emb_g = at_subgoal(emb, t_star)[:, :, None]
     return -np.linalg.norm(emb - emb_g, axis=-1)
 
 
 def proxy_reward(r_ex, intrinsics, lam):
-    """R_t = r_ex + lam * mean_i r_int_i (trains the mixer)."""
-    intrinsics = np.asarray(intrinsics, dtype=np.float64)
-    return float(r_ex) + lam * float(intrinsics.mean())
+    """R = r_ex + lam * mean_i r_int_i, with agents on the first axis of
+    ``intrinsics`` (trains the mixer)."""
+    return r_ex + lam * np.mean(intrinsics, axis=0)
 
 
-def softmax_credit(q_max_per_agent):
-    """Softmax over agents of their max-Q values; positive, sums to 1."""
-    q = np.asarray(q_max_per_agent, dtype=np.float64)
+def softmax_credit(q_max):
+    """Softmax over agents (first axis) of their max-Q values; positive, sums to 1."""
+    q = np.asarray(q_max, dtype=np.float64)
     z = np.exp(q - q.max(axis=0, keepdims=True))
     return z / z.sum(axis=0, keepdims=True)
 
 
-def individual_rewards(q_max_per_agent, r_proxy, intrinsics, lam):
-    """r_t^i = softmax_i(max Q_i) * R_t + lam * r_int_i, per agent."""
-    w = softmax_credit(q_max_per_agent)
-    return w * float(r_proxy) + lam * np.asarray(intrinsics, dtype=np.float64)
+def individual_rewards(q_max, r_proxy, intrinsics, lam):
+    """r^i = softmax_i(max Q_i) * R + lam * r_int_i, agents on the first axis.
+
+    ``intrinsics`` is None when lam is 0 and no intrinsic reward was computed.
+    """
+    r = softmax_credit(q_max) * r_proxy
+    return r if intrinsics is None else r + lam * intrinsics

@@ -1,101 +1,54 @@
 """Subgoal selection from replayed episodes.
 
-At the start of each training block the utility and mixer parameters
-are frozen into a :class:`BlockSnapshot`. For every sampled episode and
-every agent, each valid timestep t is scored as
+For every sampled episode m and every agent i, each valid timestep t is
+scored as
 
     alpha * max_u Q_i(o_t^i, u)  +  (1 - alpha) * Q_tot(o_t, u_t) / N
 
-with all Q values taken under the snapshot (hidden states recomputed by
-unrolling from t=0, since snapshot parameters differ from the ones that
-collected the episode). The subgoal observation for agent i is the
-stored observation at the argmax timestep; ties break toward the
-earliest timestep. At alpha=0 the score is agent-independent, so all
-agents share one subgoal timestep; at alpha=1 each agent greedily picks
-its own best local-Q observation.
+with all Q values taken under the parameters at block start (hidden
+states recomputed by unrolling from t=0, since those parameters differ
+from the ones that collected the episode). The subgoal observation for
+agent i is the stored observation at the argmax timestep; ties break
+toward the earliest timestep. At alpha=0 the score is agent-independent,
+so all agents share one subgoal timestep; at alpha=1 each agent greedily
+picks its own best local-Q observation.
+
+Every kernel works on a whole batch: per-agent arrays are (N, M, T, ...)
+and per-episode arrays (M, T, ...), as built by
+:func:`goalmix.training.stack_episodes`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .nn import _copy_params
 
+def subgoal_scores(q_max, q_tot, valid, alpha):
+    """Scores of every agent at every step: (N, M, T).
 
-@dataclass
-class BlockSnapshot:
-    """Frozen copies of the utility nets and the mixer at block start."""
-
-    agent_params: list
-    mixer_params: dict
-    block: int = 0
-
-    @classmethod
-    def from_paramset(cls, ps, block=0):
-        return cls(
-            agent_params=[_copy_params(p) for p in ps.agents],
-            mixer_params=_copy_params(ps.mixer),
-            block=block,
-        )
-
-
-@dataclass
-class SubgoalAssignment:
-    """Per-agent subgoal timestep and observation for one episode."""
-
-    t_star: np.ndarray    # (n_agents,) int, index into the episode (0-based)
-    goal_obs: np.ndarray  # (n_agents, obs_dim)
-    episode_uid: int = -1
-
-
-def snapshot_q_seq(snapshot, qnet, episode):
-    """Q values of every agent at every step under the snapshot:
-    (n_agents, T, n_actions), recomputed from a zero hidden state."""
-    qs = [qnet.unroll(snapshot.agent_params[i], episode.obs[i][None])[0]
-          for i in range(episode.n_agents)]
-    return np.stack(qs)
-
-
-def _masked_max_seq(q_seq, avail):
-    """(..., T, U) -> (..., T) max over available actions."""
-    return np.max(np.where(avail, q_seq, -np.inf), axis=-1)
-
-
-def score_all(snapshot, qnet, mixer, episode, alpha):
-    """Eq-style scores for every agent and valid timestep: (n_agents, T).
-
-    Invalid (padded) steps are -inf so they never win the argmax.
+    ``q_max`` (N, M, T) are the masked max local Q values, ``q_tot``
+    (M, T) the mixed Q of the taken actions. Padded steps score -inf, so
+    they never win the argmax.
     """
-    q_seq = snapshot_q_seq(snapshot, qnet, episode)          # (N, T, U)
-    q_max = _masked_max_seq(q_seq, episode.avail)            # (N, T)
-    q_taken = np.take_along_axis(q_seq, episode.actions[..., None], axis=-1)[..., 0]
-    q_tot = mixer.forward(snapshot.mixer_params, q_taken.T, episode.states)  # (T,)
-    n = episode.n_agents
-    scores = alpha * q_max + (1.0 - alpha) * q_tot[None, :] / n
-    return np.where(episode.valid[None, :], scores, -np.inf)
+    n = q_max.shape[0]
+    scores = alpha * q_max + (1.0 - alpha) * q_tot[None] / n
+    return np.where(valid[None].astype(bool), scores, -np.inf)
 
 
-def score_timestep(snapshot, qnet, mixer, episode, agent, t, alpha):
-    """Score of one (agent, timestep) pair; see :func:`score_all`."""
-    if not episode.valid[t]:
-        raise ValueError(f"timestep {t} is padded/invalid")
-    return float(score_all(snapshot, qnet, mixer, episode, alpha)[agent, t])
+def select_subgoals(q_max, q_tot, valid, alpha):
+    """Argmax of :func:`subgoal_scores` over time: t_star (N, M) int;
+    ties go to the earliest timestep."""
+    return np.argmax(subgoal_scores(q_max, q_tot, valid, alpha), axis=2).astype(np.int64)
 
 
-def select_subgoals(snapshot, qnet, mixer, episode, alpha) -> SubgoalAssignment:
-    """Argmax of :func:`score_all` per agent; ties -> earliest timestep."""
-    scores = score_all(snapshot, qnet, mixer, episode, alpha)
-    t_star = np.argmax(scores, axis=1).astype(np.int64)  # first max per row
-    goal_obs = np.stack([episode.obs[i, t_star[i]].copy()
-                         for i in range(episode.n_agents)])
-    return SubgoalAssignment(t_star=t_star, goal_obs=goal_obs, episode_uid=episode.uid)
+def random_subgoals(valid, n_agents, rng):
+    """Ablation baseline: a uniform valid timestep per agent and episode, (N, M)."""
+    lengths = valid.sum(axis=1).astype(np.int64)
+    return np.stack([rng.integers(lengths) for _ in range(n_agents)]).astype(np.int64)
 
 
-def select_subgoals_random(episode, rng) -> SubgoalAssignment:
-    """Ablation baseline: uniform subgoal timestep per agent."""
-    t_star = rng.integers(episode.length, size=episode.n_agents).astype(np.int64)
-    goal_obs = np.stack([episode.obs[i, t_star[i]].copy()
-                         for i in range(episode.n_agents)])
-    return SubgoalAssignment(t_star=t_star, goal_obs=goal_obs, episode_uid=episode.uid)
+def at_subgoal(x, t_star):
+    """The entries of per-agent sequences x (N, M, T, ...) at t_star (N, M):
+    (N, M, ...), exact copies of the stored values."""
+    idx = t_star.reshape(t_star.shape + (1,) * (x.ndim - 2))
+    return np.take_along_axis(x, idx, axis=2)[:, :, 0]

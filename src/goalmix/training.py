@@ -1,16 +1,21 @@
 """Blockwise training loop and the composite loss.
 
-One block = one gradient step: snapshot the Q parameters, sample M
-episodes, pick subgoals and shape rewards per episode under the
-snapshot, sum the per-episode losses
+One block = one gradient step: sample M episodes, pick subgoals and
+shape rewards for the whole batch under the block-start parameters
+(:meth:`Trainer.prepare_block`), build
 
     L = L_TD + sum_i [ lam_i * L_i + lam_e * sum_{t>=t*} L_corr + lam_d * L_repr ]
 
-over the M episodes, take one RMSProp step on every online parameter,
-sync the target copies on the configured episode cadence, then collect
-one fresh epsilon-greedy episode into the buffer.
+summed over the M episodes (:meth:`Trainer.block_losses`), take one
+RMSProp step on every online parameter, sync the target copies on the
+configured episode cadence, then collect one fresh epsilon-greedy
+episode into the buffer. Parameters change only after the gradient
+step, so everything computed before it sees the block-start values.
 
-Zero-weighted loss components are skipped entirely, so with
+Each equation is one batched kernel: the subgoal score, D_Q and the
+shaped rewards live in :mod:`goalmix.subgoals` and
+:mod:`goalmix.rewards`; the TD targets and the entropy correction are
+below. Zero-weighted loss components are skipped entirely, so with
 lam = lam_i = lam_e = lam_d = 0 a block reduces bitwise to a plain
 monotonic-mixing TD step (the QMIX baseline used by the ablations).
 """
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agents import EpsilonSchedule, RecurrentQNet, act_epsilon_greedy, masked_argmax
-from .autodiff import exp, logsumexp_last, sqrt, stack, take_along_last
+from .autodiff import Tensor, exp, logsumexp_last, stack, take_along_last
 from .mixer import MonotonicMixer
 from .nn import (
     NonFiniteGradientError,
@@ -34,9 +39,19 @@ from .nn import (
     clip_grads_global,
     gradient,
     sync_targets,
+    weighted_sq_error,
 )
 from .replay import Episode, ReplayBuffer
-from .rewards import IdentityRepr, ReprNet, softmax_credit
+from .rewards import (
+    IdentityRepr,
+    ReprNet,
+    actionable_distance,
+    individual_rewards,
+    intrinsic_rewards,
+    proxy_reward,
+    repr_loss,
+)
+from .subgoals import at_subgoal, random_subgoals, select_subgoals
 
 METRICS_COLUMNS = [
     "env_steps", "block", "eval_win_rate", "L_TD",
@@ -90,110 +105,41 @@ def _masked_max(q, avail):
     return np.max(np.where(avail, q, -np.inf), axis=-1)
 
 
-def _cosine_distance_batch(q_seq, q_goal):
-    """1 - cos(q_seq[..., t, :], q_goal[..., None, :]) with the zero-norm
-    convention; q_seq (..., T, U), q_goal (..., U) -> (..., T)."""
-    dots = np.einsum("...tu,...u->...t", q_seq, q_goal)
-    nt = np.linalg.norm(q_seq, axis=-1)
-    ng = np.linalg.norm(q_goal, axis=-1)[..., None]
-    denom = nt * ng
-    cos = np.where(denom > 0, dots / np.where(denom > 0, denom, 1.0), 0.0)
-    return 1.0 - np.clip(cos, -1.0, 1.0)
-
-
 # ---------------------------------------------------------------------------
-# per-episode loss terms (reference surface; the trainer uses the batched
-# equivalents in block_losses)
+# loss kernels (Tensors in graph mode, ndarrays otherwise)
 # ---------------------------------------------------------------------------
 
 
 def loss_value(x):
     """Scalar float of a loss, whether it is a Tensor or an ndarray."""
-    from .autodiff import Tensor
-
     return float(x.data) if isinstance(x, Tensor) else float(x)
 
 
-def individual_td_loss(qnet, params, target_params, episode, rewards_i, agent, gamma=0.99):
-    """Mean over valid t of the squared individual TD error of one agent:
-    [r_t^i + gamma * max_u Q_target(o_{t+1}, u) - Q(o_t, u_t)]^2, with the
-    bootstrap dropped on terminal steps. Differentiable when ``params``
-    are Tensors."""
-    t_len = episode.length
-    obs = episode.obs[agent, :t_len][None]
-    q_seq = qnet.unroll(params, obs)                                   # (1, L, U)
-    q_taken = take_along_last(q_seq, episode.actions[agent, :t_len][None])
-    tq = qnet.unroll(target_params, obs)
-    tq_max = _masked_max(tq, episode.avail[agent, :t_len][None])
-    nxt = np.zeros_like(tq_max)
-    nxt[:, :-1] = tq_max[:, 1:]
-    dones = episode.dones[:t_len].astype(np.float64)[None]
-    y = np.asarray(rewards_i, dtype=np.float64)[:t_len][None] + gamma * (1.0 - dones) * nxt
-    delta = q_taken - y
-    return (delta * delta).sum() * (1.0 / t_len)
+def td_targets(rewards, dones, next_values, gamma):
+    """y_t = r_t + gamma * (1 - done_t) * V_{t+1}; no bootstrap on terminal steps."""
+    return rewards + gamma * (1.0 - dones) * next_values
 
 
-def total_td_loss(qnet, agent_params, mixer, mixer_params,
-                  target_agent_params, target_mixer_params,
-                  episode, proxy_rewards, gamma=0.99):
-    """Mean over valid t of the squared total TD error; the bootstrap max
-    feeds each agent's greedy target-net max into the target mixer."""
-    t_len = episode.length
-    n = episode.n_agents
-    q_taken = [
-        take_along_last(
-            qnet.unroll(agent_params[i], episode.obs[i, :t_len][None]),
-            episode.actions[i, :t_len][None],
-        )
-        for i in range(n)
-    ]
-    q_stack = stack(q_taken, axis=-1).reshape(t_len, n)
-    states = episode.states[:t_len]
-    q_tot = mixer.forward(mixer_params, q_stack, states)               # (L,)
+def entropy_correction(q, window):
+    """Sum over the window of KL(softmax(Q) || uniform) = sum_u pi log pi + log U.
 
-    tq_max = np.stack([
-        _masked_max(
-            qnet.unroll(target_agent_params[i], episode.obs[i, :t_len][None])[0],
-            episode.avail[i, :t_len],
-        )
-        for i in range(n)
-    ])                                                                 # (N, L)
-    tq_next = np.zeros_like(tq_max)
-    tq_next[:, :-1] = tq_max[:, 1:]
-    states_next = np.zeros_like(states)
-    states_next[:-1] = states[1:]
-    tot_next = mixer.forward(target_mixer_params, tq_next.T, states_next)
-    dones = episode.dones[:t_len].astype(np.float64)
-    y = np.asarray(proxy_rewards, dtype=np.float64)[:t_len] + gamma * (1.0 - dones) * tot_next
-    delta = q_tot - y
-    return (delta * delta).sum() * (1.0 / t_len)
+    q (..., T, U), window (..., T) of 0/1 weights.
+    """
+    shape = q.shape
+    ls = q - logsumexp_last(q).reshape(*shape[:-1], 1)
+    kl = (exp(ls) * ls).sum(axis=-1) + np.log(shape[-1])
+    return (kl * window).sum()
 
 
-def entropy_correction_loss(qnet, params, episode, t_star, agent, mode="normal"):
-    """Sum over the correction window of KL(softmax(Q) || uniform).
-
-    Window: [t_star, length) for "normal", [0, length) for "over",
-    empty for "none"."""
-    if mode == "none":
-        return 0.0
-    t_len = episode.length
-    q_seq = qnet.unroll(params, episode.obs[agent, :t_len][None])       # (1, L, U)
-    ls = q_seq - logsumexp_last(q_seq).reshape(1, t_len, 1)
-    n_actions = episode.avail.shape[-1]
-    kl = (exp(ls) * ls).sum(axis=-1) + np.log(n_actions)                # (1, L)
-    window = np.ones(t_len) if mode == "over" else (np.arange(t_len) >= t_star)
-    return (kl * window.astype(np.float64)[None]).sum()
-
-
-def composite_loss(l_td, l_individual, l_correction, l_repr, lam_i, lam_e, lam_d):
-    """Weighted assembly of one episode's loss components.
-
-    l_individual / l_correction / l_repr are per-agent sequences;
-    correction entries are already summed over their window."""
-    total = l_td
-    for li, le, ld in zip(l_individual, l_correction, l_repr):
-        total = total + lam_i * li + lam_e * le + lam_d * ld
-    return total
+def correction_window(t_star, valid, mode):
+    """0/1 weights (N, M, T) of the steps the entropy correction covers:
+    the valid steps at and after t_star for "normal", every valid step
+    for "over"."""
+    if mode == "over":
+        window = np.broadcast_to(valid[None], t_star.shape + valid.shape[1:])
+    else:
+        window = (np.arange(valid.shape[1]) >= t_star[:, :, None]) * valid[None]
+    return window.astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +259,10 @@ class Trainer:
 
     def evaluate(self, n_episodes=None):
         """Greedy decentralised execution; returns the win fraction."""
-        n_episodes = n_episodes or self.cfg.eval_episodes
+        if n_episodes is None:
+            n_episodes = self.cfg.eval_episodes
+        if n_episodes < 1:
+            raise ValueError(f"n_episodes must be at least 1, got {n_episodes}")
         eval_rng = np.random.default_rng(int(self.rng.integers(2**63)))
         wins = 0
         for _ in range(n_episodes):
@@ -321,14 +270,14 @@ class Trainer:
             wins += int(won)
         return wins / n_episodes
 
-    # -- block preparation (snapshot side, no gradients) ----------------------
+    # -- block preparation (block-start side, no gradients) ------------------
 
     def prepare_block(self, batch, q_seq=None):
         """Subgoals, distance targets and shaped rewards for a sampled batch.
 
         ``q_seq`` (N, M, T, U) are the block-start Q values of every agent;
         the trainer passes the data of the online graph unroll (identical to
-        a separate snapshot evaluation and cheaper), tests may omit it.
+        a separate evaluation and cheaper), tests may omit it.
         """
         cfg = self.cfg
         n = self.n_agents
@@ -339,68 +288,45 @@ class Trainer:
                 for i in range(n)
             ])  # (N, M, T, U)
         _, m, t_len, _ = q_seq.shape
+        valid = batch["valid"]
         q_max = _masked_max(q_seq, batch["avail"])                       # (N, M, T)
         q_taken = np.take_along_axis(q_seq, batch["actions"][..., None], axis=-1)[..., 0]
-
-        states_flat = batch["states"].reshape(m * t_len, -1)
         q_tot = self.mixer.forward(
             self.params.mixer,
             np.moveaxis(q_taken, 0, -1).reshape(m * t_len, n),
-            states_flat,
+            batch["states"].reshape(m * t_len, -1),
         ).reshape(m, t_len)
 
-        mode = cfg.subgoal_mode
-        if mode == "random":
-            lengths = batch["valid"].sum(axis=1).astype(np.int64)        # (M,)
-            t_star = np.stack([self.rng.integers(lengths) for _ in range(n)]).astype(np.int64)
+        if cfg.subgoal_mode == "random":
+            t_star = random_subgoals(valid, n, self.rng)
         else:
-            alpha = {"value": cfg.alpha, "local_only": 1.0, "total_only": 0.0}[mode]
-            scores = alpha * q_max + (1.0 - alpha) * q_tot[None] / n     # (N, M, T)
-            scores = np.where(batch["valid"][None].astype(bool), scores, -np.inf)
-            t_star = np.argmax(scores, axis=2).astype(np.int64)          # (N, M)
+            alpha = {"value": cfg.alpha, "local_only": 1.0, "total_only": 0.0}[cfg.subgoal_mode]
+            t_star = select_subgoals(q_max, q_tot, valid, alpha)         # (N, M)
 
-        goal_obs = np.take_along_axis(
-            batch["obs"], t_star[:, :, None, None], axis=2
-        )[:, :, 0, :]                                                    # (N, M, D)
+        out = {"t_star": t_star, "goal_obs": at_subgoal(batch["obs"], t_star),
+               "q_max_snapshot": q_max}
 
-        out = {"t_star": t_star, "goal_obs": goal_obs, "q_max_snapshot": q_max}
-
-        # intrinsic rewards and the proxy reward; the goal embedding is
-        # gathered from the batched embeddings so the intrinsic reward at
-        # the subgoal step is exactly zero
+        intr = None
         if cfg.lam > 0:
-            intr = np.empty((n, m, t_len))
-            for i in range(n):
-                emb = self.repr_net.forward(
+            intr = intrinsic_rewards(np.stack([
+                self.repr_net.forward(
                     self.repr_params(i), batch["obs"][i].reshape(m * t_len, -1)
                 ).reshape(m, t_len, -1)
-                emb_g = np.take_along_axis(emb, t_star[i][:, None, None], axis=1)
-                intr[i] = -np.linalg.norm(emb - emb_g, axis=-1)
-            proxy = batch["rewards"] + cfg.lam * intr.mean(axis=0)
+                for i in range(n)
+            ]), t_star)
             out["intrinsics"] = intr
+            out["proxy"] = proxy_reward(batch["rewards"], intr, cfg.lam)
         else:
-            intr = None
-            proxy = batch["rewards"].copy()
-        out["proxy"] = proxy
+            out["proxy"] = batch["rewards"].copy()
 
         if cfg.lam_i > 0 and not cfg.disable_li:
-            credits = softmax_credit(q_max)                              # (N, M, T)
-            r_ind = credits * proxy[None]
-            if cfg.lam > 0:
-                r_ind = r_ind + cfg.lam * intr
-            out["r_individual"] = r_ind
+            out["r_individual"] = individual_rewards(q_max, out["proxy"], intr, cfg.lam)
 
         if cfg.lam_d > 0 and not cfg.disable_repr:
-            q_goal = np.take_along_axis(q_seq, t_star[:, :, None, None], axis=2)[:, :, 0, :]
-            out["dq_targets"] = _cosine_distance_batch(q_seq, q_goal)    # (N, M, T)
+            out["dq_targets"] = actionable_distance(q_seq, at_subgoal(q_seq, t_star))
 
         if cfg.lam_e > 0 and cfg.correction != "none":
-            t_index = np.arange(t_len)[None, None, :]
-            if cfg.correction == "over":
-                window = np.broadcast_to(batch["valid"][None], (n, m, t_len))
-            else:
-                window = (t_index >= t_star[:, :, None]) * batch["valid"][None]
-            out["correction_window"] = window.astype(np.float64)
+            out["correction_window"] = correction_window(t_star, valid, cfg.correction)
 
         return out
 
@@ -431,7 +357,6 @@ class Trainer:
             np.moveaxis(tq_next, 0, -1).reshape(m * t_len, n),
             states_next.reshape(m * t_len, -1),
         ).reshape(m, t_len)
-        y_tot = prep["proxy"] + gamma * (1.0 - dones) * tot_next
 
         # online unrolls (graph mode), shared by every loss component
         if q_online is None:
@@ -443,8 +368,9 @@ class Trainer:
 
         q_stack = stack(q_taken, axis=-1).reshape(m * t_len, n)
         qtot_online = self.mixer.forward(mixer_t, q_stack, batch["states"].reshape(m * t_len, -1))
-        delta_tot = qtot_online.reshape(m, t_len) - y_tot
-        loss_td = (delta_tot.square() * w_ep).sum()
+        loss_td = weighted_sq_error(
+            qtot_online.reshape(m, t_len), td_targets(prep["proxy"], dones, tot_next, gamma), w_ep
+        )
 
         total = loss_td
         sum_li = 0.0
@@ -453,31 +379,21 @@ class Trainer:
 
         if cfg.lam_i > 0 and not cfg.disable_li:
             for i in range(n):
-                y_i = prep["r_individual"][i] + gamma * (1.0 - dones) * tq_next[i]
-                delta = q_taken[i] - y_i
-                loss_i = (delta.square() * w_ep).sum()
+                y_i = td_targets(prep["r_individual"][i], dones, tq_next[i], gamma)
+                loss_i = weighted_sq_error(q_taken[i], y_i, w_ep)
                 total = total + cfg.lam_i * loss_i
                 sum_li += loss_i.item()
 
         if cfg.lam_e > 0 and cfg.correction != "none":
-            log_u = np.log(self.env.n_actions)
             for i in range(n):
-                ls = q_online[i] - logsumexp_last(q_online[i]).reshape(m, t_len, 1)
-                kl = (exp(ls) * ls).sum(axis=-1) + log_u
-                loss_e = (kl * prep["correction_window"][i]).sum()
+                loss_e = entropy_correction(q_online[i], prep["correction_window"][i])
                 total = total + cfg.lam_e * loss_e
                 sum_le += loss_e.item()
 
         if cfg.lam_d > 0 and not cfg.disable_repr:
             for i in range(n):
-                rp = repr_t[self._slot(i)]
-                emb = self.repr_net.forward(rp, batch["obs"][i].reshape(m * t_len, -1))
-                emb = emb.reshape(m, t_len, -1)
-                emb_g = self.repr_net.forward(rp, prep["goal_obs"][i])
-                diff = emb - emb_g.reshape(m, 1, -1)
-                dist = sqrt((diff * diff).sum(axis=-1))
-                delta = dist - prep["dq_targets"][i]
-                loss_d = (delta.square() * w_ep).sum()
+                loss_d = repr_loss(self.repr_net, repr_t[self._slot(i)], batch["obs"][i],
+                                   prep["goal_obs"][i], prep["dq_targets"][i], w_ep)
                 total = total + cfg.lam_d * loss_d
                 sum_ld += loss_d.item()
 
@@ -577,7 +493,8 @@ class Trainer:
         recent periodic evaluation forward). Returns the final win rate.
         """
         cfg = self.cfg
-        max_env_steps = max_env_steps or cfg.max_env_steps
+        if max_env_steps is None:
+            max_env_steps = cfg.max_env_steps
         writer = fh = None
         if metrics_path is not None:
             fh = open(metrics_path, "w", newline="")

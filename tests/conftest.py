@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from goalmix.agents import RecurrentQNet
+from goalmix.config import TrainConfig
+from goalmix.env import SkirmishEnv, preset
 from goalmix.mixer import MonotonicMixer
 from goalmix.nn import ParamSet, sync_targets
 from goalmix.replay import Episode
 from goalmix.rewards import ReprNet
-from goalmix.subgoals import BlockSnapshot
+from goalmix.training import Trainer, stack_episodes
 
 
 def make_episode(rng, n_agents=2, t_max=6, length=None, obs_dim=5, n_actions=4,
@@ -57,12 +59,55 @@ def make_paramset(rng, qnet, mixer, repr_net=None, n_agents=2):
     return ps
 
 
-def make_snapshot(rng, qnet, mixer, n_agents=2, block=0):
-    ps = ParamSet(
-        agents=[qnet.init_params(rng) for _ in range(n_agents)],
-        mixer=mixer.init_params(rng),
-    )
-    return BlockSnapshot.from_paramset(ps, block)
+def make_q_params(rng, qnet, mixer, n_agents=2):
+    """Fresh utility-net parameters per agent and mixer parameters."""
+    return [qnet.init_params(rng) for _ in range(n_agents)], mixer.init_params(rng)
+
+
+class StubEnv:
+    """Dimensions only: lets a Trainer run prepare_block and block_losses
+    on synthetic batches from make_episode."""
+
+    def __init__(self, n_agents=2, obs_dim=5, n_actions=4, state_dim=4, episode_limit=6):
+        self.n_agents = n_agents
+        self.obs_dim = obs_dim
+        self.n_actions = n_actions
+        self.state_dim = state_dim
+        self.episode_limit = episode_limit
+
+
+def make_stub_trainer(seed=0, n_agents=2, obs_dim=5, n_actions=4, state_dim=4,
+                      hidden=8, embed=4, repr_hidden=6, **cfg_kw):
+    """A Trainer sized like make_nets/make_episode, for synthetic batches."""
+    cfg = TrainConfig(seed=seed, hidden_dim=hidden, mixer_embed_dim=embed,
+                      repr_hidden_dim=repr_hidden, **cfg_kw).validate()
+    env = StubEnv(n_agents, obs_dim, n_actions, state_dim)
+    return Trainer(cfg, lambda: env, rng=np.random.default_rng(seed))
+
+
+def zero_trainer(**cfg_kw):
+    """A stub trainer whose agent, mixer and repr parameters are all zero."""
+    tr = make_stub_trainer(**cfg_kw)
+    tr.params.agents = [zero_params(p) for p in tr.params.agents]
+    tr.params.mixer = zero_params(tr.params.mixer)
+    tr.params.reprs = [zero_params(p) for p in tr.params.reprs]
+    sync_targets(tr.params)
+    return tr
+
+
+def make_trainer(seed=0, env_name="skirmish-2v2", **cfg_kw):
+    """A Trainer on a skirmish preset."""
+    cfg_kw.setdefault("eval_episodes", 4)
+    cfg = TrainConfig(seed=seed, **cfg_kw).validate()
+    env_cfg = preset(env_name)
+    env_cfg.reward_mode = cfg.reward_mode
+    return Trainer(cfg, lambda: SkirmishEnv(env_cfg), rng=np.random.default_rng(seed))
+
+
+def make_batch(rng, m, **episode_kw):
+    """M random episodes of equal padding and their stacked batch."""
+    episodes = [make_episode(rng, **episode_kw) for _ in range(m)]
+    return episodes, stack_episodes(episodes)
 
 
 def zero_params(params):

@@ -92,6 +92,21 @@ def test_eval_checkpoint_roundtrip(tmp_path, fast_cfg_file, capsys):
     assert 0.0 <= win <= 1.0
 
 
+@pytest.mark.parametrize("episodes", [0, -3])
+def test_eval_nonpositive_episodes_is_config_error_exit_1(tmp_path, episodes, capsys):
+    code = run_cli(["eval", "--checkpoint", tmp_path / "absent.npz", "--episodes", episodes])
+    assert code == 1
+    assert "episodes must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_ablation_nonpositive_jobs_is_config_error_exit_1(tmp_path, fast_cfg_file, jobs):
+    out = tmp_path / "abl"
+    assert run_cli(["ablate", "--config", fast_cfg_file, "--seeds", "0",
+                    "--variants", "full", "--jobs", jobs, "--out", out]) == 1
+    assert not out.exists()
+
+
 def test_output_root_env_var(tmp_path, fast_cfg_file, monkeypatch):
     monkeypatch.setenv("GOALMIX_OUT_ROOT", str(tmp_path / "root"))
     monkeypatch.chdir(tmp_path)

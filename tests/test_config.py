@@ -37,6 +37,12 @@ def test_negative_lambda_rejected():
         parse_config(None, {"lam": -0.1})
 
 
+@pytest.mark.parametrize("episodes", [0, -3])
+def test_nonpositive_eval_episodes_rejected(episodes):
+    with pytest.raises(ConfigError, match="eval_episodes"):
+        parse_config(None, {"eval_episodes": episodes})
+
+
 def test_flag_overrides_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"lambda": 0.03}))

@@ -15,8 +15,7 @@ from goalmix.oracles import (
     slow_q_seq,
     value_iteration,
 )
-from goalmix.subgoals import select_subgoals
-from tests.conftest import make_episode, make_nets, make_snapshot
+from tests.conftest import make_batch, make_episode, make_nets, make_q_params, make_stub_trainer
 
 
 # -- finite differences -----------------------------------------------------
@@ -65,30 +64,34 @@ def test_slow_mix_matches_fast_forward(rng):
 
 def test_brute_force_subgoal_single_step_episode(rng):
     qnet, mixer, _ = make_nets()
-    snapshot = make_snapshot(rng, qnet, mixer)
+    agents, mixer_params = make_q_params(rng, qnet, mixer)
     episode = make_episode(rng, length=1)
-    assert list(brute_force_subgoal(snapshot, episode, 0.5).t_star) == [0, 0]
+    assert list(brute_force_subgoal(agents, mixer_params, episode, 0.5)) == [0, 0]
 
 
 def test_brute_force_alpha_zero_agreement_across_agents(rng):
     qnet, mixer, _ = make_nets()
     for _ in range(10):
-        snapshot = make_snapshot(rng, qnet, mixer)
+        agents, mixer_params = make_q_params(rng, qnet, mixer)
         episode = make_episode(rng)
-        a = brute_force_subgoal(snapshot, episode, 0.0)
-        assert a.t_star[0] == a.t_star[1]
+        t_star = brute_force_subgoal(agents, mixer_params, episode, 0.0)
+        assert t_star[0] == t_star[1]
 
 
 def test_brute_force_agrees_with_engine(rng):
-    qnet, mixer, _ = make_nets()
-    for _ in range(25):
-        snapshot = make_snapshot(rng, qnet, mixer)
-        episode = make_episode(rng)
-        alpha = float(rng.random())
-        np.testing.assert_array_equal(
-            brute_force_subgoal(snapshot, episode, alpha).t_star,
-            select_subgoals(snapshot, qnet, mixer, episode, alpha).t_star,
-        )
+    trainer = make_stub_trainer()
+    for _ in range(5):
+        trainer.params.agents, trainer.params.mixer = make_q_params(
+            rng, trainer.qnet, trainer.mixer)
+        trainer.cfg = trainer.cfg.replace(alpha=float(rng.random()))
+        episodes, batch = make_batch(rng, 5)
+        t_star = trainer.prepare_block(batch)["t_star"]
+        for m, episode in enumerate(episodes):
+            np.testing.assert_array_equal(
+                brute_force_subgoal(trainer.params.agents, trainer.params.mixer,
+                                    episode, trainer.cfg.alpha),
+                t_star[:, m],
+            )
 
 
 # -- value iteration -----------------------------------------------------------------

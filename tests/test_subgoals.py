@@ -1,154 +1,201 @@
-"""Subgoal scoring/selection against hand arithmetic and the slow oracle."""
+"""Subgoal scoring/selection kernels against hand arithmetic and the slow oracle."""
 
 import numpy as np
 import pytest
 
 from goalmix.oracles import brute_force_subgoal, slow_mix, slow_q_seq
-from goalmix.subgoals import (
-    BlockSnapshot,
-    score_all,
-    score_timestep,
-    select_subgoals,
-    select_subgoals_random,
-    snapshot_q_seq,
+from goalmix.subgoals import at_subgoal, random_subgoals, select_subgoals, subgoal_scores
+from goalmix.training import stack_episodes
+from tests.conftest import (
+    make_batch,
+    make_episode,
+    make_q_params,
+    make_stub_trainer,
+    make_trainer,
+    zero_trainer,
 )
-from tests.conftest import make_episode, make_nets, make_snapshot, zero_params
 
 
 @pytest.fixture
 def setup(rng):
-    qnet, mixer, _ = make_nets()
-    snapshot = make_snapshot(rng, qnet, mixer)
-    episode = make_episode(rng, length=5)
-    return qnet, mixer, snapshot, episode
+    trainer = make_stub_trainer()
+    trainer.params.agents, trainer.params.mixer = make_q_params(rng, trainer.qnet, trainer.mixer)
+    episodes, batch = make_batch(rng, 4)
+    return trainer, episodes, batch
+
+
+def slow_tables(trainer, episodes):
+    """max_u Q_i (N, M, T) and Q_tot of the taken actions (M, T), from the
+    slow oracle forwards; zeros on padded steps."""
+    n, m, t_len = trainer.n_agents, len(episodes), episodes[0].max_length
+    q_max = np.zeros((n, m, t_len))
+    q_tot = np.zeros((m, t_len))
+    for j, ep in enumerate(episodes):
+        tables = [slow_q_seq(trainer.params.agents[i], ep.obs[i]) for i in range(n)]
+        for t in range(ep.length):
+            for i in range(n):
+                q_max[i, j, t] = max(tables[i][t][u] for u in range(tables[i].shape[1])
+                                     if ep.avail[i, t, u])
+            q_taken = [tables[i][t][ep.actions[i, t]] for i in range(n)]
+            q_tot[j, t] = slow_mix(trainer.params.mixer, q_taken, ep.states[t])
+    return q_max, q_tot
 
 
 def test_alpha_one_score_is_local_max(setup):
-    qnet, mixer, snapshot, episode = setup
-    q_seq = snapshot_q_seq(snapshot, qnet, episode)
-    for i in range(2):
-        for t in range(episode.length):
-            expected = max(q_seq[i, t][episode.avail[i, t]])
-            got = score_timestep(snapshot, qnet, mixer, episode, i, t, alpha=1.0)
-            assert got == pytest.approx(expected, abs=1e-12)
+    trainer, episodes, batch = setup
+    q_max, q_tot = slow_tables(trainer, episodes)
+    valid = batch["valid"].astype(bool)
+    prep = trainer.prepare_block(batch)
+    np.testing.assert_allclose(prep["q_max_snapshot"][:, valid], q_max[:, valid],
+                               rtol=0, atol=1e-9)
+    scores = subgoal_scores(q_max, q_tot, batch["valid"], 1.0)
+    np.testing.assert_array_equal(scores[:, valid], q_max[:, valid])
 
 
 def test_alpha_zero_score_is_agent_independent(setup):
-    qnet, mixer, snapshot, episode = setup
-    scores = score_all(snapshot, qnet, mixer, episode, alpha=0.0)
+    trainer, episodes, batch = setup
+    q_max, q_tot = slow_tables(trainer, episodes)
+    scores = subgoal_scores(q_max, q_tot, batch["valid"], 0.0)
     np.testing.assert_array_equal(scores[0], scores[1])
-    a = select_subgoals(snapshot, qnet, mixer, episode, alpha=0.0)
-    assert a.t_star[0] == a.t_star[1]
+    trainer.cfg = trainer.cfg.replace(subgoal_mode="total_only")
+    t_star = trainer.prepare_block(batch)["t_star"]
+    np.testing.assert_array_equal(t_star[0], t_star[1])
 
 
 def test_score_matches_hand_evaluation_from_q_tables(setup):
     """Direct arithmetic: extract Q tables with the slow oracle and evaluate
     alpha*max_u Q_i + (1-alpha)*Q_tot/N by hand."""
-    qnet, mixer, snapshot, episode = setup
+    trainer, episodes, batch = setup
     alpha = 0.3
-    n = episode.n_agents
-    tables = [slow_q_seq(snapshot.agent_params[i], episode.obs[i]) for i in range(n)]
-    for i in range(n):
-        for t in range(episode.length):
-            q_max = max(tables[i][t][u] for u in range(4) if episode.avail[i, t, u])
-            q_taken = [tables[j][t][episode.actions[j, t]] for j in range(n)]
-            q_tot = slow_mix(snapshot.mixer_params, q_taken, episode.states[t])
-            by_hand = alpha * q_max + (1 - alpha) * q_tot / n
-            got = score_timestep(snapshot, qnet, mixer, episode, i, t, alpha)
-            assert got == pytest.approx(by_hand, abs=1e-9)
+    n = trainer.n_agents
+    q_max, q_tot = slow_tables(trainer, episodes)
+    # the fast path: the trainer's block-start max-Q and the mixer on the
+    # unrolled Q values of the taken actions
+    q_seq = np.stack([trainer.qnet.unroll(trainer.params.agents[i], batch["obs"][i])
+                      for i in range(n)])
+    taken = np.take_along_axis(q_seq, batch["actions"][..., None], axis=-1)[..., 0]
+    m, t_len = batch["rewards"].shape
+    q_tot_fast = trainer.mixer.forward(
+        trainer.params.mixer, np.moveaxis(taken, 0, -1).reshape(m * t_len, n),
+        batch["states"].reshape(m * t_len, -1)).reshape(m, t_len)
+    scores = subgoal_scores(trainer.prepare_block(batch)["q_max_snapshot"], q_tot_fast,
+                            batch["valid"], alpha)
+    for j, ep in enumerate(episodes):
+        for i in range(n):
+            for t in range(ep.length):
+                by_hand = alpha * q_max[i, j, t] + (1 - alpha) * q_tot[j, t] / n
+                assert scores[i, j, t] == pytest.approx(by_hand, abs=1e-9)
 
 
-def test_invalid_timestep_rejected(setup):
-    qnet, mixer, snapshot, episode = setup
-    with pytest.raises(ValueError):
-        score_timestep(snapshot, qnet, mixer, episode, 0, episode.length, 0.5)
+def test_padded_steps_never_selected(rng):
+    _, batch = make_batch(rng, 50)
+    valid = batch["valid"]
+    lengths = valid.sum(axis=1)
+    q_max = rng.normal(size=(2,) + valid.shape)
+    q_max[:, valid == 0] = 1e6  # padded steps would win if they were scored
+    q_tot = rng.normal(size=valid.shape)
+    q_tot[valid == 0] = 1e6
+    for alpha in (0.0, 0.5, 1.0):
+        scores = subgoal_scores(q_max, q_tot, valid, alpha)
+        assert np.all(scores[:, valid == 0] == -np.inf)
+        assert np.all(select_subgoals(q_max, q_tot, valid, alpha) < lengths)
+    for mode in ("value", "random"):
+        trainer = make_stub_trainer(subgoal_mode=mode)
+        assert np.all(trainer.prepare_block(batch)["t_star"] < lengths)
 
 
 def test_constant_scores_tie_break_to_earliest(rng):
-    qnet, mixer, _ = make_nets()
-    snapshot = make_snapshot(rng, qnet, mixer)
-    for i in range(2):
-        snapshot.agent_params[i] = zero_params(snapshot.agent_params[i])
-    snapshot.mixer_params = zero_params(snapshot.mixer_params)
-    episode = make_episode(rng, length=5)
-    a = select_subgoals(snapshot, qnet, mixer, episode, alpha=0.5)
-    assert list(a.t_star) == [0, 0]
+    trainer = zero_trainer()
+    _, batch = make_batch(rng, 6)
+    np.testing.assert_array_equal(trainer.prepare_block(batch)["t_star"], 0)
 
 
 def test_per_agent_argmax_can_differ_at_alpha_one(rng):
-    qnet, mixer, _ = make_nets()
+    trainer = make_stub_trainer(alpha=1.0)
     found = False
-    for trial in range(40):
-        snapshot = make_snapshot(rng, qnet, mixer)
-        episode = make_episode(rng, length=6)
-        a = select_subgoals(snapshot, qnet, mixer, episode, alpha=1.0)
-        oracle = brute_force_subgoal(snapshot, episode, alpha=1.0)
-        np.testing.assert_array_equal(a.t_star, oracle.t_star)
-        if a.t_star[0] != a.t_star[1]:
-            found = True
+    for trial in range(8):
+        trainer.params.agents, trainer.params.mixer = make_q_params(
+            rng, trainer.qnet, trainer.mixer)
+        episodes, batch = make_batch(rng, 5, length=6)
+        t_star = trainer.prepare_block(batch)["t_star"]
+        for m, episode in enumerate(episodes):
+            oracle = brute_force_subgoal(trainer.params.agents, trainer.params.mixer,
+                                         episode, 1.0)
+            np.testing.assert_array_equal(t_star[:, m], oracle)
+        found |= bool(np.any(t_star[0] != t_star[1]))
     assert found, "alpha=1 never produced distinct per-agent subgoal timesteps"
 
 
 def test_subgoal_observation_is_bitwise_stored_observation(setup):
-    qnet, mixer, snapshot, episode = setup
-    a = select_subgoals(snapshot, qnet, mixer, episode, alpha=0.5)
+    trainer, episodes, batch = setup
+    prep = trainer.prepare_block(batch)
     for i in range(2):
-        np.testing.assert_array_equal(a.goal_obs[i], episode.obs[i, a.t_star[i]])
-    assert all(0 <= t < episode.length for t in a.t_star)
+        for m, episode in enumerate(episodes):
+            t = prep["t_star"][i, m]
+            assert 0 <= t < episode.length
+            np.testing.assert_array_equal(prep["goal_obs"][i, m], episode.obs[i, t])
 
 
-def test_snapshot_stability_under_online_mutation(rng):
-    qnet, mixer, _ = make_nets()
-    from goalmix.nn import ParamSet
+def test_prepare_block_matches_train_block_prep():
+    """The trainer's snapshot: parameters change only after the gradient
+    step, so the prep train_block builds from the graph unroll is bitwise
+    the prep of a separate evaluation at block start."""
+    trainer = make_trainer(seed=0)
+    for _ in range(5):
+        trainer.train_block()
+    seen = {}
+    prepare = trainer.prepare_block
 
-    ps = ParamSet(agents=[qnet.init_params(rng) for _ in range(2)],
-                  mixer=mixer.init_params(rng))
-    snapshot = BlockSnapshot.from_paramset(ps, block=3)
-    episode = make_episode(rng, length=6)
-    first = select_subgoals(snapshot, qnet, mixer, episode, alpha=0.4)
-    for p in ps.agents:
-        for k in p:
-            p[k] += 100.0  # online drifts mid-block
-    second = select_subgoals(snapshot, qnet, mixer, episode, alpha=0.4)
-    np.testing.assert_array_equal(first.t_star, second.t_star)
-    np.testing.assert_array_equal(first.goal_obs, second.goal_obs)
+    def spy(batch, q_seq=None):
+        seen["direct"] = prepare(batch)
+        seen["trained"] = prepare(batch, q_seq=q_seq)
+        return seen["trained"]
+
+    trainer.prepare_block = spy
+    trainer.train_block()
+    assert seen["direct"].keys() == seen["trained"].keys()
+    for key, value in seen["trained"].items():
+        assert np.array_equal(seen["direct"][key], value), key
 
 
 def test_oracle_equivalence_sweep(rng):
-    qnet, mixer, _ = make_nets()
-    for trial in range(60):
-        snapshot = make_snapshot(rng, qnet, mixer)
-        episode = make_episode(rng)
-        alpha = float(rng.random())
-        fast = select_subgoals(snapshot, qnet, mixer, episode, alpha)
-        slow = brute_force_subgoal(snapshot, episode, alpha)
-        np.testing.assert_array_equal(fast.t_star, slow.t_star)
+    trainer = make_stub_trainer()
+    for trial in range(10):
+        trainer.params.agents, trainer.params.mixer = make_q_params(
+            rng, trainer.qnet, trainer.mixer)
+        trainer.cfg = trainer.cfg.replace(alpha=float(rng.random()))
+        episodes, batch = make_batch(rng, 6)
+        t_star = trainer.prepare_block(batch)["t_star"]
+        for m, episode in enumerate(episodes):
+            slow = brute_force_subgoal(trainer.params.agents, trainer.params.mixer,
+                                       episode, trainer.cfg.alpha)
+            np.testing.assert_array_equal(t_star[:, m], slow)
 
 
 # -- random subgoals ----------------------------------------------------------
 
 
 def test_random_single_timestep_episode(rng):
-    episode = make_episode(rng, length=1)
-    a = select_subgoals_random(episode, np.random.default_rng(0))
-    assert list(a.t_star) == [0, 0]
+    batch = stack_episodes([make_episode(rng, length=1) for _ in range(3)])
+    t_star = random_subgoals(batch["valid"], 2, np.random.default_rng(0))
+    np.testing.assert_array_equal(t_star, np.zeros((2, 3)))
 
 
 def test_random_uniform_distribution(rng):
-    episode = make_episode(rng, t_max=6, length=5)
-    sampler = np.random.default_rng(77)
     draws = 100_000
-    counts = np.zeros(5)
-    for _ in range(draws):
-        counts[select_subgoals_random(episode, sampler).t_star[0]] += 1
+    valid = np.zeros((draws, 6))
+    valid[:, :5] = 1.0
+    t_star = random_subgoals(valid, 1, np.random.default_rng(77))
+    counts = np.bincount(t_star[0], minlength=6)
+    assert counts[5] == 0
     p = 0.2
     sigma = np.sqrt(p * (1 - p) / draws)
-    assert np.all(np.abs(counts / draws - p) < 3 * sigma)
+    assert np.all(np.abs(counts[:5] / draws - p) < 3 * sigma)
 
 
 def test_random_fixed_seed_reproducible(rng):
-    episode = make_episode(rng, length=4)
-    a = select_subgoals_random(episode, np.random.default_rng(5))
-    b = select_subgoals_random(episode, np.random.default_rng(5))
-    np.testing.assert_array_equal(a.t_star, b.t_star)
-    np.testing.assert_array_equal(a.goal_obs, b.goal_obs)
+    _, batch = make_batch(rng, 4, length=4)
+    a = random_subgoals(batch["valid"], 2, np.random.default_rng(5))
+    b = random_subgoals(batch["valid"], 2, np.random.default_rng(5))
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(at_subgoal(batch["obs"], a), at_subgoal(batch["obs"], b))

@@ -5,138 +5,136 @@ import math
 import numpy as np
 import pytest
 
-from goalmix.config import TrainConfig
-from goalmix.env import SkirmishEnv, preset
-from goalmix.nn import ParamSet, as_tensors, gradient, sync_targets
+from goalmix.autodiff import take_along_last
+from goalmix.nn import as_tensors, gradient, weighted_sq_error
 from goalmix.oracles import finite_diff_grad, slow_mix, slow_q_seq
 from goalmix.training import (
-    Trainer,
-    composite_loss,
-    entropy_correction_loss,
-    individual_td_loss,
+    correction_window,
+    entropy_correction,
     loss_value,
     stack_episodes,
-    total_td_loss,
 )
 from tests.conftest import (
     assert_grads_close,
+    make_batch,
     make_episode,
     make_nets,
-    make_paramset,
+    make_stub_trainer,
+    make_trainer,
     zero_params,
+    zero_trainer,
 )
 from tests.reference_qmix import reference_qmix_block
 
 
-def make_trainer(seed=0, env_name="skirmish-2v2", **cfg_kw):
-    cfg_kw.setdefault("eval_episodes", 4)
-    cfg = TrainConfig(seed=seed, **cfg_kw).validate()
-    env_cfg = preset(env_name)
-    env_cfg.reward_mode = cfg.reward_mode
-    return Trainer(cfg, lambda: SkirmishEnv(env_cfg), rng=np.random.default_rng(seed))
+def losses(tr, episodes, **prep):
+    """Trainer.block_losses on the batch of ``episodes`` with a hand-set
+    prep (rewards as (M, T) / (N, M, T) arrays)."""
+    batch = stack_episodes(episodes)
+    return tr.block_losses(tr._wrap_online()[0], batch, prep)
 
 
-# -- individual TD loss ---------------------------------------------------------
+def block_losses(tr, batch):
+    """Trainer.block_losses on a batch with the trainer's own prep."""
+    return tr.block_losses(tr._wrap_online()[0], batch, tr.prepare_block(batch))
+
+
+# -- individual TD loss (one agent, so sum_Li is that agent's loss) -------------
 
 
 def test_individual_td_zero_when_q_equals_target(rng):
-    qnet, _, _ = make_nets()
-    params = zero_params(qnet.init_params(rng))
-    episode = make_episode(rng, length=4, reward_scale=0.0)
-    r_i = np.zeros(episode.max_length)
-    loss = individual_td_loss(qnet, params, params, episode, r_i, agent=0)
-    assert loss_value(loss) == pytest.approx(0.0, abs=1e-12)
+    tr = zero_trainer(n_agents=1, lam_e=0.0, lam_d=0.0)
+    episode = make_episode(rng, n_agents=1, length=4, reward_scale=0.0)
+    _, parts = losses(tr, [episode], proxy=np.zeros((1, 6)), r_individual=np.zeros((1, 1, 6)))
+    assert parts["sum_Li"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_individual_td_terminal_contribution(rng):
-    qnet, _, _ = make_nets()
-    params = zero_params(qnet.init_params(rng))
-    episode = make_episode(rng, t_max=4, length=1)
-    loss = individual_td_loss(qnet, params, params, episode, np.array([1.0, 0, 0, 0]), 0)
-    assert loss_value(loss) == pytest.approx(1.0, abs=1e-12)
+    tr = zero_trainer(n_agents=1, lam_e=0.0, lam_d=0.0)
+    episode = make_episode(rng, n_agents=1, t_max=4, length=1)
+    r_i = np.array([[[1.0, 0, 0, 0]]])
+    _, parts = losses(tr, [episode], proxy=np.zeros((1, 4)), r_individual=r_i)
+    assert parts["sum_Li"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_individual_td_matches_hand_evaluation(rng):
-    qnet, _, _ = make_nets()
-    params = qnet.init_params(rng)
-    targets = qnet.init_params(rng)
-    episode = make_episode(rng, t_max=4, length=2)
-    r_i = np.array([0.5, -1.0, 0.0, 0.0])
     gamma = 0.9
+    tr = make_stub_trainer(n_agents=1, lam_e=0.0, lam_d=0.0, gamma=gamma)
+    params = tr.params.agents[0]
+    targets = tr.params.target_agents[0] = tr.qnet.init_params(rng)
+    episode = make_episode(rng, n_agents=1, t_max=4, length=2)
+    r_i = np.array([0.5, -1.0, 0.0, 0.0])
     q = slow_q_seq(params, episode.obs[0, :2])
     tq = slow_q_seq(targets, episode.obs[0, :2])
     d0 = r_i[0] + gamma * max(tq[1][episode.avail[0, 1]]) - q[0, episode.actions[0, 0]]
     d1 = r_i[1] - q[1, episode.actions[0, 1]]  # terminal: no bootstrap
     by_hand = (d0 ** 2 + d1 ** 2) / 2.0
-    loss = individual_td_loss(qnet, params, targets, episode, r_i, 0, gamma=gamma)
-    assert loss_value(loss) == pytest.approx(by_hand, abs=1e-9)
+    _, parts = losses(tr, [episode], proxy=np.zeros((1, 4)), r_individual=r_i[None, None])
+    assert parts["sum_Li"] == pytest.approx(by_hand, abs=1e-9)
 
 
 # -- total TD loss -----------------------------------------------------------------
 
 
-def zeroed_paramset(rng, qnet, mixer):
-    ps = ParamSet(
-        agents=[zero_params(qnet.init_params(rng)) for _ in range(2)],
-        mixer=zero_params(mixer.init_params(rng)),
-    )
-    sync_targets(ps)
-    return ps
-
-
 def test_total_td_zero_when_equal(rng):
-    qnet, mixer, _ = make_nets()
-    ps = zeroed_paramset(rng, qnet, mixer)
+    tr = zero_trainer(lam_i=0.0, lam_e=0.0, lam_d=0.0)
     episode = make_episode(rng, length=3, reward_scale=0.0)
-    loss = total_td_loss(qnet, ps.agents, mixer, ps.mixer, ps.target_agents,
-                         ps.target_mixer, episode, np.zeros(episode.max_length))
-    assert loss_value(loss) == pytest.approx(0.0, abs=1e-12)
+    _, parts = losses(tr, [episode], proxy=np.zeros((1, 6)))
+    assert parts["L_TD"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_total_td_terminal_only_hand_value(rng):
-    qnet, mixer, _ = make_nets()
-    ps = zeroed_paramset(rng, qnet, mixer)
+    tr = zero_trainer(lam_i=0.0, lam_e=0.0, lam_d=0.0)
     episode = make_episode(rng, t_max=3, length=1)
-    loss = total_td_loss(qnet, ps.agents, mixer, ps.mixer, ps.target_agents,
-                         ps.target_mixer, episode, np.array([-0.03, 0, 0]))
-    assert loss_value(loss) == pytest.approx(0.0009, abs=1e-12)
+    _, parts = losses(tr, [episode], proxy=np.array([[-0.03, 0, 0]]))
+    assert parts["L_TD"] == pytest.approx(0.0009, abs=1e-12)
 
 
 def test_total_td_nonnegative_and_matches_hand(rng):
-    qnet, mixer, _ = make_nets()
-    ps = make_paramset(rng, qnet, mixer)
-    episode = make_episode(rng, t_max=4, length=2)
-    proxy = np.array([0.3, -0.2, 0.0, 0.0])
     gamma = 0.95
-    loss = loss_value(total_td_loss(qnet, ps.agents, mixer, ps.mixer,
-                                    ps.target_agents, ps.target_mixer,
-                                    episode, proxy, gamma=gamma))
-    assert loss >= 0.0
-    # hand evaluation via the slow oracle
-    q = [slow_q_seq(ps.agents[i], episode.obs[i, :2]) for i in range(2)]
-    tq = [slow_q_seq(ps.target_agents[i], episode.obs[i, :2]) for i in range(2)]
-    deltas = []
-    for t in range(2):
-        q_taken = [q[i][t, episode.actions[i, t]] for i in range(2)]
-        tot = slow_mix(ps.mixer, q_taken, episode.states[t])
-        if episode.dones[t]:
-            y = proxy[t]
-        else:
-            nxt = [max(tq[i][t + 1][episode.avail[i, t + 1]]) for i in range(2)]
-            y = proxy[t] + gamma * slow_mix(ps.target_mixer, nxt, episode.states[t + 1])
-        deltas.append((tot - y) ** 2)
-    assert loss == pytest.approx(float(np.mean(deltas)), abs=1e-9)
+    tr = make_stub_trainer(lam_i=0.0, lam_e=0.0, lam_d=0.0, gamma=gamma)
+    ps = tr.params
+    ps.target_agents = [tr.qnet.init_params(rng) for _ in range(2)]
+    ps.target_mixer = tr.mixer.init_params(rng)
+    episodes = [make_episode(rng, t_max=4, length=2), make_episode(rng, t_max=4, length=3)]
+    proxy = np.array([[0.3, -0.2, 0.0, 0.0], [0.1, 0.5, -1.0, 0.0]])
+    _, parts = losses(tr, episodes, proxy=proxy)
+    assert parts["L_TD"] >= 0.0
+    # hand evaluation via the slow oracle: per-episode means, summed
+    by_hand = 0.0
+    for m, episode in enumerate(episodes):
+        length = episode.length
+        q = [slow_q_seq(ps.agents[i], episode.obs[i, :length]) for i in range(2)]
+        tq = [slow_q_seq(ps.target_agents[i], episode.obs[i, :length]) for i in range(2)]
+        deltas = []
+        for t in range(length):
+            q_taken = [q[i][t, episode.actions[i, t]] for i in range(2)]
+            tot = slow_mix(ps.mixer, q_taken, episode.states[t])
+            if episode.dones[t]:
+                y = proxy[m, t]
+            else:
+                nxt = [max(tq[i][t + 1][episode.avail[i, t + 1]]) for i in range(2)]
+                y = proxy[m, t] + gamma * slow_mix(ps.target_mixer, nxt, episode.states[t + 1])
+            deltas.append((tot - y) ** 2)
+        by_hand += float(np.mean(deltas))
+    assert parts["L_TD"] == pytest.approx(by_hand, abs=1e-9)
 
 
 # -- entropy correction ---------------------------------------------------------------
+
+
+def window_at(t_star, episode, mode="normal"):
+    """The trainer's correction window for one agent of a one-episode batch."""
+    valid = episode.valid[None].astype(np.float64)
+    return correction_window(np.array([[t_star]]), valid, mode)[0]
 
 
 def test_entropy_correction_zero_for_uniform_q(rng):
     qnet, _, _ = make_nets()
     params = zero_params(qnet.init_params(rng))
     episode = make_episode(rng, length=5)
-    loss = entropy_correction_loss(qnet, params, episode, t_star=0, agent=0)
-    assert loss_value(loss) == pytest.approx(0.0, abs=1e-12)
+    q = qnet.unroll(params, episode.obs[0][None])
+    assert loss_value(entropy_correction(q, window_at(0, episode))) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_entropy_correction_two_action_hand_value(rng):
@@ -148,33 +146,35 @@ def test_entropy_correction_two_action_hand_value(rng):
     p = math.e / (1.0 + math.e)
     by_hand = math.log(2.0) + p * math.log(p) + (1 - p) * math.log(1 - p)
     assert by_hand == pytest.approx(0.11094407167172737, abs=1e-15)
-    loss = entropy_correction_loss(qnet, params, episode, t_star=0, agent=0)
-    assert loss_value(loss) == pytest.approx(by_hand, abs=1e-12)
+    for q in (qnet.unroll(params, episode.obs[0][None]),
+              qnet.unroll(as_tensors(params), episode.obs[0][None])):
+        loss = entropy_correction(q, window_at(0, episode))
+        assert loss_value(loss) == pytest.approx(by_hand, abs=1e-12)
 
 
 def test_entropy_correction_window_modes(rng):
     qnet, _, _ = make_nets()
     params = qnet.init_params(rng)
     episode = make_episode(rng, length=5)
-    per_t = [loss_value(entropy_correction_loss(qnet, params, episode, t, 0)) -
-             loss_value(entropy_correction_loss(qnet, params, episode, t + 1, 0))
-             for t in range(4)]
+    q = qnet.unroll(params, episode.obs[0][None])
+
+    def corr(t_star, mode="normal"):
+        return loss_value(entropy_correction(q, window_at(t_star, episode, mode)))
+
+    per_t = [corr(t) - corr(t + 1) for t in range(4)]
     assert all(v >= -1e-12 for v in per_t)  # each step's KL is non-negative
-    normal = loss_value(entropy_correction_loss(qnet, params, episode, 2, 0, "normal"))
-    over = loss_value(entropy_correction_loss(qnet, params, episode, 2, 0, "over"))
-    none = entropy_correction_loss(qnet, params, episode, 2, 0, "none")
-    full = loss_value(entropy_correction_loss(qnet, params, episode, 0, 0, "normal"))
-    assert none == 0.0
-    assert over == pytest.approx(full, abs=1e-12)  # from t=0 regardless of t*
-    assert over >= normal - 1e-12
-    assert loss_value(entropy_correction_loss(qnet, params, episode, 4, 0)) >= -1e-12
+    assert corr(2, "over") == pytest.approx(corr(0), abs=1e-12)  # from t=0 regardless of t*
+    assert corr(2, "over") >= corr(2) - 1e-12
+    assert corr(4) >= -1e-12
+    assert corr(5) == 0.0  # the window never covers padded steps
 
 
 def test_entropy_identity_kl_equals_logu_minus_entropy(rng):
     qnet, _, _ = make_nets(n_actions=5)
     params = qnet.init_params(rng)
     episode = make_episode(rng, t_max=1, length=1, n_actions=5)
-    kl = loss_value(entropy_correction_loss(qnet, params, episode, 0, 0))
+    kl = loss_value(entropy_correction(qnet.unroll(params, episode.obs[0][None]),
+                                       window_at(0, episode)))
     q = slow_q_seq(params, episode.obs[0, :1])[0]
     z = np.exp(q - q.max())
     pi = z / z.sum()
@@ -185,55 +185,68 @@ def test_entropy_identity_kl_equals_logu_minus_entropy(rng):
 # -- composite -----------------------------------------------------------------------
 
 
-def test_composite_weighted_sum_hand_value():
-    total = composite_loss(1.0, [2.0], [3.0], [4.0], 0.001, 0.001, 0.001)
-    assert total == pytest.approx(1.009, abs=1e-12)
+def test_composite_weighted_sum_hand_value(rng):
+    tr = make_stub_trainer(lam_i=0.25, lam_e=0.5, lam_d=2.0)
+    _, batch = make_batch(rng, 3)
+    total, parts = block_losses(tr, batch)
+    weighted = (parts["L_TD"] + 0.25 * parts["sum_Li"] + 0.5 * parts["sum_LE"]
+                + 2.0 * parts["sum_LD"])
+    assert min(parts.values()) > 0.0
+    assert total.item() == pytest.approx(weighted, rel=1e-12)
 
 
-def test_composite_all_zero():
-    assert composite_loss(0.0, [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], 1, 1, 1) == 0.0
+def test_composite_all_zero(rng):
+    # zero nets and zero rewards: every TD error vanishes and Q is uniform
+    tr = zero_trainer(lam_d=0.0)
+    _, batch = make_batch(rng, 3, reward_scale=0.0)
+    total, parts = block_losses(tr, batch)
+    assert parts["L_TD"] == 0.0
+    assert parts["sum_Li"] == 0.0
+    assert total.item() == pytest.approx(0.0, abs=1e-12)
 
 
-def test_composite_zero_weights_is_plain_td():
-    assert composite_loss(7.25, [9.0], [9.0], [9.0], 0.0, 0.0, 0.0) == 7.25
+def test_composite_zero_weights_is_plain_td(rng):
+    tr = make_stub_trainer(lam_i=0.0, lam_e=0.0, lam_d=0.0)
+    _, batch = make_batch(rng, 3)
+    total, parts = block_losses(tr, batch)
+    assert total.item() == parts["L_TD"]
+    assert parts["sum_Li"] == parts["sum_LE"] == parts["sum_LD"] == 0.0
 
 
-# -- gradient fidelity of the loss surfaces -----------------------------------------
+# -- gradient fidelity of the loss kernels ------------------------------------------
 
 
 def test_loss_gradients_match_finite_differences(rng):
-    qnet, mixer, _ = make_nets(obs_dim=4, n_actions=3, hidden=4, embed=3)
-    ps = make_paramset(rng, qnet, mixer)
-    episode = make_episode(rng, t_max=4, length=3, obs_dim=4, n_actions=3)
-    r_i = rng.normal(size=4)
+    tr = make_stub_trainer(obs_dim=4, n_actions=3, hidden=4, embed=3,
+                           lam_i=0.0, lam_e=0.0, lam_d=0.0)
+    _, batch = make_batch(rng, 2, t_max=4, obs_dim=4, n_actions=3)
+    obs, actions = batch["obs"][0], batch["actions"][0]
+    y = rng.normal(size=(2, 4))
+    w = batch["valid"] / batch["valid"].sum(axis=1)[:, None]
+    window = correction_window(np.array([[1, 0]]), batch["valid"], "normal")[0]
 
-    def li_fn(p):
-        return loss_value(individual_td_loss(qnet, p, ps.target_agents[0], episode, r_i, 0))
+    def li(p):
+        return weighted_sq_error(take_along_last(tr.qnet.unroll(p, obs), actions), y, w)
 
-    tensors = as_tensors(ps.agents[0])
-    grads = gradient(
-        individual_td_loss(qnet, tensors, ps.target_agents[0], episode, r_i, 0), tensors
-    )
-    assert_grads_close(grads, finite_diff_grad(li_fn, ps.agents[0], step=1e-5))
+    def le(p):
+        return entropy_correction(tr.qnet.unroll(p, obs), window)
 
-    def le_fn(p):
-        return loss_value(entropy_correction_loss(qnet, p, episode, 1, 0))
+    for build in (li, le):
+        tensors = as_tensors(tr.params.agents[0])
+        grads = gradient(build(tensors), tensors)
+        fd = finite_diff_grad(lambda p: loss_value(build(p)), tr.params.agents[0], step=1e-5)
+        assert_grads_close(grads, fd)
 
-    tensors = as_tensors(ps.agents[0])
-    grads = gradient(entropy_correction_loss(qnet, tensors, episode, 1, 0), tensors)
-    assert_grads_close(grads, finite_diff_grad(le_fn, ps.agents[0], step=1e-5))
+    prep = {"proxy": rng.normal(size=(2, 4))}
+    agents = [as_tensors(p) for p in tr.params.agents]
 
-    def ltd_mixer_fn(p):
-        return loss_value(total_td_loss(qnet, ps.agents, mixer, p, ps.target_agents,
-                                        ps.target_mixer, episode, r_i))
+    def ltd_mixer(p):
+        return tr.block_losses((agents, p, []), batch, prep)[0]
 
-    tensors = as_tensors(ps.mixer)
-    grads = gradient(
-        total_td_loss(qnet, ps.agents, mixer, tensors, ps.target_agents,
-                      ps.target_mixer, episode, r_i),
-        tensors,
-    )
-    assert_grads_close(grads, finite_diff_grad(ltd_mixer_fn, ps.mixer, step=1e-5))
+    tensors = as_tensors(tr.params.mixer)
+    grads = gradient(ltd_mixer(tensors), tensors)
+    fd = finite_diff_grad(lambda p: ltd_mixer(as_tensors(p)).item(), tr.params.mixer, step=1e-5)
+    assert_grads_close(grads, fd)
 
 
 # -- trainer behaviour -----------------------------------------------------------------
@@ -349,12 +362,31 @@ def test_run_writes_metrics_and_final_eval(tmp_path):
         assert all(np.isfinite(values))
 
 
+def test_run_zero_step_budget_trains_nothing():
+    tr = make_trainer(seed=7, max_env_steps=60, eval_episodes=1)
+    tr.run(max_env_steps=0)
+    assert tr.block == 0
+
+
 def test_always_noop_policy_never_wins():
     tr = make_trainer(seed=8, eval_episodes=8)
     for p in tr.params.agents:
         for k in p:
             p[k][:] = 0.0  # all Q equal -> greedy tie-break picks no-op
     assert tr.evaluate(8) == 0.0
+
+
+def test_evaluate_episode_count():
+    tr = make_trainer(seed=8, eval_episodes=2)
+    calls = []
+    rollout = tr._rollout
+    tr._rollout = lambda *a, **k: calls.append(1) or rollout(*a, **k)
+    tr.evaluate()
+    assert len(calls) == 2
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            tr.evaluate(bad)
+    assert len(calls) == 2
 
 
 def test_share_params_trains_single_network():
