@@ -34,8 +34,7 @@ def main():
     # the score inputs at block start: masked max local Q and the mixed Q
     # of the taken actions
     n = episode.n_agents
-    q_seq = np.stack([trainer.qnet.unroll(trainer.agent_params(i), batch["obs"][i])
-                      for i in range(n)])                              # (N, 1, T, U)
+    q_seq = trainer.qnet.unroll(trainer.params.agent, batch["obs"])  # (N, 1, T, U)
     q_max = np.max(np.where(batch["avail"], q_seq, -np.inf), axis=-1)
     q_taken = np.take_along_axis(q_seq, batch["actions"][..., None], axis=-1)[..., 0]
     q_tot = trainer.mixer.forward(trainer.params.mixer, q_taken[:, 0].T, batch["states"][0])
@@ -44,7 +43,7 @@ def main():
         scores = subgoal_scores(q_max, q_tot[None], batch["valid"], alpha)
         trainer.cfg = cfg.replace(alpha=alpha)
         t_star = trainer.prepare_block(batch)["t_star"][:, 0]
-        oracle = brute_force_subgoal(trainer.params.agents, trainer.params.mixer, episode, alpha)
+        oracle = brute_force_subgoal(trainer.params.agent, trainer.params.mixer, episode, alpha)
         assert np.array_equal(t_star, oracle)
         print(f"\nalpha = {alpha}")
         for i in range(n):

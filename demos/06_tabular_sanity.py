@@ -35,14 +35,13 @@ def main():
 
     env = TabularEnv(game, episode_limit=10)
     obs, _ = env.reset(np.random.default_rng(0))
-    hidden = [trainer.qnet.initial_hidden(1) for _ in range(2)]
+    hidden = trainer.qnet.initial_hidden(2, 1)  # (agents, batch, hidden)
     print("\ngreedy rollout of the trained decentralised policy:")
     while True:
         s = env.s
-        acts = []
-        for i in range(2):
-            q, hidden[i] = trainer.qnet.step(trainer.agent_params(i), obs[i][None], hidden[i])
-            acts.append(masked_argmax(q[0], env.avail_actions()[i]))
+        # every agent's net in one call on the slot-stacked parameters
+        q, hidden = trainer.qnet.step(trainer.params.agent, obs[:, None], hidden)
+        acts = [masked_argmax(q[i, 0], env.avail_actions()[i]) for i in range(2)]
         mark = "optimal" if tuple(acts) in optimal[s] else "SUBOPTIMAL"
         result = env.step(acts)
         print(f"  state {s} -> joint action {tuple(acts)} [{mark}], reward {result.reward:+.2f}")

@@ -30,37 +30,43 @@ class RecurrentQNet:
         p.update(linear_params(rng, self.hidden_dim, self.n_actions, "out"))
         return p
 
-    def initial_hidden(self, batch=1):
-        return np.zeros((batch, self.hidden_dim))
+    def initial_hidden(self, *lead):
+        """Zero hidden state of shape (*lead, hidden)."""
+        return np.zeros((*lead, self.hidden_dim))
 
     def step(self, params, obs, h):
-        """One recurrent step. obs: (B, obs_dim), h: (B, hidden) -> (q, h')."""
+        """One recurrent step -> (q, h'). Slot-stacked params take every
+        agent at once: obs (N, B, obs_dim), h (N, B, hidden); a single net
+        takes obs (B, obs_dim), h (B, hidden)."""
         x = relu(affine(params, "in", obs))
         h2 = self.cell.step(params, x, h)
         q = affine(params, "out", h2)
         return q, h2
 
     def unroll(self, params, obs_seq):
-        """Run the full sequence from a zero hidden state.
+        """Run every sequence from a zero hidden state.
 
-        obs_seq: (B, T, obs_dim) ndarray -> Q values (B, T, n_actions),
-        a Tensor when ``params`` are Tensors, an ndarray otherwise.
-        The input-side projections of all gates are computed for every
-        step in one batched matmul; the loop only carries the hidden state.
+        Slot-stacked params take obs_seq (N, B, T, obs_dim) and return Q
+        values (N, B, T, n_actions); a single net takes (B, T, obs_dim) and
+        returns (B, T, n_actions). The result is a Tensor when ``params``
+        are Tensors, an ndarray otherwise. The input-side projections of all
+        gates are computed for every step in one batched matmul; the loop
+        only carries the hidden state.
         """
-        b, t_len, d = obs_seq.shape
+        *lead, t_len, d = obs_seq.shape
+        rows = (*lead[:-1], lead[-1] * t_len)  # each slot's (B * T) rows
         hd = self.hidden_dim
-        x = relu(affine(params, "in", obs_seq.reshape(b * t_len, d)))
-        xz = affine(params, "gru.xz", x).reshape(b, t_len, hd)
-        xr = affine(params, "gru.xr", x).reshape(b, t_len, hd)
-        xn = affine(params, "gru.xn", x).reshape(b, t_len, hd)
-        h = self.initial_hidden(b)
+        x = relu(affine(params, "in", obs_seq.reshape(*rows, d)))
+        xz = affine(params, "gru.xz", x).reshape(*lead, t_len, hd)
+        xr = affine(params, "gru.xr", x).reshape(*lead, t_len, hd)
+        xn = affine(params, "gru.xn", x).reshape(*lead, t_len, hd)
+        h = self.initial_hidden(*lead)
         hs = []
         for t in range(t_len):
             h = gru_update(params, slice_time(xz, t), slice_time(xr, t), slice_time(xn, t), h)
             hs.append(h)
-        hidden = stack(hs, axis=1)  # (B, T, hidden)
-        return affine(params, "out", hidden)
+        hidden = stack(hs, axis=-2).reshape(*rows, hd)
+        return affine(params, "out", hidden).reshape(*lead, t_len, self.n_actions)
 
 
 def local_q(qnet, params, obs_history):
@@ -101,15 +107,9 @@ class EpsilonSchedule:
     start: float = 1.0
     end: float = 0.05
     anneal_steps: int = 50_000
-    current_step: int = 0
 
-    def value(self, step=None):
-        step = self.current_step if step is None else step
+    def value(self, step):
         if self.anneal_steps <= 0:
             return self.end
         frac = min(1.0, step / self.anneal_steps)
         return self.start + frac * (self.end - self.start)
-
-    def advance(self, steps=1):
-        self.current_step += steps
-        return self.value()

@@ -244,9 +244,6 @@ class Tensor:
         out._backward = back
         return out
 
-    def mean(self):
-        return self.sum() * (1.0 / self.data.size)
-
     def square(self):
         return self * self
 
@@ -355,19 +352,33 @@ def take_along_last(x, idx):
 
 
 def slice_time(x, t):
-    """x[:, t] as a graph node; x has a time axis at position 1."""
+    """x[..., t, :] as a graph node; x has its time axis second to last."""
     if isinstance(x, Tensor):
-        out = Tensor(x.data[:, t], (x,))
+        out = Tensor(x.data[..., t, :], (x,))
         src = x.data.shape
 
         def back(g):
             full = np.zeros(src)
-            full[:, t] = g
+            full[..., t, :] = g
             x._accum(full)
 
         out._backward = back
         return out
-    return x[:, t]
+    return x[..., t, :]
+
+
+def moveaxis(x, source, destination):
+    """np.moveaxis with C-contiguous data (so a later matmul can use BLAS);
+    a graph node when x is a Tensor."""
+    if isinstance(x, Tensor):
+        out = Tensor(np.ascontiguousarray(np.moveaxis(x.data, source, destination)), (x,))
+
+        def back(g):
+            x._accum(np.ascontiguousarray(np.moveaxis(g, destination, source)))
+
+        out._backward = back
+        return out
+    return np.ascontiguousarray(np.moveaxis(x, source, destination))
 
 
 def logsumexp_last(x):

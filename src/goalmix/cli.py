@@ -113,6 +113,12 @@ def run_eval(checkpoint_path, episodes, seed=0, env_name=None) -> float:
     else:
         env_cfg = EnvConfig.from_dict(meta["env_config"])
     trainer = Trainer(cfg, lambda: SkirmishEnv(env_cfg), rng=np.random.default_rng(seed))
+    need = {name: arr.shape for name, arr in trainer.params.named_all()}
+    have = {name: arr.shape for name, arr in ps.named_all()}
+    bad = next((name for name in [*need, *have] if need.get(name) != have.get(name)), None)
+    if bad is not None:
+        raise ConfigError(f"checkpoint does not fit env {cfg.env!r}: parameter {bad} has shape "
+                          f"{have.get(bad)} in the checkpoint, the env needs {need.get(bad)}")
     trainer.params = ps
     return trainer.evaluate(episodes)
 

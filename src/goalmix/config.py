@@ -9,6 +9,7 @@ batch 32, target sync every 200 episodes, epsilon 1.0 -> 0.05 over
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, fields, asdict
 
 
@@ -22,6 +23,16 @@ REWARD_MODES = ("sparse", "dense")
 
 # config-file spellings that differ from the field names
 KEY_ALIASES = {"lambda": "lam"}
+FILE_KEYS = {field_name: key for key, field_name in KEY_ALIASES.items()}
+
+# the values each annotated field type accepts (bool is excluded from the numbers)
+FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
+# bounds of the numeric fields not checked one by one in TrainConfig.validate
+AT_LEAST_ONE = ("buffer_capacity", "batch_size", "target_interval", "eps_anneal_steps",
+                "hidden_dim", "mixer_embed_dim", "repr_hidden_dim", "eval_interval",
+                "eval_episodes")
+NON_NEGATIVE = ("lam", "lam_i", "lam_e", "lam_d", "max_env_steps", "seed")
+UNIT_INTERVAL = ("alpha", "eps_start", "eps_end")
 
 
 @dataclass
@@ -65,29 +76,27 @@ class TrainConfig:
     episode_log: bool = False
 
     def validate(self):
-        checks = [
-            (0.0 <= self.alpha <= 1.0, f"alpha must be in [0, 1], got {self.alpha}"),
-            (self.lam >= 0, f"lambda must be >= 0, got {self.lam}"),
-            (self.lam_i >= 0, f"lam_i must be >= 0, got {self.lam_i}"),
-            (self.lam_e >= 0, f"lam_e must be >= 0, got {self.lam_e}"),
-            (self.lam_d >= 0, f"lam_d must be >= 0, got {self.lam_d}"),
-            (0.0 < self.gamma < 1.0, f"gamma must be in (0, 1), got {self.gamma}"),
-            (self.lr > 0, f"lr must be > 0, got {self.lr}"),
-            (self.buffer_capacity >= 1, "buffer_capacity must be >= 1"),
-            (self.batch_size >= 1, "batch_size must be >= 1"),
-            (self.target_interval >= 1, "target_interval must be >= 1"),
-            (self.eps_anneal_steps >= 1, "eps_anneal_steps must be >= 1"),
-            (self.eval_episodes >= 1, f"eval_episodes must be >= 1, got {self.eval_episodes}"),
-            (self.subgoal_mode in SUBGOAL_MODES,
-             f"subgoal_mode must be one of {SUBGOAL_MODES}, got {self.subgoal_mode!r}"),
-            (self.correction in CORRECTION_MODES,
-             f"correction must be one of {CORRECTION_MODES}, got {self.correction!r}"),
-            (self.reward_mode in REWARD_MODES,
-             f"reward_mode must be one of {REWARD_MODES}, got {self.reward_mode!r}"),
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, FIELD_KINDS[f.type]) or (
+                    isinstance(value, bool) and f.type != "bool"):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
+        checks = [(getattr(self, k) >= 1, k, ">= 1") for k in AT_LEAST_ONE]
+        checks += [(getattr(self, k) >= 0, k, ">= 0") for k in NON_NEGATIVE]
+        checks += [(0.0 <= getattr(self, k) <= 1.0, k, "in [0, 1]") for k in UNIT_INTERVAL]
+        checks += [
+            (0.0 < self.gamma < 1.0, "gamma", "in (0, 1)"),
+            (self.lr > 0, "lr", "> 0"),
+            (0.0 <= self.rms_decay < 1.0, "rms_decay", "in [0, 1)"),
+            (self.rms_eps > 0, "rms_eps", "> 0"),
+            (self.subgoal_mode in SUBGOAL_MODES, "subgoal_mode", f"one of {SUBGOAL_MODES}"),
+            (self.correction in CORRECTION_MODES, "correction", f"one of {CORRECTION_MODES}"),
+            (self.reward_mode in REWARD_MODES, "reward_mode", f"one of {REWARD_MODES}"),
         ]
-        for ok, msg in checks:
+        for ok, key, bound in checks:
             if not ok:
-                raise ConfigError(msg)
+                name = FILE_KEYS.get(key, key)
+                raise ConfigError(f"{name} must be {bound}, got {getattr(self, key)!r}")
         return self
 
     def to_dict(self):

@@ -1,21 +1,23 @@
 """Parameterised function blocks, the optimiser and parameter containers.
 
 Parameters for one network are a plain ``dict[str, np.ndarray]`` in a
-fixed insertion order. Forward passes are written once and run either
-on raw arrays (fast, gradient-free) or on :class:`~goalmix.autodiff.Tensor`
-wrapped parameters (graph mode). :class:`ParamSet` bundles every
-learnable array of a training run together with the target copies.
+fixed insertion order. Per-agent networks are slot-stacked: every array
+carries a leading slot axis, one slot per agent or a single slot that
+numpy broadcasting shares across agents. Forward passes are written once
+and run either on raw arrays (fast, gradient-free) or on
+:class:`~goalmix.autodiff.Tensor` wrapped parameters (graph mode).
+:class:`ParamSet` bundles every learnable array of a training run
+together with the target copies.
 """
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, sigmoid, tanh
+from .autodiff import Tensor, sigmoid, stack, tanh
 
 Params = dict  # name -> np.ndarray (or Tensor in graph mode)
 
@@ -49,14 +51,16 @@ def linear_params(rng, n_in, n_out, prefix):
 
 
 def affine(params, prefix, x):
-    w = params[f"{prefix}.w"]
-    wshape = w.shape if not isinstance(w, Tensor) else w.data.shape
-    xshape = x.shape if not isinstance(x, Tensor) else x.data.shape
-    if xshape[-1] != wshape[0]:
+    """x @ w + b. Slot-stacked weights (S, n_in, n_out) take x (N, rows, n_in)
+    with N = S, or any N when S = 1; a single net's weights take x (..., n_in)."""
+    w, b = params[f"{prefix}.w"], params[f"{prefix}.b"]
+    if x.shape[-1] != w.shape[-2]:
         raise ConfigurationError(
-            f"block '{prefix}' expects input dim {wshape[0]}, got {xshape[-1]}"
+            f"block '{prefix}' expects input dim {w.shape[-2]}, got {x.shape[-1]}"
         )
-    return x @ w + params[f"{prefix}.b"]
+    if w.ndim == 3:
+        b = b.reshape(b.shape[0], 1, b.shape[1])
+    return x @ w + b
 
 
 class GRUCell:
@@ -120,7 +124,9 @@ def weighted_sq_error(pred, target, weights):
 
 
 def gradient(loss, tensor_params):
-    """Reverse-mode gradient of a scalar loss w.r.t. wrapped parameters."""
+    """Reverse-mode gradient of a scalar loss w.r.t. wrapped parameters: a
+    dict of Tensors, or a :class:`ParamSet` of them (gradients come back in
+    the same container)."""
     if not isinstance(loss, Tensor):
         raise ConfigurationError("loss did not depend on any parameter Tensor")
     if loss.data.size != 1:
@@ -128,6 +134,8 @@ def gradient(loss, tensor_params):
     if not np.isfinite(loss.data):
         raise NonFiniteGradientError(f"loss is non-finite: {float(loss.data)}")
     loss.backward()
+    if isinstance(tensor_params, ParamSet):
+        return tensor_params.map(grads_from_tensors)
     return grads_from_tensors(tensor_params)
 
 
@@ -135,53 +143,84 @@ def gradient(loss, tensor_params):
 # the full parameter set of a run
 # ---------------------------------------------------------------------------
 
+# the groups of a ParamSet; SLOTTED groups are slot-stacked per-agent nets
+GROUPS = ("agent", "mixer", "repr", "target_agent", "target_mixer")
+ONLINE = GROUPS[:3]
+SLOTTED = ("agent", "repr", "target_agent")
+
 
 def _copy_params(p):
     return {k: v.copy() for k, v in p.items()}
 
 
+def stack_slots(nets):
+    """One slot-stacked parameter dict from per-slot dicts with the same keys
+    (Tensors stack into a graph node); no nets give an empty dict."""
+    return {k: stack([p[k] for p in nets]) for k in nets[0]} if nets else {}
+
+
+def n_slots(params):
+    """Length of the slot axis of a slot-stacked parameter dict (0 if empty)."""
+    return len(next(iter(params.values()))) if params else 0
+
+
 @dataclass
 class ParamSet:
-    """All learnable arrays: per-agent utility nets, mixer, representation
-    nets, plus target copies of the utility nets and the mixer."""
+    """All learnable arrays: the utility nets (``agent``), the mixer, the
+    representation nets (``repr``, empty when disabled), plus target copies
+    of the utility nets and the mixer.
 
-    agents: list = field(default_factory=list)
+    ``agent``, ``repr`` and ``target_agent`` are slot-stacked: each array
+    has shape (S, ...), with S the number of agents, or 1 when all agents
+    share one net. ``named_online``/``named_all`` yield one view per slot,
+    named ``agent.<i>.<name>``; optimiser state and checkpoints use these.
+    """
+
+    agent: Params = field(default_factory=dict)
     mixer: Params = field(default_factory=dict)
-    reprs: list = field(default_factory=list)
-    target_agents: list = field(default_factory=list)
+    repr: Params = field(default_factory=dict)
+    target_agent: Params = field(default_factory=dict)
     target_mixer: Params = field(default_factory=dict)
 
-    @property
-    def n_agents(self):
-        return len(self.agents)
+    def _named(self, groups):
+        for group in groups:
+            params = getattr(self, group)
+            if group in SLOTTED:
+                for i in range(n_slots(params)):
+                    yield from ((f"{group}.{i}.{k}", v[i]) for k, v in params.items())
+            else:
+                yield from ((f"{group}.{k}", v) for k, v in params.items())
 
     def named_online(self):
         """Deterministic (name, array) iteration over trainable params."""
-        for i, p in enumerate(self.agents):
-            for k, v in p.items():
-                yield f"agent.{i}.{k}", v
-        for k, v in self.mixer.items():
-            yield f"mixer.{k}", v
-        for i, p in enumerate(self.reprs):
-            for k, v in p.items():
-                yield f"repr.{i}.{k}", v
+        return self._named(ONLINE)
 
     def named_all(self):
-        yield from self.named_online()
-        for i, p in enumerate(self.target_agents):
-            for k, v in p.items():
-                yield f"target_agent.{i}.{k}", v
-        for k, v in self.target_mixer.items():
-            yield f"target_mixer.{k}", v
+        return self._named(GROUPS)
+
+    @classmethod
+    def from_named(cls, named):
+        """Inverse of :meth:`named_all`: the per-slot (name, array) pairs
+        stacked by slot; groups that do not occur stay empty."""
+        groups = {g: {} for g in GROUPS}
+        for name, arr in named:
+            group, key = name.split(".", 1)
+            if group in SLOTTED:
+                i, key = key.split(".", 1)
+                groups[group].setdefault(key, {})[int(i)] = arr
+            else:
+                groups[group][key] = arr
+        for group in SLOTTED:
+            groups[group] = {k: stack([v[i] for i in range(len(v))])
+                             for k, v in groups[group].items()}
+        return cls(**groups)
+
+    def map(self, fn):
+        """A ParamSet of ``fn`` applied to each group's dict."""
+        return ParamSet(*(fn(getattr(self, g)) for g in GROUPS))
 
     def copy(self):
-        return ParamSet(
-            agents=[_copy_params(p) for p in self.agents],
-            mixer=_copy_params(self.mixer),
-            reprs=[_copy_params(p) for p in self.reprs],
-            target_agents=[_copy_params(p) for p in self.target_agents],
-            target_mixer=_copy_params(self.target_mixer),
-        )
+        return self.map(_copy_params)
 
     def all_finite(self):
         return all(np.all(np.isfinite(v)) for _, v in self.named_all())
@@ -189,7 +228,7 @@ class ParamSet:
 
 def sync_targets(ps: ParamSet) -> ParamSet:
     """Copy online utility/mixer arrays onto the target copies (idempotent)."""
-    ps.target_agents = [_copy_params(p) for p in ps.agents]
+    ps.target_agent = _copy_params(ps.agent)
     ps.target_mixer = _copy_params(ps.mixer)
     return ps
 
@@ -251,12 +290,13 @@ def clip_grads_global(grads, max_norm):
 
 
 def save_checkpoint(path, ps: ParamSet, meta=None):
-    """Write a versioned .npz checkpoint (documented in the README)."""
+    """Write a versioned .npz checkpoint (documented in the README): one
+    ``param/<name>`` array per :meth:`ParamSet.named_all` entry."""
     arrays = {f"param/{name}": arr for name, arr in ps.named_all()}
     header = {
         "version": CHECKPOINT_VERSION,
-        "n_agents": ps.n_agents,
-        "n_reprs": len(ps.reprs),
+        "n_agents": n_slots(ps.agent),
+        "n_reprs": n_slots(ps.repr),
         "meta": meta or {},
     }
     arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
@@ -265,34 +305,14 @@ def save_checkpoint(path, ps: ParamSet, meta=None):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back into a ParamSet; returns (ParamSet, meta)."""
+    """Read a checkpoint back into a ParamSet, stacking the per-slot arrays;
+    returns (ParamSet, meta)."""
     with np.load(path) as data:
         header = json.loads(bytes(data["header"]).decode())
         if header["version"] != CHECKPOINT_VERSION:
             raise ConfigurationError(
                 f"unsupported checkpoint version {header['version']}"
             )
-        ps = ParamSet(
-            agents=[{} for _ in range(header["n_agents"])],
-            target_agents=[{} for _ in range(header["n_agents"])],
-            reprs=[{} for _ in range(header["n_reprs"])],
-        )
-        for key in data.files:
-            if not key.startswith("param/"):
-                continue
-            name = key[len("param/"):]
-            head, rest = name.split(".", 1)
-            if head == "agent":
-                i, sub = rest.split(".", 1)
-                ps.agents[int(i)][sub] = data[key]
-            elif head == "target_agent":
-                i, sub = rest.split(".", 1)
-                ps.target_agents[int(i)][sub] = data[key]
-            elif head == "repr":
-                i, sub = rest.split(".", 1)
-                ps.reprs[int(i)][sub] = data[key]
-            elif head == "mixer":
-                ps.mixer[rest] = data[key]
-            elif head == "target_mixer":
-                ps.target_mixer[rest] = data[key]
+        ps = ParamSet.from_named((key[len("param/"):], data[key])
+                                 for key in data.files if key.startswith("param/"))
     return ps, header["meta"]

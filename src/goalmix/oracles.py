@@ -61,11 +61,12 @@ def brute_force_subgoal(agent_params, mixer_params, episode, alpha):
     """Evaluate the subgoal score at every valid timestep by direct
     computation and scan for the per-agent argmax (earliest tie wins).
 
-    ``agent_params`` holds one utility-net parameter dict per agent.
-    Returns t_star, (n_agents,) int.
+    ``agent_params`` are slot-stacked utility-net parameters with one slot
+    per agent. Returns t_star, (n_agents,) int.
     """
     n = episode.n_agents
-    q_seqs = [slow_q_seq(agent_params[i], episode.obs[i]) for i in range(n)]
+    q_seqs = [slow_q_seq({k: v[i] for k, v in agent_params.items()}, episode.obs[i])
+              for i in range(n)]
     t_star = np.zeros(n, dtype=np.int64)
     for i in range(n):
         best, best_t = None, None

@@ -25,7 +25,9 @@ from .subgoals import at_subgoal
 
 
 class ReprNet:
-    """Observation -> action-dimensional embedding (one hidden layer)."""
+    """Observation -> action-dimensional embedding (one hidden layer).
+
+    Slot-stacked params embed obs (N, rows, obs_dim) of every agent at once."""
 
     def __init__(self, obs_dim, n_actions, hidden_dim=128):
         self.obs_dim = obs_dim
@@ -81,16 +83,17 @@ def actionable_distance(q_seq, q_goal):
 
 
 def repr_loss(repr_net, params, obs, goal_obs, dq_targets, weights):
-    """Weighted sum over (m, t) of (||phi(o_t) - phi(o_g)||_2 - D_Q)^2.
+    """Weighted sum over (i, m, t) of (||phi_i(o_t) - phi_i(o_g)||_2 - D_Q)^2.
 
-    obs (M, T, D), goal_obs (M, D), dq_targets and weights (M, T).
+    obs (N, M, T, D), goal_obs (N, M, D), dq_targets (N, M, T), weights
+    (M, T); ``params`` are slot-stacked, one slot per agent or one shared.
     ``dq_targets`` are block-start constants; no gradient flows through
     them. Differentiable when ``params`` are Tensors.
     """
-    m, t_len, d = obs.shape
-    emb = repr_net.forward(params, obs.reshape(m * t_len, d)).reshape(m, t_len, -1)
+    n, m, t_len, d = obs.shape
+    emb = repr_net.forward(params, obs.reshape(n, m * t_len, d)).reshape(n, m, t_len, -1)
     emb_g = repr_net.forward(params, goal_obs)
-    diff = emb - emb_g.reshape(m, 1, -1)
+    diff = emb - emb_g.reshape(n, m, 1, -1)
     dist = sqrt((diff * diff).sum(axis=-1))
     return weighted_sq_error(dist, dq_targets, weights)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agents import EpsilonSchedule, RecurrentQNet, act_epsilon_greedy, masked_argmax
-from .autodiff import Tensor, exp, logsumexp_last, stack, take_along_last
+from .autodiff import Tensor, exp, logsumexp_last, moveaxis, take_along_last
 from .mixer import MonotonicMixer
 from .nn import (
     NonFiniteGradientError,
@@ -38,6 +38,7 @@ from .nn import (
     as_tensors,
     clip_grads_global,
     gradient,
+    stack_slots,
     sync_targets,
     weighted_sq_error,
 )
@@ -165,12 +166,13 @@ class Trainer:
         else:
             self.repr_net = ReprNet(self.env.obs_dim, self.env.n_actions, config.repr_hidden_dim)
 
-        distinct = 1 if config.share_params else n
+        # one slot per agent, or one slot that broadcasting shares
+        slots = 1 if config.share_params else n
         self.params = ParamSet(
-            agents=[self.qnet.init_params(self.rng) for _ in range(distinct)],
+            agent=stack_slots([self.qnet.init_params(self.rng) for _ in range(slots)]),
             mixer=self.mixer.init_params(self.rng),
-            reprs=[] if config.disable_repr
-            else [self.repr_net.init_params(self.rng) for _ in range(distinct)],
+            repr=stack_slots([] if config.disable_repr
+                             else [self.repr_net.init_params(self.rng) for _ in range(slots)]),
         )
         sync_targets(self.params)
 
@@ -184,22 +186,6 @@ class Trainer:
         self.block = 0
         self._next_sync = config.target_interval
         self._subgoal_log_fh = None
-
-    # -- parameter views -------------------------------------------------
-
-    def _slot(self, i):
-        return 0 if self.cfg.share_params else i
-
-    def agent_params(self, i):
-        return self.params.agents[self._slot(i)]
-
-    def target_agent_params(self, i):
-        return self.params.target_agents[self._slot(i)]
-
-    def repr_params(self, i):
-        if self.cfg.disable_repr:
-            return {}
-        return self.params.reprs[self._slot(i)]
 
     # -- data collection ----------------------------------------------------
 
@@ -220,7 +206,7 @@ class Trainer:
         done_hist = np.zeros(t_max, dtype=bool)
 
         obs, state = env.reset(rng)
-        hidden = [self.qnet.initial_hidden(1) for _ in range(n)]
+        hidden = self.qnet.initial_hidden(n, 1)
         won = False
         t = 0
         while True:
@@ -229,13 +215,11 @@ class Trainer:
             state_hist[t] = state
             avail_hist[:, t] = avail
             eps = 0.0 if greedy else self.schedule.value(self.env_steps)
-            actions = []
-            for i in range(n):
-                q, hidden[i] = self.qnet.step(self.agent_params(i), obs[i][None], hidden[i])
-                if greedy:
-                    actions.append(masked_argmax(q[0], avail[i]))
-                else:
-                    actions.append(act_epsilon_greedy(q[0], eps, rng, avail[i]))
+            q, hidden = self.qnet.step(self.params.agent, obs[:, None], hidden)
+            if greedy:
+                actions = [masked_argmax(q[i, 0], avail[i]) for i in range(n)]
+            else:
+                actions = [act_epsilon_greedy(q[i, 0], eps, rng, avail[i]) for i in range(n)]
             result = env.step(actions)
             act_hist[:, t] = actions
             rew_hist[t] = result.reward
@@ -283,10 +267,7 @@ class Trainer:
         n = self.n_agents
 
         if q_seq is None:
-            q_seq = np.stack([
-                self.qnet.unroll(self.agent_params(i), batch["obs"][i])
-                for i in range(n)
-            ])  # (N, M, T, U)
+            q_seq = self.qnet.unroll(self.params.agent, batch["obs"])      # (N, M, T, U)
         _, m, t_len, _ = q_seq.shape
         valid = batch["valid"]
         q_max = _masked_max(q_seq, batch["avail"])                       # (N, M, T)
@@ -308,12 +289,8 @@ class Trainer:
 
         intr = None
         if cfg.lam > 0:
-            intr = intrinsic_rewards(np.stack([
-                self.repr_net.forward(
-                    self.repr_params(i), batch["obs"][i].reshape(m * t_len, -1)
-                ).reshape(m, t_len, -1)
-                for i in range(n)
-            ]), t_star)
+            emb = self.repr_net.forward(self.params.repr, batch["obs"].reshape(n, m * t_len, -1))
+            intr = intrinsic_rewards(emb.reshape(n, m, t_len, -1), t_star)
             out["intrinsics"] = intr
             out["proxy"] = proxy_reward(batch["rewards"], intr, cfg.lam)
         else:
@@ -333,20 +310,20 @@ class Trainer:
     # -- loss (gradient side) ------------------------------------------------
 
     def block_losses(self, tensors, batch, prep, q_online=None):
-        """Composite loss over the batch as a scalar Tensor, plus parts."""
+        """Composite loss over the batch as a scalar Tensor, plus parts.
+
+        ``tensors`` is a ParamSet of the online groups wrapped as Tensors;
+        ``q_online`` (N, M, T, U), their unroll on ``batch``, is recomputed
+        when omitted.
+        """
         cfg = self.cfg
-        n = self.n_agents
-        agent_t, mixer_t, repr_t = tensors
-        _, m, t_len, _ = batch["obs"].shape
+        n, m, t_len, _ = batch["obs"].shape
         n_valid = batch["valid"].sum(axis=1)
         w_ep = batch["valid"] / n_valid[:, None]                         # (M, T)
         gamma, dones = cfg.gamma, batch["dones"]
 
         # target-side bootstraps (constants)
-        tq_seq = np.stack([
-            self.qnet.unroll(self.target_agent_params(i), batch["obs"][i])
-            for i in range(n)
-        ])
+        tq_seq = self.qnet.unroll(self.params.target_agent, batch["obs"])
         tq_max = _masked_max(tq_seq, batch["avail"])                     # (N, M, T)
         tq_next = np.zeros_like(tq_max)
         tq_next[:, :, :-1] = tq_max[:, :, 1:]
@@ -358,66 +335,46 @@ class Trainer:
             states_next.reshape(m * t_len, -1),
         ).reshape(m, t_len)
 
-        # online unrolls (graph mode), shared by every loss component
+        # online unroll (graph mode), shared by every loss component
         if q_online is None:
-            q_online = [
-                self.qnet.unroll(agent_t[self._slot(i)], batch["obs"][i])
-                for i in range(n)
-            ]
-        q_taken = [take_along_last(q_online[i], batch["actions"][i]) for i in range(n)]
+            q_online = self.qnet.unroll(tensors.agent, batch["obs"])
+        q_taken = take_along_last(q_online, batch["actions"])            # (N, M, T)
 
-        q_stack = stack(q_taken, axis=-1).reshape(m * t_len, n)
-        qtot_online = self.mixer.forward(mixer_t, q_stack, batch["states"].reshape(m * t_len, -1))
+        qtot_online = self.mixer.forward(
+            tensors.mixer, moveaxis(q_taken, 0, -1).reshape(m * t_len, n),
+            batch["states"].reshape(m * t_len, -1))
         loss_td = weighted_sq_error(
             qtot_online.reshape(m, t_len), td_targets(prep["proxy"], dones, tot_next, gamma), w_ep
         )
 
         total = loss_td
-        sum_li = 0.0
-        sum_le = 0.0
-        sum_ld = 0.0
+        parts = {"L_TD": loss_td.item(), "sum_Li": 0.0, "sum_LE": 0.0, "sum_LD": 0.0}
 
         if cfg.lam_i > 0 and not cfg.disable_li:
-            for i in range(n):
-                y_i = td_targets(prep["r_individual"][i], dones, tq_next[i], gamma)
-                loss_i = weighted_sq_error(q_taken[i], y_i, w_ep)
-                total = total + cfg.lam_i * loss_i
-                sum_li += loss_i.item()
+            y_i = td_targets(prep["r_individual"], dones, tq_next, gamma)
+            loss_i = weighted_sq_error(q_taken, y_i, w_ep)
+            total = total + cfg.lam_i * loss_i
+            parts["sum_Li"] = loss_i.item()
 
         if cfg.lam_e > 0 and cfg.correction != "none":
-            for i in range(n):
-                loss_e = entropy_correction(q_online[i], prep["correction_window"][i])
-                total = total + cfg.lam_e * loss_e
-                sum_le += loss_e.item()
+            loss_e = entropy_correction(q_online, prep["correction_window"])
+            total = total + cfg.lam_e * loss_e
+            parts["sum_LE"] = loss_e.item()
 
         if cfg.lam_d > 0 and not cfg.disable_repr:
-            for i in range(n):
-                loss_d = repr_loss(self.repr_net, repr_t[self._slot(i)], batch["obs"][i],
-                                   prep["goal_obs"][i], prep["dq_targets"][i], w_ep)
-                total = total + cfg.lam_d * loss_d
-                sum_ld += loss_d.item()
+            loss_d = repr_loss(self.repr_net, tensors.repr, batch["obs"],
+                               prep["goal_obs"], prep["dq_targets"], w_ep)
+            total = total + cfg.lam_d * loss_d
+            parts["sum_LD"] = loss_d.item()
 
-        parts = {
-            "L_TD": loss_td.item(),
-            "sum_Li": sum_li,
-            "sum_LE": sum_le,
-            "sum_LD": sum_ld,
-        }
         return total, parts
 
     # -- one block ----------------------------------------------------------
 
     def _wrap_online(self):
-        agent_t = [as_tensors(p) for p in self.params.agents]
-        mixer_t = as_tensors(self.params.mixer)
-        repr_t = [as_tensors(p) for p in self.params.reprs]
-        flat = {}
-        for i, d in enumerate(agent_t):
-            flat.update({f"agent.{i}.{k}": v for k, v in d.items()})
-        flat.update({f"mixer.{k}": v for k, v in mixer_t.items()})
-        for i, d in enumerate(repr_t):
-            flat.update({f"repr.{i}.{k}": v for k, v in d.items()})
-        return (agent_t, mixer_t, repr_t), flat
+        """The online groups as Tensors, for graph mode."""
+        p = self.params
+        return ParamSet(agent=p.agent, mixer=p.mixer, repr=p.repr).map(as_tensors)
 
     def train_block(self) -> BlockReport:
         cfg = self.cfg
@@ -426,15 +383,11 @@ class Trainer:
 
         episodes = self.buffer.sample(cfg.batch_size, self.rng)
         batch = stack_episodes(episodes)
-        tensors, flat = self._wrap_online()
-        agent_t = tensors[0]
+        tensors = self._wrap_online()
         # the online unroll doubles as the block-start snapshot evaluation:
         # parameters are only mutated after the gradient step below
-        q_online = [
-            self.qnet.unroll(agent_t[self._slot(i)], batch["obs"][i])
-            for i in range(self.n_agents)
-        ]
-        prep = self.prepare_block(batch, q_seq=np.stack([q.data for q in q_online]))
+        q_online = self.qnet.unroll(tensors.agent, batch["obs"])
+        prep = self.prepare_block(batch, q_seq=q_online.data)
         loss, parts = self.block_losses(tensors, batch, prep, q_online=q_online)
 
         valid = batch["valid"].astype(bool)
@@ -454,7 +407,7 @@ class Trainer:
         if not np.isfinite(loss.data):
             raise TrainingDiverged(f"non-finite loss at block {self.block}", report)
         try:
-            grads = gradient(loss, flat)
+            grads = dict(gradient(loss, tensors).named_online())
             grads = clip_grads_global(grads, cfg.grad_clip_norm)
             self.opt.step(self.params.named_online(), grads)
         except NonFiniteGradientError as err:
@@ -474,15 +427,10 @@ class Trainer:
     def _log_subgoals(self, batch, prep):
         if self._subgoal_log_fh is None:
             return
-        for i in range(self.n_agents):
-            for m_idx, uid in enumerate(batch["uids"]):
-                row = {
-                    "block": self.block,
-                    "episode_uid": int(uid),
-                    "agent": i,
-                    "t_star": int(prep["t_star"][i, m_idx]),
-                }
-                self._subgoal_log_fh.write(json.dumps(row) + "\n")
+        for (i, m_idx), t_star in np.ndenumerate(prep["t_star"]):
+            row = {"block": self.block, "episode_uid": int(batch["uids"][m_idx]),
+                   "agent": i, "t_star": int(t_star)}
+            self._subgoal_log_fh.write(json.dumps(row) + "\n")
 
     # -- full run -------------------------------------------------------------
 

@@ -7,7 +7,7 @@ from goalmix.agents import RecurrentQNet
 from goalmix.config import TrainConfig
 from goalmix.env import SkirmishEnv, preset
 from goalmix.mixer import MonotonicMixer
-from goalmix.nn import ParamSet, sync_targets
+from goalmix.nn import ParamSet, stack_slots, sync_targets
 from goalmix.replay import Episode
 from goalmix.rewards import ReprNet
 from goalmix.training import Trainer, stack_episodes
@@ -50,18 +50,23 @@ def make_nets(obs_dim=5, n_actions=4, state_dim=4, n_agents=2, hidden=8, embed=4
 
 def make_paramset(rng, qnet, mixer, repr_net=None, n_agents=2):
     ps = ParamSet(
-        agents=[qnet.init_params(rng) for _ in range(n_agents)],
+        agent=stack_slots([qnet.init_params(rng) for _ in range(n_agents)]),
         mixer=mixer.init_params(rng),
-        reprs=[] if repr_net is None
-        else [repr_net.init_params(rng) for _ in range(n_agents)],
+        repr=stack_slots([] if repr_net is None
+                         else [repr_net.init_params(rng) for _ in range(n_agents)]),
     )
     sync_targets(ps)
     return ps
 
 
 def make_q_params(rng, qnet, mixer, n_agents=2):
-    """Fresh utility-net parameters per agent and mixer parameters."""
-    return [qnet.init_params(rng) for _ in range(n_agents)], mixer.init_params(rng)
+    """Fresh slot-stacked utility-net parameters (a slot per agent) and mixer parameters."""
+    return stack_slots([qnet.init_params(rng) for _ in range(n_agents)]), mixer.init_params(rng)
+
+
+def slot_net(params, i):
+    """Slot i of slot-stacked parameters: one net's parameter dict (views)."""
+    return {k: v[i] for k, v in params.items()}
 
 
 class StubEnv:
@@ -88,9 +93,9 @@ def make_stub_trainer(seed=0, n_agents=2, obs_dim=5, n_actions=4, state_dim=4,
 def zero_trainer(**cfg_kw):
     """A stub trainer whose agent, mixer and repr parameters are all zero."""
     tr = make_stub_trainer(**cfg_kw)
-    tr.params.agents = [zero_params(p) for p in tr.params.agents]
+    tr.params.agent = zero_params(tr.params.agent)
     tr.params.mixer = zero_params(tr.params.mixer)
-    tr.params.reprs = [zero_params(p) for p in tr.params.reprs]
+    tr.params.repr = zero_params(tr.params.repr)
     sync_targets(tr.params)
     return tr
 

@@ -10,14 +10,13 @@ representation nets.
 
 import numpy as np
 
-from goalmix.autodiff import stack, take_along_last
-from goalmix.nn import as_tensors, clip_grads_global, gradient
+from goalmix.autodiff import moveaxis, take_along_last
+from goalmix.nn import ParamSet, as_tensors, clip_grads_global, gradient
 
 
 def reference_qmix_block(qnet, mixer, params, opt, buffer, cfg, rng):
     """Sample M episodes, one TD step on utility nets + mixer (in place)."""
     episodes = buffer.sample(cfg.batch_size, rng)
-    n = params.n_agents
     obs = np.stack([e.obs for e in episodes], axis=1)          # (N, M, T, D)
     actions = np.stack([e.actions for e in episodes], axis=1)
     avail = np.stack([e.avail for e in episodes], axis=1)
@@ -25,14 +24,14 @@ def reference_qmix_block(qnet, mixer, params, opt, buffer, cfg, rng):
     rewards = np.stack([e.rewards for e in episodes])
     dones = np.stack([e.dones for e in episodes]).astype(np.float64)
     valid = np.stack([e.valid for e in episodes]).astype(np.float64)
-    m, t_len = rewards.shape
+    n, m, t_len, _ = obs.shape
 
-    agent_t = [as_tensors(p) for p in params.agents]
+    agent_t = as_tensors(params.agent)
     mixer_t = as_tensors(params.mixer)
-    q_online = [qnet.unroll(agent_t[i], obs[i]) for i in range(n)]
+    q_online = qnet.unroll(agent_t, obs)                        # (N, M, T, U)
 
     # bootstrap under the target nets
-    tq = np.stack([qnet.unroll(params.target_agents[i], obs[i]) for i in range(n)])
+    tq = qnet.unroll(params.target_agent, obs)
     tq_max = np.max(np.where(avail, tq, -np.inf), axis=-1)
     tq_next = np.zeros_like(tq_max)
     tq_next[:, :, :-1] = tq_max[:, :, 1:]
@@ -45,22 +44,18 @@ def reference_qmix_block(qnet, mixer, params, opt, buffer, cfg, rng):
     ).reshape(m, t_len)
     y = rewards + cfg.gamma * (1.0 - dones) * tot_next
 
-    q_taken = [take_along_last(q_online[i], actions[i]) for i in range(n)]
+    q_taken = take_along_last(q_online, actions)                # (N, M, T)
     q_tot = mixer.forward(
         mixer_t,
-        stack(q_taken, axis=-1).reshape(m * t_len, n),
+        moveaxis(q_taken, 0, -1).reshape(m * t_len, n),
         states.reshape(m * t_len, -1),
     ).reshape(m, t_len)
     delta = q_tot - y
     w_ep = valid / valid.sum(axis=1)[:, None]
     loss = (delta.square() * w_ep).sum()
 
-    flat = {}
-    for i, d in enumerate(agent_t):
-        flat.update({f"agent.{i}.{k}": v for k, v in d.items()})
-    flat.update({f"mixer.{k}": v for k, v in mixer_t.items()})
-    grads = gradient(loss, flat)
-    grads = clip_grads_global(grads, cfg.grad_clip_norm)
+    grads = gradient(loss, ParamSet(agent=agent_t, mixer=mixer_t))
+    grads = clip_grads_global(dict(grads.named_online()), cfg.grad_clip_norm)
     named = [(name, arr) for name, arr in params.named_online()
              if not name.startswith("repr.")]
     opt.step(named, grads)

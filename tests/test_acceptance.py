@@ -16,7 +16,7 @@ from goalmix.autodiff import take_along_last
 from goalmix.config import TrainConfig
 from goalmix.env import SkirmishEnv, preset
 from goalmix.mixer import MonotonicMixer
-from goalmix.nn import as_tensors, gradient, weighted_sq_error
+from goalmix.nn import ParamSet, as_tensors, gradient, weighted_sq_error
 from goalmix.oracles import (
     TabularEnv,
     brute_force_subgoal,
@@ -106,10 +106,10 @@ def test_criterion_1_equation_exactness(rng):
 
     # representation loss
     ident, one = IdentityRepr(2), np.ones((1, 1))
-    checks.append(abs(float(repr_loss(ident, {}, np.array([[[0.3, 0.0]]]),
-                                      np.zeros((1, 2)), np.array([[0.3]]), one))) < TOL)
-    checks.append(abs(float(repr_loss(ident, {}, np.array([[[0.5, 0.0]]]),
-                                      np.zeros((1, 2)), np.array([[0.3]]), one)) - 0.04) < TOL)
+    checks.append(abs(float(repr_loss(ident, {}, np.array([[[[0.3, 0.0]]]]),
+                                      np.zeros((1, 1, 2)), np.array([[[0.3]]]), one))) < TOL)
+    checks.append(abs(float(repr_loss(ident, {}, np.array([[[[0.5, 0.0]]]]),
+                                      np.zeros((1, 1, 2)), np.array([[[0.3]]]), one)) - 0.04) < TOL)
 
     # entropy correction over the window from t*=0
     def corr(q_seq, episode):
@@ -142,7 +142,7 @@ def test_criterion_1_equation_exactness(rng):
             "goal_obs": batch["obs"][:, :, 0],
             "dq_targets": np.array([[[dq_agent0, 0.0, 0.0]], [[0.0, 0.0, 0.0]]]),
         }
-        total, parts = tr.block_losses(tr._wrap_online()[0], batch, prep)
+        total, parts = tr.block_losses(tr._wrap_online(), batch, prep)
         return total.item(), parts
 
     total, parts = block(-0.03, 1.0, 1.0)
@@ -170,14 +170,14 @@ def test_criterion_2_subgoal_oracle_equivalence():
     cases = 1000
     m = 8
     for _ in range(cases // m):
-        trainer.params.agents, trainer.params.mixer = make_q_params(
+        trainer.params.agent, trainer.params.mixer = make_q_params(
             rng, trainer.qnet, trainer.mixer)
         episodes, batch = make_batch(rng, m)
         alpha = float(rng.random())
         trainer.cfg = trainer.cfg.replace(alpha=alpha)
         t_star = trainer.prepare_block(batch)["t_star"]
         for j, episode in enumerate(episodes):
-            slow = brute_force_subgoal(trainer.params.agents, trainer.params.mixer,
+            slow = brute_force_subgoal(trainer.params.agent, trainer.params.mixer,
                                        episode, alpha)
             mismatches += int(not np.array_equal(t_star[:, j], slow))
         trainer.cfg = trainer.cfg.replace(alpha=0.0)
@@ -240,56 +240,57 @@ def _check_component(rng, params, build_loss, n_coords=110, rtol=1e-4, groups=No
 
 
 def test_criterion_3_gradient_fidelity(rng):
+    _criterion_3(rng, share_params=False)
+
+
+def test_criterion_3_gradient_fidelity_shared_params(rng):
+    _criterion_3(rng, share_params=True)
+
+
+def _criterion_3(rng, share_params):
     """Trainer.block_losses against central differences with every shaping
     weight on and the trainer's prep held constant, then each loss kernel
-    alone."""
-    lams = dict(lam=0.5, lam_i=0.3, lam_e=0.2, lam_d=0.4)
+    alone; with share_params the one shared slot sums every agent's gradient."""
+    lams = dict(lam=0.5, lam_i=0.3, lam_e=0.2, lam_d=0.4, share_params=share_params)
     tr = make_stub_trainer(obs_dim=4, n_actions=3, hidden=5, embed=4, repr_hidden=16, **lams)
-    tr.params.target_agents = [tr.qnet.init_params(rng) for _ in range(2)]
-    tr.params.target_mixer = tr.mixer.init_params(rng)
+    slots = range(1 if share_params else 2)
+    tr.params.target_agent, tr.params.target_mixer = make_q_params(
+        rng, tr.qnet, tr.mixer, n_agents=len(slots))
     _, batch = make_batch(rng, 3, t_max=5, obs_dim=4, n_actions=3)
     prep = tr.prepare_block(batch)
     flat = dict(tr.params.named_online())
-    groups = ("agent.0", "agent.1", "mixer", "repr.0", "repr.1")
-
-    def unflatten(p):
-        agents = [{k[len(f"agent.{i}."):]: v for k, v in p.items()
-                   if k.startswith(f"agent.{i}.")} for i in range(2)]
-        mixer = {k[len("mixer."):]: v for k, v in p.items() if k.startswith("mixer.")}
-        reprs = [{k[len(f"repr.{i}."):]: v for k, v in p.items()
-                  if k.startswith(f"repr.{i}.")} for i in range(2)]
-        return agents, mixer, reprs
+    groups = (*(f"agent.{i}" for i in slots), "mixer", *(f"repr.{i}" for i in slots))
 
     def composite(p):
-        return tr.block_losses(unflatten(p), batch, prep)[0]
+        return tr.block_losses(ParamSet.from_named(p.items()), batch, prep)[0]
 
     worst = [_check_component(rng, flat, composite, n_coords=30, groups=groups)]
 
     # L_TD alone: the same trainer with every shaping weight at zero
     plain = make_stub_trainer(obs_dim=4, n_actions=3, hidden=5, embed=4, repr_hidden=16,
-                              lam=0.0, lam_i=0.0, lam_e=0.0, lam_d=0.0)
+                              lam=0.0, lam_i=0.0, lam_e=0.0, lam_d=0.0,
+                              share_params=share_params)
     plain.params = tr.params
     plain_prep = plain.prepare_block(batch)
     worst.append(_check_component(
         rng, {k: v for k, v in flat.items() if not k.startswith("repr.")},
-        lambda p: plain.block_losses(unflatten(p), batch, plain_prep)[0],
-        n_coords=30, groups=groups[:3]))
+        lambda p: plain.block_losses(ParamSet.from_named(p.items()), batch, plain_prep)[0],
+        n_coords=30, groups=[g for g in groups if not g.startswith("repr.")]))
 
     # the shaping terms alone, through the kernels block_losses calls
-    obs, actions = batch["obs"][0], batch["actions"][0]
+    obs, actions = batch["obs"], batch["actions"]
     w_ep = batch["valid"] / batch["valid"].sum(axis=1)[:, None]
-    y_i = td_targets(prep["r_individual"][0], batch["dones"], rng.normal(size=w_ep.shape),
+    y_i = td_targets(prep["r_individual"], batch["dones"], rng.normal(size=actions.shape),
                      tr.cfg.gamma)
     worst.append(_check_component(
-        rng, tr.params.agents[0],
+        rng, tr.params.agent,
         lambda p: weighted_sq_error(take_along_last(tr.qnet.unroll(p, obs), actions), y_i, w_ep)))
     worst.append(_check_component(
-        rng, tr.params.agents[0],
-        lambda p: entropy_correction(tr.qnet.unroll(p, obs), prep["correction_window"][0])))
+        rng, tr.params.agent,
+        lambda p: entropy_correction(tr.qnet.unroll(p, obs), prep["correction_window"])))
     worst.append(_check_component(
-        rng, tr.params.reprs[0],
-        lambda p: repr_loss(tr.repr_net, p, obs, prep["goal_obs"][0], prep["dq_targets"][0],
-                            w_ep)))
+        rng, tr.params.repr,
+        lambda p: repr_loss(tr.repr_net, p, obs, prep["goal_obs"], prep["dq_targets"], w_ep)))
 
     report(3, f"gradient fidelity (max rel err {max(worst):.2e}; block_losses with all "
               f"weights on over {len(groups)} groups, L_TD, L_i, L_E, L_D)",
@@ -356,14 +357,12 @@ def test_criterion_5_qmix_reduction_bitwise():
 def _greedy_visits(trainer, game):
     env = TabularEnv(game, episode_limit=10)
     obs, _ = env.reset(np.random.default_rng(0))
-    hidden = [trainer.qnet.initial_hidden(1) for _ in range(2)]
+    hidden = trainer.qnet.initial_hidden(2, 1)
     visits = {}
     while True:
         s = env.s
-        acts = []
-        for i in range(2):
-            q, hidden[i] = trainer.qnet.step(trainer.agent_params(i), obs[i][None], hidden[i])
-            acts.append(masked_argmax(q[0], env.avail_actions()[i]))
+        q, hidden = trainer.qnet.step(trainer.params.agent, obs[:, None], hidden)
+        acts = [masked_argmax(q[i, 0], env.avail_actions()[i]) for i in range(2)]
         visits.setdefault(s, tuple(acts))
         result = env.step(acts)
         obs = result.obs

@@ -10,6 +10,7 @@ from goalmix.agents import (
     local_q,
     masked_argmax,
 )
+from goalmix.nn import stack_slots
 from tests.conftest import zero_params
 
 # frozen on the first correct run (seed 99, the 3-step history below)
@@ -43,15 +44,30 @@ def test_local_q_requires_history():
 
 
 def test_unroll_matches_stepwise_evaluation():
+    _check_unroll_against_steps(n_slots=None)
+
+
+@pytest.mark.parametrize("n_slots", [3, 1])
+def test_slot_stacked_unroll_matches_stepwise_evaluation(n_slots):
+    _check_unroll_against_steps(n_slots)
+
+
+def _check_unroll_against_steps(n_slots):
+    # one net on (B, T, D), or three agents stepped in one call on slot-stacked
+    # nets (N, B, T, D), each agent with its own slot or all sharing one
     rng = np.random.default_rng(8)
     qnet = RecurrentQNet(4, 3, 8)
-    params = qnet.init_params(rng)
-    obs = rng.normal(size=(2, 6, 4))
+    if n_slots is None:
+        params = qnet.init_params(rng)
+        obs = rng.normal(size=(2, 6, 4))
+    else:
+        params = stack_slots([qnet.init_params(rng) for _ in range(n_slots)])
+        obs = rng.normal(size=(3, 2, 6, 4))
     q_seq = qnet.unroll(params, obs)
-    h = qnet.initial_hidden(2)
+    h = qnet.initial_hidden(*obs.shape[:-2])
     for t in range(6):
-        q, h = qnet.step(params, obs[:, t], h)
-        np.testing.assert_allclose(q, q_seq[:, t], rtol=0, atol=1e-12)
+        q, h = qnet.step(params, obs[..., t, :], h)
+        np.testing.assert_allclose(q, q_seq[..., t, :], rtol=0, atol=1e-12)
 
 
 # -- action selection ------------------------------------------------------------
@@ -112,9 +128,3 @@ def test_epsilon_schedule_monotone_and_saturates():
     assert all(a >= b for a, b in zip(values, values[1:]))
     assert sched.value(50_000) == pytest.approx(0.05)
     assert sched.value(100_000) == pytest.approx(0.05)
-
-
-def test_epsilon_schedule_advance_tracks_steps():
-    sched = EpsilonSchedule(1.0, 0.0, 100)
-    sched.advance(25)
-    assert sched.value() == pytest.approx(0.75)

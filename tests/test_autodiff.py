@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from goalmix.autodiff import (
-    Tensor, absval, elu, exp, log, logsumexp_last, relu, sigmoid, slice_time,
+    Tensor, absval, elu, exp, log, logsumexp_last, moveaxis, relu, sigmoid, slice_time,
     sqrt, stack, take_along_last, tanh,
 )
 from goalmix.nn import gradient
@@ -140,6 +140,28 @@ def test_stack_take_slice_reshape_backward():
     fd = finite_diff_grad(loss_np, {"x": x0, "y": y0}, step=1e-6)
     np.testing.assert_allclose(x.grad, fd["x"], rtol=1e-6, atol=1e-8)
     np.testing.assert_allclose(y.grad, fd["y"], rtol=1e-6, atol=1e-8)
+
+
+def test_moveaxis_and_later_axis_slice_backward():
+    # agents first (N, M, T, U): slice a time step, move the agent axis last
+    rng = np.random.default_rng(7)
+    x0 = rng.normal(size=(2, 3, 4, 5))
+    w = rng.normal(size=(3, 5, 2))
+
+    def loss_np(p):
+        moved = np.moveaxis(p["x"][..., 1, :], 0, -1)          # (3, 5, 2)
+        return float((moved * w).sum() + (p["x"][..., 3, :] ** 2).sum())
+
+    x = Tensor(x0)
+    moved = moveaxis(slice_time(x, 1), 0, -1)
+    assert moved.data.flags["C_CONTIGUOUS"]
+    last = slice_time(x, 3)
+    loss = (moved * w).sum() + (last * last).sum()
+    loss.backward()
+    fd = finite_diff_grad(loss_np, {"x": x0}, step=1e-6)
+    np.testing.assert_allclose(x.grad, fd["x"], rtol=1e-6, atol=1e-8)
+    np.testing.assert_array_equal(moveaxis(x0, 0, -1), np.moveaxis(x0, 0, -1))
+    np.testing.assert_array_equal(slice_time(x0, 2), x0[:, :, 2])
 
 
 def test_logsumexp_matches_reference_and_fd():

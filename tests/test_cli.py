@@ -77,6 +77,16 @@ def test_unknown_config_key_exit_1(tmp_path):
     assert run_cli(["train", "--config", bad, "--out", tmp_path / "x"]) == 1
 
 
+@pytest.mark.parametrize("bad", [{"hidden_dim": 0}, {"seed": -1}, {"batch_size": 2.5},
+                                 {"rms_eps": 0}, {"eval_interval": 0}])
+def test_invalid_config_value_exit_1(tmp_path, bad, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert run_cli(["train", "--config", path, "--out", tmp_path / "x"]) == 1
+    assert f"configuration error: {next(iter(bad))}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_missing_checkpoint_is_runtime_failure_exit_2(tmp_path):
     assert run_cli(["eval", "--checkpoint", tmp_path / "absent.npz"]) == 2
 
@@ -90,6 +100,18 @@ def test_eval_checkpoint_roundtrip(tmp_path, fast_cfg_file, capsys):
     assert "win rate" in printed
     win = run_eval(out / "checkpoint.npz", episodes=3, seed=5)
     assert 0.0 <= win <= 1.0
+
+
+def test_eval_env_the_checkpoint_does_not_fit_exit_1(tmp_path, fast_cfg_file, capsys):
+    out = tmp_path / "run"
+    assert run_cli(["train", "--config", fast_cfg_file, "--out", out, "--seed", 2]) == 0
+    capsys.readouterr()
+    code = run_cli(["eval", "--checkpoint", out / "checkpoint.npz", "--episodes", 1,
+                    "--env", "skirmish-3v3"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error: checkpoint does not fit env 'skirmish-3v3'" in err
+    assert "agent.0.in.w" in err  # the first parameter whose shape differs
 
 
 @pytest.mark.parametrize("episodes", [0, -3])

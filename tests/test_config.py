@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from goalmix.config import ConfigError, TrainConfig, parse_config
@@ -41,6 +42,23 @@ def test_negative_lambda_rejected():
 def test_nonpositive_eval_episodes_rejected(episodes):
     with pytest.raises(ConfigError, match="eval_episodes"):
         parse_config(None, {"eval_episodes": episodes})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("hidden_dim", 0), ("mixer_embed_dim", 0), ("repr_hidden_dim", 0),
+    ("seed", -1), ("batch_size", 2.5), ("batch_size", True), ("eval_episodes", 2.0),
+    ("rms_eps", 0.0), ("rms_decay", 1.5), ("rms_decay", -0.1),
+    ("eps_start", -1.0), ("eps_end", 1.5), ("eval_interval", 0), ("max_env_steps", -1),
+    ("lr", "fast"), ("share_params", 1), ("env", 3),
+])
+def test_invalid_field_value_rejected(key, value):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(None, {key: value})
+
+
+def test_integral_and_real_values_accepted():
+    cfg = parse_config(None, {"gamma": 0.9, "lr": 1, "batch_size": np.int64(8), "seed": 0})
+    assert cfg.lr == 1 and cfg.batch_size == 8
 
 
 def test_flag_overrides_file(tmp_path):

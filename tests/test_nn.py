@@ -1,5 +1,6 @@
 """Blocks, gradients, RMSProp, target sync and checkpoint IO."""
 
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from goalmix.nn import (
     linear_params,
     load_checkpoint,
     save_checkpoint,
+    stack_slots,
     sync_targets,
     uniform_init,
 )
@@ -94,11 +96,26 @@ def test_gradient_non_scalar_rejected():
 
 
 def test_small_network_gradient_matches_finite_differences():
+    _check_small_network_gradient(n_slots=None)
+
+
+@pytest.mark.parametrize("n_slots", [2, 1])
+def test_slot_stacked_network_gradient_matches_finite_differences(n_slots):
+    _check_small_network_gradient(n_slots)
+
+
+def _check_small_network_gradient(n_slots):
+    # one net on (B, T, D), or two agents' slot-stacked nets on (N, B, T, D),
+    # each agent with its own slot or both sharing one
     rng = np.random.default_rng(11)
     qnet = RecurrentQNet(3, 2, 4)
-    params = qnet.init_params(rng)
-    obs = rng.normal(size=(2, 4, 3))
-    w = rng.normal(size=(2, 4, 2))
+    if n_slots is None:
+        params = qnet.init_params(rng)
+        obs = rng.normal(size=(2, 4, 3))
+    else:
+        params = stack_slots([qnet.init_params(rng) for _ in range(n_slots)])
+        obs = rng.normal(size=(2, 2, 4, 3))
+    w = rng.normal(size=obs.shape[:-1] + (2,))
 
     def loss_fn(p):
         q = qnet.unroll(p, obs)
@@ -179,15 +196,14 @@ def test_clip_grads_global_norm():
 def test_sync_targets_exact_and_idempotent(rng):
     qnet, mixer, repr_net = make_nets()
     ps = make_paramset(rng, qnet, mixer, repr_net)
-    ps.agents[0]["in.w"] += 1.0
+    ps.agent["in.w"][0] += 1.0
     sync_targets(ps)
-    for i in range(2):
-        for k in ps.agents[i]:
-            np.testing.assert_array_equal(ps.agents[i][k], ps.target_agents[i][k])
-    snap = {k: v.copy() for k, v in ps.target_agents[0].items()}
+    for k in ps.agent:
+        np.testing.assert_array_equal(ps.agent[k], ps.target_agent[k])
+    snap = {k: v.copy() for k, v in ps.target_agent.items()}
     sync_targets(ps)
     for k in snap:
-        np.testing.assert_array_equal(snap[k], ps.target_agents[0][k])
+        np.testing.assert_array_equal(snap[k], ps.target_agent[k])
 
 
 def test_targets_follow_online_after_step_then_sync(rng):
@@ -197,9 +213,22 @@ def test_targets_follow_online_after_step_then_sync(rng):
     grads = {name: np.ones_like(arr) for name, arr in ps.named_online()}
     opt.step(ps.named_online(), grads)
     # targets stale now, equal again after sync
-    assert not np.array_equal(ps.agents[0]["in.w"], ps.target_agents[0]["in.w"])
+    assert not np.array_equal(ps.agent["in.w"], ps.target_agent["in.w"])
     sync_targets(ps)
-    np.testing.assert_array_equal(ps.agents[0]["in.w"], ps.target_agents[0]["in.w"])
+    np.testing.assert_array_equal(ps.agent["in.w"], ps.target_agent["in.w"])
+
+
+def test_named_views_write_through_to_slots(rng):
+    qnet, mixer, repr_net = make_nets()
+    ps = make_paramset(rng, qnet, mixer, repr_net)
+    named = dict(ps.named_online())
+    named["agent.1.in.w"] += 1.0
+    named["repr.0.h.b"] -= 2.0
+    np.testing.assert_array_equal(ps.agent["in.w"][1], named["agent.1.in.w"])
+    np.testing.assert_array_equal(ps.repr["h.b"][0], -2.0)
+    rebuilt = ParamSet.from_named(ps.named_all())
+    for name, arr in ps.named_all():
+        np.testing.assert_array_equal(dict(rebuilt.named_all())[name], arr)
 
 
 # -- checkpoints ------------------------------------------------------------------
@@ -219,13 +248,83 @@ def test_checkpoint_roundtrip_bitwise(tmp_path, rng):
         np.testing.assert_array_equal(orig[k], new[k])
 
 
+# the on-disk arrays of one agent slot of make_nets(): one array per slot,
+# in this order, so checkpoints keep the per-agent file layout
+AGENT_SHAPES = [
+    ("in.w", (5, 8)), ("in.b", (8,)),
+    ("gru.xz.w", (8, 8)), ("gru.xz.b", (8,)), ("gru.hz.w", (8, 8)),
+    ("gru.xr.w", (8, 8)), ("gru.xr.b", (8,)), ("gru.hr.w", (8, 8)),
+    ("gru.xn.w", (8, 8)), ("gru.xn.b", (8,)), ("gru.hn.w", (8, 8)),
+    ("out.w", (8, 4)), ("out.b", (4,)),
+]
+MIXER_SHAPES = [
+    ("hw1.w", (4, 8)), ("hw1.b", (8,)), ("hb1.w", (4, 4)), ("hb1.b", (4,)),
+    ("hw2.w", (4, 4)), ("hw2.b", (4,)), ("v1.w", (4, 4)), ("v1.b", (4,)),
+    ("v2.w", (4, 1)), ("v2.b", (1,)),
+]
+REPR_SHAPES = [("h.w", (5, 6)), ("h.b", (6,)), ("out.w", (6, 4)), ("out.b", (4,))]
+
+
+FILE_LAYOUT = [
+    (f"param/{prefix}{k}", shape)
+    for prefix, shapes in (("agent.0.", AGENT_SHAPES), ("agent.1.", AGENT_SHAPES),
+                           ("mixer.", MIXER_SHAPES),
+                           ("repr.0.", REPR_SHAPES), ("repr.1.", REPR_SHAPES),
+                           ("target_agent.0.", AGENT_SHAPES), ("target_agent.1.", AGENT_SHAPES),
+                           ("target_mixer.", MIXER_SHAPES))
+    for k, shape in shapes
+] + [("header", None)]
+
+
+def test_checkpoint_file_layout_pinned(tmp_path, rng):
+    qnet, mixer, repr_net = make_nets()
+    ps = make_paramset(rng, qnet, mixer, repr_net)
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, ps)
+    with np.load(path) as data:
+        found = [(k, None if k == "header" else data[k].shape) for k in data.files]
+        header = json.loads(bytes(data["header"]).decode())
+    assert found == FILE_LAYOUT
+    assert (header["n_agents"], header["n_reprs"]) == (2, 2)
+
+
+def test_checkpoint_in_per_agent_layout_loads_bitwise(tmp_path, rng):
+    # a file written one array per agent slot, straight from per-agent dicts
+    qnet, mixer, repr_net = make_nets()
+    nets = {g: [net.init_params(rng) for _ in range(2)]
+            for g, net in (("agent", qnet), ("repr", repr_net), ("target_agent", qnet))}
+    mix, target_mix = mixer.init_params(rng), mixer.init_params(rng)
+    arrays = {}
+    for group in ("agent", "mixer", "repr", "target_agent", "target_mixer"):
+        if group in nets:
+            for i, p in enumerate(nets[group]):
+                arrays.update({f"param/{group}.{i}.{k}": v for k, v in p.items()})
+        else:
+            p = mix if group == "mixer" else target_mix
+            arrays.update({f"param/{group}.{k}": v for k, v in p.items()})
+    header = {"version": 1, "n_agents": 2, "n_reprs": 2, "meta": {"note": "old"}}
+    arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    path = tmp_path / "old.npz"
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    loaded, meta = load_checkpoint(path)
+    assert meta == {"note": "old"}
+    named = dict(loaded.named_all())
+    assert sorted(named) == sorted(k[len("param/"):] for k in arrays if k != "header")
+    for key, arr in arrays.items():
+        if key != "header":
+            np.testing.assert_array_equal(named[key[len("param/"):]], arr)
+    for group, per_agent in nets.items():
+        for k in per_agent[0]:
+            np.testing.assert_array_equal(getattr(loaded, group)[k],
+                                          np.stack([p[k] for p in per_agent]))
+
+
 def test_checkpoint_version_guard(tmp_path, rng):
     qnet, mixer, repr_net = make_nets()
     ps = make_paramset(rng, qnet, mixer, repr_net)
     path = tmp_path / "ck.npz"
     save_checkpoint(path, ps)
-    import json
-    import zipfile
 
     with np.load(path) as data:
         arrays = {k: data[k] for k in data.files}
@@ -242,5 +341,5 @@ def test_paramset_copy_is_deep(rng):
     qnet, mixer, repr_net = make_nets()
     ps = make_paramset(rng, qnet, mixer, repr_net)
     cp = ps.copy()
-    cp.agents[0]["in.w"] += 5.0
-    assert not np.array_equal(cp.agents[0]["in.w"], ps.agents[0]["in.w"])
+    cp.agent["in.w"][0] += 5.0
+    assert not np.array_equal(cp.agent["in.w"], ps.agent["in.w"])

@@ -81,14 +81,14 @@ def test_brute_force_alpha_zero_agreement_across_agents(rng):
 def test_brute_force_agrees_with_engine(rng):
     trainer = make_stub_trainer()
     for _ in range(5):
-        trainer.params.agents, trainer.params.mixer = make_q_params(
+        trainer.params.agent, trainer.params.mixer = make_q_params(
             rng, trainer.qnet, trainer.mixer)
         trainer.cfg = trainer.cfg.replace(alpha=float(rng.random()))
         episodes, batch = make_batch(rng, 5)
         t_star = trainer.prepare_block(batch)["t_star"]
         for m, episode in enumerate(episodes):
             np.testing.assert_array_equal(
-                brute_force_subgoal(trainer.params.agents, trainer.params.mixer,
+                brute_force_subgoal(trainer.params.agent, trainer.params.mixer,
                                     episode, trainer.cfg.alpha),
                 t_star[:, m],
             )

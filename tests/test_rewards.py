@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from goalmix.nn import as_tensors, gradient
+from goalmix.nn import as_tensors, gradient, stack_slots
 from goalmix.oracles import finite_diff_grad
 from goalmix.rewards import (
     IdentityRepr,
@@ -86,9 +86,9 @@ def test_dq_targets_zero_at_subgoal_step(rng):
 
 def test_repr_loss_zero_when_distances_match():
     net = IdentityRepr(2)
-    obs = np.array([[[0.3, 0.0], [0.0, 0.4]]])            # (M=1, T=2, D)
-    goal = np.zeros((1, 2))
-    dq = np.array([[0.3, 0.4]])  # equals the embedded distances exactly
+    obs = np.array([[[[0.3, 0.0], [0.0, 0.4]]]])          # (N=1, M=1, T=2, D)
+    goal = np.zeros((1, 1, 2))
+    dq = np.array([[[0.3, 0.4]]])  # equals the embedded distances exactly
     loss = repr_loss(net, {}, obs, goal, dq, np.full((1, 2), 0.5))
     assert float(loss) == pytest.approx(0.0, abs=1e-12)
 
@@ -96,27 +96,37 @@ def test_repr_loss_zero_when_distances_match():
 def test_repr_loss_single_pair_hand_value():
     # ||d_phi|| = 0.5 vs target 0.3 -> (0.2)^2 = 0.04
     net = IdentityRepr(2)
-    obs = np.array([[[0.5, 0.0]]])
-    loss = float(repr_loss(net, {}, obs, np.zeros((1, 2)), np.array([[0.3]]), np.ones((1, 1))))
+    obs = np.array([[[[0.5, 0.0]]]])
+    loss = float(repr_loss(net, {}, obs, np.zeros((1, 1, 2)), np.array([[[0.3]]]),
+                           np.ones((1, 1))))
     assert loss == pytest.approx(0.04, abs=1e-12)
 
 
 def test_repr_loss_nonnegative(rng):
     net = ReprNet(5, 4, 6)
-    params = net.init_params(rng)
+    params = stack_slots([net.init_params(rng) for _ in range(2)])
     for _ in range(20):
-        obs = rng.normal(size=(3, 7, 5))
-        goal = rng.normal(size=(3, 5))
-        dq = rng.uniform(0, 2, size=(3, 7))
+        obs = rng.normal(size=(2, 3, 7, 5))
+        goal = rng.normal(size=(2, 3, 5))
+        dq = rng.uniform(0, 2, size=(2, 3, 7))
         assert float(repr_loss(net, params, obs, goal, dq, np.full((3, 7), 1 / 7))) >= 0.0
 
 
 def test_repr_loss_gradient_matches_finite_differences(rng):
+    _check_repr_loss_gradient(rng, n_slots=2)
+
+
+def test_repr_loss_gradient_matches_finite_differences_shared_params(rng):
+    _check_repr_loss_gradient(rng, n_slots=1)
+
+
+def _check_repr_loss_gradient(rng, n_slots):
+    # two agents, each with its own slot or both sharing one
     net = ReprNet(4, 3, 5)
-    params = net.init_params(rng)
-    obs = rng.normal(size=(2, 6, 4))
-    goal = rng.normal(size=(2, 4))
-    dq = rng.uniform(0, 2, size=(2, 6))
+    params = stack_slots([net.init_params(rng) for _ in range(n_slots)])
+    obs = rng.normal(size=(2, 2, 6, 4))
+    goal = rng.normal(size=(2, 2, 4))
+    dq = rng.uniform(0, 2, size=(2, 2, 6))
     weights = rng.uniform(0, 1, size=(2, 6))
 
     def loss_fn(p):

@@ -12,6 +12,7 @@ from tests.conftest import (
     make_q_params,
     make_stub_trainer,
     make_trainer,
+    slot_net,
     zero_trainer,
 )
 
@@ -19,7 +20,7 @@ from tests.conftest import (
 @pytest.fixture
 def setup(rng):
     trainer = make_stub_trainer()
-    trainer.params.agents, trainer.params.mixer = make_q_params(rng, trainer.qnet, trainer.mixer)
+    trainer.params.agent, trainer.params.mixer = make_q_params(rng, trainer.qnet, trainer.mixer)
     episodes, batch = make_batch(rng, 4)
     return trainer, episodes, batch
 
@@ -31,7 +32,7 @@ def slow_tables(trainer, episodes):
     q_max = np.zeros((n, m, t_len))
     q_tot = np.zeros((m, t_len))
     for j, ep in enumerate(episodes):
-        tables = [slow_q_seq(trainer.params.agents[i], ep.obs[i]) for i in range(n)]
+        tables = [slow_q_seq(slot_net(trainer.params.agent, i), ep.obs[i]) for i in range(n)]
         for t in range(ep.length):
             for i in range(n):
                 q_max[i, j, t] = max(tables[i][t][u] for u in range(tables[i].shape[1])
@@ -71,8 +72,7 @@ def test_score_matches_hand_evaluation_from_q_tables(setup):
     q_max, q_tot = slow_tables(trainer, episodes)
     # the fast path: the trainer's block-start max-Q and the mixer on the
     # unrolled Q values of the taken actions
-    q_seq = np.stack([trainer.qnet.unroll(trainer.params.agents[i], batch["obs"][i])
-                      for i in range(n)])
+    q_seq = trainer.qnet.unroll(trainer.params.agent, batch["obs"])
     taken = np.take_along_axis(q_seq, batch["actions"][..., None], axis=-1)[..., 0]
     m, t_len = batch["rewards"].shape
     q_tot_fast = trainer.mixer.forward(
@@ -114,12 +114,12 @@ def test_per_agent_argmax_can_differ_at_alpha_one(rng):
     trainer = make_stub_trainer(alpha=1.0)
     found = False
     for trial in range(8):
-        trainer.params.agents, trainer.params.mixer = make_q_params(
+        trainer.params.agent, trainer.params.mixer = make_q_params(
             rng, trainer.qnet, trainer.mixer)
         episodes, batch = make_batch(rng, 5, length=6)
         t_star = trainer.prepare_block(batch)["t_star"]
         for m, episode in enumerate(episodes):
-            oracle = brute_force_subgoal(trainer.params.agents, trainer.params.mixer,
+            oracle = brute_force_subgoal(trainer.params.agent, trainer.params.mixer,
                                          episode, 1.0)
             np.testing.assert_array_equal(t_star[:, m], oracle)
         found |= bool(np.any(t_star[0] != t_star[1]))
@@ -161,13 +161,13 @@ def test_prepare_block_matches_train_block_prep():
 def test_oracle_equivalence_sweep(rng):
     trainer = make_stub_trainer()
     for trial in range(10):
-        trainer.params.agents, trainer.params.mixer = make_q_params(
+        trainer.params.agent, trainer.params.mixer = make_q_params(
             rng, trainer.qnet, trainer.mixer)
         trainer.cfg = trainer.cfg.replace(alpha=float(rng.random()))
         episodes, batch = make_batch(rng, 6)
         t_star = trainer.prepare_block(batch)["t_star"]
         for m, episode in enumerate(episodes):
-            slow = brute_force_subgoal(trainer.params.agents, trainer.params.mixer,
+            slow = brute_force_subgoal(trainer.params.agent, trainer.params.mixer,
                                        episode, trainer.cfg.alpha)
             np.testing.assert_array_equal(t_star[:, m], slow)
 

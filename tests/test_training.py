@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from goalmix.autodiff import take_along_last
-from goalmix.nn import as_tensors, gradient, weighted_sq_error
+from goalmix.nn import ParamSet, as_tensors, gradient, weighted_sq_error
 from goalmix.oracles import finite_diff_grad, slow_mix, slow_q_seq
 from goalmix.training import (
     correction_window,
@@ -19,8 +19,10 @@ from tests.conftest import (
     make_batch,
     make_episode,
     make_nets,
+    make_q_params,
     make_stub_trainer,
     make_trainer,
+    slot_net,
     zero_params,
     zero_trainer,
 )
@@ -31,12 +33,12 @@ def losses(tr, episodes, **prep):
     """Trainer.block_losses on the batch of ``episodes`` with a hand-set
     prep (rewards as (M, T) / (N, M, T) arrays)."""
     batch = stack_episodes(episodes)
-    return tr.block_losses(tr._wrap_online()[0], batch, prep)
+    return tr.block_losses(tr._wrap_online(), batch, prep)
 
 
 def block_losses(tr, batch):
     """Trainer.block_losses on a batch with the trainer's own prep."""
-    return tr.block_losses(tr._wrap_online()[0], batch, tr.prepare_block(batch))
+    return tr.block_losses(tr._wrap_online(), batch, tr.prepare_block(batch))
 
 
 # -- individual TD loss (one agent, so sum_Li is that agent's loss) -------------
@@ -60,8 +62,9 @@ def test_individual_td_terminal_contribution(rng):
 def test_individual_td_matches_hand_evaluation(rng):
     gamma = 0.9
     tr = make_stub_trainer(n_agents=1, lam_e=0.0, lam_d=0.0, gamma=gamma)
-    params = tr.params.agents[0]
-    targets = tr.params.target_agents[0] = tr.qnet.init_params(rng)
+    params = slot_net(tr.params.agent, 0)
+    tr.params.target_agent = {k: v[None] for k, v in tr.qnet.init_params(rng).items()}
+    targets = slot_net(tr.params.target_agent, 0)
     episode = make_episode(rng, n_agents=1, t_max=4, length=2)
     r_i = np.array([0.5, -1.0, 0.0, 0.0])
     q = slow_q_seq(params, episode.obs[0, :2])
@@ -94,7 +97,7 @@ def test_total_td_nonnegative_and_matches_hand(rng):
     gamma = 0.95
     tr = make_stub_trainer(lam_i=0.0, lam_e=0.0, lam_d=0.0, gamma=gamma)
     ps = tr.params
-    ps.target_agents = [tr.qnet.init_params(rng) for _ in range(2)]
+    ps.target_agent = make_q_params(rng, tr.qnet, tr.mixer)[0]
     ps.target_mixer = tr.mixer.init_params(rng)
     episodes = [make_episode(rng, t_max=4, length=2), make_episode(rng, t_max=4, length=3)]
     proxy = np.array([[0.3, -0.2, 0.0, 0.0], [0.1, 0.5, -1.0, 0.0]])
@@ -104,8 +107,8 @@ def test_total_td_nonnegative_and_matches_hand(rng):
     by_hand = 0.0
     for m, episode in enumerate(episodes):
         length = episode.length
-        q = [slow_q_seq(ps.agents[i], episode.obs[i, :length]) for i in range(2)]
-        tq = [slow_q_seq(ps.target_agents[i], episode.obs[i, :length]) for i in range(2)]
+        q = [slow_q_seq(slot_net(ps.agent, i), episode.obs[i, :length]) for i in range(2)]
+        tq = [slow_q_seq(slot_net(ps.target_agent, i), episode.obs[i, :length]) for i in range(2)]
         deltas = []
         for t in range(length):
             q_taken = [q[i][t, episode.actions[i, t]] for i in range(2)]
@@ -217,13 +220,22 @@ def test_composite_zero_weights_is_plain_td(rng):
 
 
 def test_loss_gradients_match_finite_differences(rng):
+    _check_loss_gradients(rng, share_params=False)
+
+
+def test_loss_gradients_match_finite_differences_shared_params(rng):
+    # the one shared slot's gradient is the sum over every agent's use of it
+    _check_loss_gradients(rng, share_params=True)
+
+
+def _check_loss_gradients(rng, share_params):
     tr = make_stub_trainer(obs_dim=4, n_actions=3, hidden=4, embed=3,
-                           lam_i=0.0, lam_e=0.0, lam_d=0.0)
+                           lam_i=0.0, lam_e=0.0, lam_d=0.0, share_params=share_params)
     _, batch = make_batch(rng, 2, t_max=4, obs_dim=4, n_actions=3)
-    obs, actions = batch["obs"][0], batch["actions"][0]
-    y = rng.normal(size=(2, 4))
+    obs, actions = batch["obs"], batch["actions"]
+    y = rng.normal(size=(2, 2, 4))
     w = batch["valid"] / batch["valid"].sum(axis=1)[:, None]
-    window = correction_window(np.array([[1, 0]]), batch["valid"], "normal")[0]
+    window = correction_window(np.array([[1, 0], [2, 3]]), batch["valid"], "normal")
 
     def li(p):
         return weighted_sq_error(take_along_last(tr.qnet.unroll(p, obs), actions), y, w)
@@ -232,16 +244,26 @@ def test_loss_gradients_match_finite_differences(rng):
         return entropy_correction(tr.qnet.unroll(p, obs), window)
 
     for build in (li, le):
-        tensors = as_tensors(tr.params.agents[0])
+        tensors = as_tensors(tr.params.agent)
         grads = gradient(build(tensors), tensors)
-        fd = finite_diff_grad(lambda p: loss_value(build(p)), tr.params.agents[0], step=1e-5)
+        fd = finite_diff_grad(lambda p: loss_value(build(p)), tr.params.agent, step=1e-5)
         assert_grads_close(grads, fd)
 
     prep = {"proxy": rng.normal(size=(2, 4))}
-    agents = [as_tensors(p) for p in tr.params.agents]
+
+    def ltd(agent, mixer):
+        return tr.block_losses(ParamSet(agent=agent, mixer=mixer), batch, prep)[0]
+
+    # L_TD w.r.t. the (possibly shared) agent slots, then the mixer
+    tensors = as_tensors(tr.params.agent)
+    grads = gradient(ltd(tensors, as_tensors(tr.params.mixer)), tensors)
+    fd = finite_diff_grad(lambda p: ltd(as_tensors(p), as_tensors(tr.params.mixer)).item(),
+                          tr.params.agent, step=1e-5)
+    assert_grads_close(grads, fd)
+    agents = as_tensors(tr.params.agent)
 
     def ltd_mixer(p):
-        return tr.block_losses((agents, p, []), batch, prep)[0]
+        return ltd(agents, p)
 
     tensors = as_tensors(tr.params.mixer)
     grads = gradient(ltd_mixer(tensors), tensors)
@@ -290,7 +312,7 @@ def test_target_sync_cadence():
     for _ in range(8):
         tr.train_block()
         snapshots.append((tr.episodes_collected,
-                          tr.params.target_agents[0]["in.w"].copy()))
+                          tr.params.target_agent["in.w"][0].copy()))
     online_changes = 0
     for k in range(1, len(snapshots)):
         changed = not np.array_equal(snapshots[k][1], snapshots[k - 1][1])
@@ -342,7 +364,7 @@ def test_divergence_raises_with_report():
 
     tr = make_trainer(seed=6)
     tr.collect_episode()
-    tr.params.agents[0]["in.w"][:] = np.nan
+    tr.params.agent["in.w"][0] = np.nan
     with pytest.raises(TrainingDiverged):
         tr.train_block()
 
@@ -370,9 +392,8 @@ def test_run_zero_step_budget_trains_nothing():
 
 def test_always_noop_policy_never_wins():
     tr = make_trainer(seed=8, eval_episodes=8)
-    for p in tr.params.agents:
-        for k in p:
-            p[k][:] = 0.0  # all Q equal -> greedy tie-break picks no-op
+    for v in tr.params.agent.values():
+        v[:] = 0.0  # all Q equal -> greedy tie-break picks no-op
     assert tr.evaluate(8) == 0.0
 
 
@@ -391,7 +412,7 @@ def test_evaluate_episode_count():
 
 def test_share_params_trains_single_network():
     tr = make_trainer(seed=9, share_params=True)
-    assert len(tr.params.agents) == 1
+    assert all(len(v) == 1 for v in tr.params.agent.values())
     tr.collect_episode()
     rep = tr.train_block()
     assert np.isfinite(rep.loss_total)
