@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, TrainConfig, parse_config
+from .config import (CORRECTION_MODES, REWARD_MODES, SUBGOAL_MODES, ConfigError, TrainConfig,
+                     parse_config)
 from .env import EnvConfig, SkirmishEnv, preset
 from .nn import load_checkpoint, save_checkpoint
 from .training import Trainer, TrainingDiverged
@@ -25,14 +26,20 @@ from .training import Trainer, TrainingDiverged
 ABLATION_VARIANTS = {
     "full": {},
     "random_subgoal": {"subgoal_mode": "random"},
-    "total_only": {"subgoal_mode": "total_only"},   # score by total Q only (alpha=0)
-    "local_only": {"subgoal_mode": "local_only"},   # score by local Q only (alpha=1)
-    "no_li": {"disable_li": True},
-    "no_correction": {"correction": "none"},
+    "total_only": {"alpha": 0.0},   # score by total Q only
+    "local_only": {"alpha": 1.0},   # score by local Q only
+    "no_li": {"lam_i": 0.0},
+    "no_correction": {"lam_e": 0.0},
     "over_correction": {"correction": "over"},
     "no_repr": {"disable_repr": True},
     "qmix": {"lam": 0.0, "lam_i": 0.0, "lam_e": 0.0, "lam_d": 0.0},
 }
+
+# the fields that shape the nets and the env: no other changes greedy evaluation
+EVAL_KEYS = ("hidden_dim", "mixer_embed_dim", "repr_hidden_dim", "share_params",
+             "disable_repr", "env", "reward_mode")
+# EnvConfig fields that must be positive integers
+POSITIVE_ENV_KEYS = ("width", "height", "n_allies", "n_enemies", "episode_limit")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,11 +49,16 @@ class _Parser(argparse.ArgumentParser):
 
 def resolve_env_config(cfg: TrainConfig) -> EnvConfig:
     """Environment from a preset name or an env spec file, with the
-    training config's reward mode applied."""
-    if os.path.exists(cfg.env):
-        env_cfg = EnvConfig.load(cfg.env)
-    else:
-        env_cfg = preset(cfg.env)
+    training config's reward mode applied. An unknown preset, an unknown
+    key or a non-positive size is a configuration error."""
+    try:
+        env_cfg = EnvConfig.load(cfg.env) if os.path.exists(cfg.env) else preset(cfg.env)
+    except ValueError as err:
+        raise ConfigError(f"env {cfg.env!r}: {err}") from err
+    for key in POSITIVE_ENV_KEYS:
+        value = getattr(env_cfg, key)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError(f"env {cfg.env!r}: {key} must be a positive integer, got {value!r}")
     env_cfg.reward_mode = cfg.reward_mode
     return env_cfg
 
@@ -77,9 +89,9 @@ def write_manifest(out_dir: Path, cfg: TrainConfig, env_cfg: EnvConfig, seeds):
 
 def run_train(cfg: TrainConfig, out_dir) -> float:
     """One full training run; writes manifest, metrics, checkpoint."""
+    env_cfg = resolve_env_config(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    env_cfg = resolve_env_config(cfg)
     write_manifest(out_dir, cfg, env_cfg, [cfg.seed])
     trainer = make_trainer(cfg)
     win_rate = trainer.run(
@@ -106,7 +118,7 @@ def run_eval(checkpoint_path, episodes, seed=0, env_name=None) -> float:
     if episodes < 1:
         raise ConfigError(f"episodes must be at least 1, got {episodes}")
     ps, meta = load_checkpoint(checkpoint_path)
-    cfg = TrainConfig(**meta["config"]).validate()
+    cfg = TrainConfig(**{k: meta["config"][k] for k in EVAL_KEYS}).validate()
     if env_name is not None:
         cfg = cfg.replace(env=env_name)
         env_cfg = resolve_env_config(cfg)
@@ -138,14 +150,15 @@ def run_ablation_matrix(base_cfg: TrainConfig, seeds, variants=None, out_dir="ab
     """Run variant x seed training runs and write a summary CSV."""
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     names = list(variants) if variants else list(ABLATION_VARIANTS)
     for name in names:
         if name not in ABLATION_VARIANTS:
             raise ConfigError(
                 f"unknown ablation variant {name!r}; valid: {sorted(ABLATION_VARIANTS)}"
             )
+    resolve_env_config(base_cfg)  # no variant changes the env
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     tasks = []
     for name in names:
         for seed in seeds:
@@ -185,22 +198,19 @@ def _add_override_flags(p):
     p.add_argument("--lambda-i", type=float, dest="lam_i")
     p.add_argument("--lambda-e", type=float, dest="lam_e")
     p.add_argument("--lambda-d", type=float, dest="lam_d")
-    p.add_argument("--subgoal-mode", choices=["value", "random", "local_only", "total_only"])
-    p.add_argument("--correction", choices=["normal", "none", "over"])
-    p.add_argument("--disable-li", action="store_const", const=True, dest="disable_li")
+    p.add_argument("--subgoal-mode", choices=SUBGOAL_MODES)
+    p.add_argument("--correction", choices=CORRECTION_MODES)
     p.add_argument("--disable-repr", action="store_const", const=True, dest="disable_repr")
-    p.add_argument("--reward-mode", choices=["sparse", "dense"], dest="reward_mode")
+    p.add_argument("--reward-mode", choices=REWARD_MODES, dest="reward_mode")
     p.add_argument("--env")
     p.add_argument("--steps", type=int, dest="max_env_steps")
     p.add_argument("--subgoal-log", action="store_const", const=True, dest="subgoal_log")
     p.add_argument("--episode-log", action="store_const", const=True, dest="episode_log")
 
 
-_OVERRIDE_KEYS = [
-    "seed", "alpha", "lam", "lam_i", "lam_e", "lam_d", "subgoal_mode",
-    "correction", "disable_li", "disable_repr", "reward_mode", "env",
-    "max_env_steps", "subgoal_log", "episode_log",
-]
+def _config_flags(args):
+    """The parsed flags that set TrainConfig fields (None where unset)."""
+    return {k: v for k, v in vars(args).items() if k in TrainConfig.__dataclass_fields__}
 
 
 def build_parser():
@@ -225,7 +235,7 @@ def build_parser():
     p_abl.add_argument("--variants", help="comma-separated subset of variants")
     p_abl.add_argument("--steps", type=int, dest="max_env_steps")
     p_abl.add_argument("--env")
-    p_abl.add_argument("--reward-mode", choices=["sparse", "dense"], dest="reward_mode")
+    p_abl.add_argument("--reward-mode", choices=REWARD_MODES, dest="reward_mode")
     p_abl.add_argument("--jobs", type=int, default=1)
     p_abl.add_argument("--out", help="output directory")
     return parser
@@ -239,8 +249,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.command == "train":
-            overrides = {k: getattr(args, k, None) for k in _OVERRIDE_KEYS}
-            cfg = parse_config(args.config, overrides)
+            cfg = parse_config(args.config, _config_flags(args))
             name = f"train-{Path(cfg.env).stem}-{cfg.subgoal_mode}-seed{cfg.seed}"
             out_dir = Path(args.out) if args.out else _out_root() / name
             win = run_train(cfg, out_dir)
@@ -251,9 +260,7 @@ def main(argv=None) -> int:
             print(f"win rate over {args.episodes} episodes: {win:.4f}")
             return 0
         if args.command == "ablate":
-            overrides = {k: getattr(args, k, None)
-                         for k in ("max_env_steps", "env", "reward_mode")}
-            cfg = parse_config(args.config, overrides)
+            cfg = parse_config(args.config, _config_flags(args))
             seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
             variants = args.variants.split(",") if args.variants else None
             out_dir = Path(args.out) if args.out else _out_root() / "ablation"

@@ -17,8 +17,8 @@ class ConfigError(ValueError):
     pass
 
 
-SUBGOAL_MODES = ("value", "random", "local_only", "total_only")
-CORRECTION_MODES = ("normal", "none", "over")
+SUBGOAL_MODES = ("value", "random")
+CORRECTION_MODES = ("normal", "over")
 REWARD_MODES = ("sparse", "dense")
 
 # config-file spellings that differ from the field names
@@ -45,7 +45,6 @@ class TrainConfig:
     lam_d: float = 0.001
     subgoal_mode: str = "value"
     correction: str = "normal"
-    disable_li: bool = False
     disable_repr: bool = False
     # TD learning
     gamma: float = 0.99

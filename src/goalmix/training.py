@@ -274,15 +274,14 @@ class Trainer:
         q_taken = np.take_along_axis(q_seq, batch["actions"][..., None], axis=-1)[..., 0]
         q_tot = self.mixer.forward(
             self.params.mixer,
-            np.moveaxis(q_taken, 0, -1).reshape(m * t_len, n),
+            moveaxis(q_taken, 0, -1).reshape(m * t_len, n),
             batch["states"].reshape(m * t_len, -1),
         ).reshape(m, t_len)
 
         if cfg.subgoal_mode == "random":
             t_star = random_subgoals(valid, n, self.rng)
         else:
-            alpha = {"value": cfg.alpha, "local_only": 1.0, "total_only": 0.0}[cfg.subgoal_mode]
-            t_star = select_subgoals(q_max, q_tot, valid, alpha)         # (N, M)
+            t_star = select_subgoals(q_max, q_tot, valid, cfg.alpha)     # (N, M)
 
         out = {"t_star": t_star, "goal_obs": at_subgoal(batch["obs"], t_star),
                "q_max_snapshot": q_max}
@@ -296,13 +295,13 @@ class Trainer:
         else:
             out["proxy"] = batch["rewards"].copy()
 
-        if cfg.lam_i > 0 and not cfg.disable_li:
+        if cfg.lam_i > 0:
             out["r_individual"] = individual_rewards(q_max, out["proxy"], intr, cfg.lam)
 
         if cfg.lam_d > 0 and not cfg.disable_repr:
             out["dq_targets"] = actionable_distance(q_seq, at_subgoal(q_seq, t_star))
 
-        if cfg.lam_e > 0 and cfg.correction != "none":
+        if cfg.lam_e > 0:
             out["correction_window"] = correction_window(t_star, valid, cfg.correction)
 
         return out
@@ -331,7 +330,7 @@ class Trainer:
         states_next[:, :-1] = batch["states"][:, 1:]
         tot_next = self.mixer.forward(
             self.params.target_mixer,
-            np.moveaxis(tq_next, 0, -1).reshape(m * t_len, n),
+            moveaxis(tq_next, 0, -1).reshape(m * t_len, n),
             states_next.reshape(m * t_len, -1),
         ).reshape(m, t_len)
 
@@ -350,13 +349,13 @@ class Trainer:
         total = loss_td
         parts = {"L_TD": loss_td.item(), "sum_Li": 0.0, "sum_LE": 0.0, "sum_LD": 0.0}
 
-        if cfg.lam_i > 0 and not cfg.disable_li:
+        if cfg.lam_i > 0:
             y_i = td_targets(prep["r_individual"], dones, tq_next, gamma)
             loss_i = weighted_sq_error(q_taken, y_i, w_ep)
             total = total + cfg.lam_i * loss_i
             parts["sum_Li"] = loss_i.item()
 
-        if cfg.lam_e > 0 and cfg.correction != "none":
+        if cfg.lam_e > 0:
             loss_e = entropy_correction(q_online, prep["correction_window"])
             total = total + cfg.lam_e * loss_e
             parts["sum_LE"] = loss_e.item()

@@ -39,7 +39,7 @@ def reference_qmix_block(qnet, mixer, params, opt, buffer, cfg, rng):
     states_next[:, :-1] = states[:, 1:]
     tot_next = mixer.forward(
         params.target_mixer,
-        np.moveaxis(tq_next, 0, -1).reshape(m * t_len, n),
+        moveaxis(tq_next, 0, -1).reshape(m * t_len, n),
         states_next.reshape(m * t_len, -1),
     ).reshape(m, t_len)
     y = rewards + cfg.gamma * (1.0 - dones) * tot_next

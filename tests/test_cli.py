@@ -7,13 +7,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from goalmix.cli import main, run_eval
+from goalmix.cli import main, make_trainer, resolve_env_config, run_eval
+from goalmix.config import TrainConfig
+from goalmix.nn import save_checkpoint
 
 FAST = ["--env", "skirmish-2v2", "--steps", "90"]
 
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def save_fresh_checkpoint(path, cfg, config=None):
+    """An untrained policy's checkpoint, its meta config ``config`` (default cfg's)."""
+    trainer = make_trainer(cfg)
+    save_checkpoint(path, trainer.params, meta={
+        "config": cfg.to_dict() if config is None else config,
+        "env_config": resolve_env_config(cfg).to_dict()})
+    return path
 
 
 @pytest.fixture
@@ -71,6 +82,13 @@ def test_unknown_flag_is_config_error_exit_1(tmp_path):
     assert run_cli(["train", "--does-not-exist", "5"]) == 1
 
 
+@pytest.mark.parametrize("flags", [["--disable-li"], ["--subgoal-mode", "local_only"],
+                                   ["--subgoal-mode", "total_only"], ["--correction", "none"]])
+def test_retired_flag_or_value_exit_1(tmp_path, flags):
+    assert run_cli(["train", "--out", tmp_path / "x", *flags, *FAST]) == 1
+    assert not (tmp_path / "x").exists()
+
+
 def test_unknown_config_key_exit_1(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"alhpa": 0.5}))
@@ -112,6 +130,46 @@ def test_eval_env_the_checkpoint_does_not_fit_exit_1(tmp_path, fast_cfg_file, ca
     err = capsys.readouterr().err
     assert "configuration error: checkpoint does not fit env 'skirmish-3v3'" in err
     assert "agent.0.in.w" in err  # the first parameter whose shape differs
+
+
+def test_eval_checkpoint_with_retired_config_keys(tmp_path, capsys):
+    """Checkpoints written before the retired switches were removed still
+    evaluate, exactly as the same parameters under today's meta config."""
+    cfg = TrainConfig(seed=2, hidden_dim=16).validate()
+    old = {**cfg.to_dict(), "disable_li": True, "correction": "none",
+           "subgoal_mode": "local_only"}
+    paths = [save_fresh_checkpoint(tmp_path / "old.npz", cfg, old),
+             save_fresh_checkpoint(tmp_path / "new.npz", cfg)]
+    printed = []
+    for path in paths:
+        assert run_cli(["eval", "--checkpoint", path, "--episodes", 8, "--seed", 2]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    wins = [run_eval(path, episodes=8, seed=2) for path in paths]
+    assert wins[0] == wins[1] > 0
+
+
+@pytest.mark.parametrize("spec", ["bogus", {"widht": 7}, {"episode_limit": 0},
+                                  {"n_enemies": -1}, {"height": 2.5}],
+                         ids=["unknown-preset", "unknown-key", "zero-limit", "negative-enemies",
+                              "fractional-height"])
+@pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+def test_bad_env_is_config_error_exit_1(tmp_path, fast_cfg_file, command, spec, capsys):
+    env = spec
+    if isinstance(spec, dict):
+        env = tmp_path / "env.json"
+        env.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    if command == "eval":
+        ckpt = save_fresh_checkpoint(tmp_path / "ckpt.npz", TrainConfig())
+        args = ["--checkpoint", ckpt, "--episodes", 1]
+    else:
+        args = ["--config", fast_cfg_file, "--out", out]
+        if command == "ablate":
+            args += ["--seeds", "0", "--variants", "full,qmix"]
+    assert run_cli([command, *args, "--env", env]) == 1
+    assert "configuration error: env" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("episodes", [0, -3])

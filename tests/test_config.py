@@ -97,6 +97,15 @@ def test_unknown_enum_value_rejected():
         parse_config(None, {"correction": "sometimes"})
 
 
+@pytest.mark.parametrize("key, value", [("subgoal_mode", "local_only"),
+                                        ("subgoal_mode", "total_only"),
+                                        ("correction", "none"), ("disable_li", True)])
+def test_retired_switch_rejected(key, value):
+    """The ablations they selected are alpha = 1 / 0, lam_e = 0 and lam_i = 0."""
+    with pytest.raises(ConfigError, match=key):
+        parse_config(None, {key: value})
+
+
 def test_none_overrides_are_ignored():
     cfg = parse_config(None, {"alpha": None, "seed": 3})
     assert cfg.alpha == 0.5 and cfg.seed == 3

@@ -1,13 +1,19 @@
-"""The public names and the demos stay importable."""
+"""The public names and the demos stay importable; README matches the CLI."""
 
+import argparse
 import importlib.util
+import json
+import re
 from pathlib import Path
 
 import pytest
 
 import goalmix
+from goalmix.cli import ABLATION_VARIANTS, build_parser
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = (ROOT / "README.md").read_text()
 
 
 @pytest.mark.parametrize("name", goalmix.__all__)
@@ -25,3 +31,22 @@ def test_demo_imports_cleanly(path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)  # runs the imports only; main() is guarded
     assert callable(module.main)
+
+
+def test_readme_ablation_variants_are_the_cli_variants():
+    section = README.split("Ablation variants:")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", section, flags=re.M)
+    listed = {name: {k: json.loads(v) for k, v in re.findall(r"`(\w+)=([^`]+)`", setting)}
+              for name, setting in rows}
+    assert list(listed) == list(ABLATION_VARIANTS)
+    assert listed == ABLATION_VARIANTS
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+def test_readme_synopsis_flags_are_parser_flags(command):
+    synopsis = README.split("## CLI")[1].split("```bash\n")[1].split("```")[0]
+    usage = next(u for u in re.split(r"^goalmix ", synopsis, flags=re.M)
+                 if u.startswith(command + " "))
+    flags = set(re.findall(r"--[a-z][a-z-]*", usage))
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert flags and flags <= set(sub.choices[command]._option_string_actions)

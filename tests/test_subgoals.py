@@ -58,7 +58,7 @@ def test_alpha_zero_score_is_agent_independent(setup):
     q_max, q_tot = slow_tables(trainer, episodes)
     scores = subgoal_scores(q_max, q_tot, batch["valid"], 0.0)
     np.testing.assert_array_equal(scores[0], scores[1])
-    trainer.cfg = trainer.cfg.replace(subgoal_mode="total_only")
+    trainer.cfg = trainer.cfg.replace(alpha=0.0)
     t_star = trainer.prepare_block(batch)["t_star"]
     np.testing.assert_array_equal(t_star[0], t_star[1])
 

@@ -5,9 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from goalmix.autodiff import take_along_last
+from goalmix.autodiff import Tensor, moveaxis, take_along_last
+from goalmix.cli import ABLATION_VARIANTS
+from goalmix.config import TrainConfig
+from goalmix.mixer import MonotonicMixer
 from goalmix.nn import ParamSet, as_tensors, gradient, weighted_sq_error
 from goalmix.oracles import finite_diff_grad, slow_mix, slow_q_seq
+from goalmix.subgoals import select_subgoals
 from goalmix.training import (
     correction_window,
     entropy_correction,
@@ -324,14 +328,13 @@ def test_target_sync_cadence():
 
 
 def test_correction_window_in_trainer_modes():
-    for mode, check in [("none", lambda p: "correction_window" not in p),
-                        ("over", None), ("normal", None)]:
-        tr = make_trainer(seed=2, correction=mode)
+    for mode, lam_e in [("normal", 0.0), ("over", 0.001), ("normal", 0.001)]:
+        tr = make_trainer(seed=2, correction=mode, lam_e=lam_e)
         tr.collect_episode()
         episodes = tr.buffer.sample(tr.cfg.batch_size, tr.rng)
         batch = stack_episodes(episodes)
         prep = tr.prepare_block(batch)
-        if mode == "none":
+        if lam_e == 0:
             assert "correction_window" not in prep
             continue
         window = prep["correction_window"]
@@ -344,6 +347,56 @@ def test_correction_window_in_trainer_modes():
                     t_star = prep["t_star"][i, m]
                     expect = valid[m] & (np.arange(window.shape[2]) >= t_star)
                     np.testing.assert_array_equal(window[i, m].astype(bool), expect)
+
+
+@pytest.mark.parametrize("name", ABLATION_VARIANTS)
+def test_ablation_variant_is_a_coefficient_setting(name, rng):
+    cfg = TrainConfig().replace(**ABLATION_VARIANTS[name])
+    others = [TrainConfig().replace(**v) for k, v in ABLATION_VARIANTS.items() if k != name]
+    assert cfg not in others
+    if name in ("local_only", "total_only"):
+        assert cfg.alpha == {"local_only": 1.0, "total_only": 0.0}[name]
+    tr = make_stub_trainer(seed=3, **ABLATION_VARIANTS[name])
+    _, batch = make_batch(rng, 4)
+    prep = tr.prepare_block(batch)
+    # a term is built exactly when its weight is nonzero
+    assert ("intrinsics" in prep) == (cfg.lam > 0)
+    assert ("r_individual" in prep) == (cfg.lam_i > 0)
+    assert ("correction_window" in prep) == (cfg.lam_e > 0)
+    assert ("dq_targets" in prep) == (cfg.lam_d > 0 and not cfg.disable_repr)
+    if cfg.subgoal_mode == "value":
+        q_seq = tr.qnet.unroll(tr.params.agent, batch["obs"])
+        taken = np.take_along_axis(q_seq, batch["actions"][..., None], axis=-1)[..., 0]
+        m, t_len = batch["rewards"].shape
+        q_tot = tr.mixer.forward(tr.params.mixer, moveaxis(taken, 0, -1).reshape(m * t_len, -1),
+                                 batch["states"].reshape(m * t_len, -1)).reshape(m, t_len)
+        expect = select_subgoals(prep["q_max_snapshot"], q_tot, batch["valid"], cfg.alpha)
+        np.testing.assert_array_equal(prep["t_star"], expect)
+
+
+def test_mixer_inputs_contiguous_and_prepare_qtot_is_the_trained_one(monkeypatch):
+    """Subgoals are scored with the Q_tot that L_TD trains: every mixer input
+    is C-contiguous (so every call takes the same BLAS path), and
+    prepare_block's Q_tot equals the graph's bitwise."""
+    calls = []
+    forward = MonotonicMixer.forward
+
+    def spy(self, params, q_locals, states):
+        out = forward(self, params, q_locals, states)
+        calls.append((q_locals, out))
+        return out
+
+    monkeypatch.setattr(MonotonicMixer, "forward", spy)
+    tr = make_trainer(seed=0, batch_size=8)
+    for _ in range(3):
+        calls.clear()
+        tr.train_block()
+        # prepare_block, the target bootstrap, then the graph's Q_tot
+        (q_prep, qtot_prep), _, (q_graph, qtot_graph) = calls
+        assert isinstance(q_graph, Tensor) and not isinstance(q_prep, Tensor)
+        for q, _ in calls:
+            assert (q.data if isinstance(q, Tensor) else q).flags.c_contiguous
+        np.testing.assert_array_equal(qtot_prep, qtot_graph.data)
 
 
 def test_intrinsic_reward_zero_at_subgoal_step():
