@@ -6,8 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, relu, slice_time, stack
-from .nn import GRUCell, affine, gru_update, linear_params
+from .autodiff import Tensor, gru_cell, gru_sequence, relu
+from .nn import affine, linear_params, uniform_init
+
+GATES = ("z", "r", "n")  # the GRU's update, reset and candidate gates
 
 
 class RecurrentQNet:
@@ -22,12 +24,14 @@ class RecurrentQNet:
         self.obs_dim = obs_dim
         self.n_actions = n_actions
         self.hidden_dim = hidden_dim
-        self.cell = GRUCell(hidden_dim, hidden_dim)
 
     def init_params(self, rng):
-        p = linear_params(rng, self.obs_dim, self.hidden_dim, "in")
-        p.update(self.cell.init_params(rng))
-        p.update(linear_params(rng, self.hidden_dim, self.n_actions, "out"))
+        hd = self.hidden_dim
+        p = linear_params(rng, self.obs_dim, hd, "in")
+        for gate in GATES:
+            p.update(linear_params(rng, hd, hd, f"gru.x{gate}"))
+            p[f"gru.h{gate}.w"] = uniform_init(rng, hd, (hd, hd))
+        p.update(linear_params(rng, hd, self.n_actions, "out"))
         return p
 
     def initial_hidden(self, *lead):
@@ -35,13 +39,15 @@ class RecurrentQNet:
         return np.zeros((*lead, self.hidden_dim))
 
     def step(self, params, obs, h):
-        """One recurrent step -> (q, h'). Slot-stacked params take every
-        agent at once: obs (N, B, obs_dim), h (N, B, hidden); a single net
-        takes obs (B, obs_dim), h (B, hidden)."""
+        """One recurrent step on arrays -> (q, h'), for the rollout.
+        Slot-stacked params take every agent at once: obs (N, B, obs_dim),
+        h (N, B, hidden); a single net takes obs (B, obs_dim), h (B, hidden).
+        It runs the same GRU step, :func:`~goalmix.autodiff.gru_cell`, as
+        every step of :meth:`unroll`."""
         x = relu(affine(params, "in", obs))
-        h2 = self.cell.step(params, x, h)
-        q = affine(params, "out", h2)
-        return q, h2
+        h2 = gru_cell(*(affine(params, f"gru.x{g}", x) for g in GATES), h,
+                      *(params[f"gru.h{g}.w"] for g in GATES))[0]
+        return affine(params, "out", h2), h2
 
     def unroll(self, params, obs_seq):
         """Run every sequence from a zero hidden state.
@@ -50,22 +56,18 @@ class RecurrentQNet:
         values (N, B, T, n_actions); a single net takes (B, T, obs_dim) and
         returns (B, T, n_actions). The result is a Tensor when ``params``
         are Tensors, an ndarray otherwise. The input-side projections of all
-        gates are computed for every step in one batched matmul; the loop
-        only carries the hidden state.
+        gates are computed for every step in one batched matmul; the
+        recurrence is :func:`~goalmix.autodiff.gru_sequence`, which in graph
+        mode is a single node with a hand-written backward through time.
         """
         *lead, t_len, d = obs_seq.shape
         rows = (*lead[:-1], lead[-1] * t_len)  # each slot's (B * T) rows
         hd = self.hidden_dim
         x = relu(affine(params, "in", obs_seq.reshape(*rows, d)))
-        xz = affine(params, "gru.xz", x).reshape(*lead, t_len, hd)
-        xr = affine(params, "gru.xr", x).reshape(*lead, t_len, hd)
-        xn = affine(params, "gru.xn", x).reshape(*lead, t_len, hd)
-        h = self.initial_hidden(*lead)
-        hs = []
-        for t in range(t_len):
-            h = gru_update(params, slice_time(xz, t), slice_time(xr, t), slice_time(xn, t), h)
-            hs.append(h)
-        hidden = stack(hs, axis=-2).reshape(*rows, hd)
+        hidden = gru_sequence(
+            *(affine(params, f"gru.x{g}", x).reshape(*lead, t_len, hd) for g in GATES),
+            *(params[f"gru.h{g}.w"] for g in GATES),
+        ).reshape(*rows, hd)
         return affine(params, "out", hidden).reshape(*lead, t_len, self.n_actions)
 
 

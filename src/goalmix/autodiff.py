@@ -1,8 +1,10 @@
 """Minimal reverse-mode differentiation over numpy arrays.
 
-Deliberately restricted to the operations the training losses need
-(affine maps, gated recurrences, masked reductions, log-softmax
-arithmetic). Everything is float64. A :class:`Tensor` wraps an ndarray
+Deliberately restricted to the operations the training losses need:
+elementwise arithmetic and activations, matmul, reshape, sum, stack,
+gathers (``take_along_last``), ``moveaxis``, ``logsumexp_last``, and
+``gru_sequence``, a whole GRU recurrence as one node whose backward is
+hand-written backpropagation through time. Everything is float64. A :class:`Tensor` wraps an ndarray
 and records a backward closure; ``Tensor.backward()`` walks the graph
 in reverse topological order and accumulates gradients into ``.grad``.
 
@@ -30,6 +32,8 @@ __all__ = [
     "log",
     "sqrt",
     "logsumexp_last",
+    "gru_cell",
+    "gru_sequence",
 ]
 
 
@@ -283,10 +287,11 @@ def _wrap_unary(fn_val, fn_grad):
     return op
 
 
-sigmoid = _wrap_unary(
-    lambda x: 1.0 / (1.0 + np.exp(-x)),
-    lambda x, y: y * (1.0 - y),
-)
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+sigmoid = _wrap_unary(_sigmoid, lambda x, y: y * (1.0 - y))
 
 tanh = _wrap_unary(np.tanh, lambda x, y: 1.0 - y * y)
 
@@ -351,22 +356,6 @@ def take_along_last(x, idx):
     return np.take_along_axis(np.asarray(x), idx[..., None], axis=-1)[..., 0]
 
 
-def slice_time(x, t):
-    """x[..., t, :] as a graph node; x has its time axis second to last."""
-    if isinstance(x, Tensor):
-        out = Tensor(x.data[..., t, :], (x,))
-        src = x.data.shape
-
-        def back(g):
-            full = np.zeros(src)
-            full[..., t, :] = g
-            x._accum(full)
-
-        out._backward = back
-        return out
-    return x[..., t, :]
-
-
 def moveaxis(x, source, destination):
     """np.moveaxis with C-contiguous data (so a later matmul can use BLAS);
     a graph node when x is a Tensor."""
@@ -389,3 +378,78 @@ def logsumexp_last(x):
         shifted = x - c
         return log(exp(shifted).sum(axis=-1)) + c[..., 0]
     return np.log(np.exp(xd - c).sum(axis=-1)) + c[..., 0]
+
+
+def gru_cell(xz, xr, xn, h, w_hz, w_hr, w_hn):
+    """One GRU step on arrays: the update, reset and candidate gates from
+    their input projections xz, xr, xn and the previous state h. ``h @ w``
+    broadcasts over a leading slot axis of slot-stacked weights (S, H, H).
+    Returns (h', z, r, r * h, n): the next state and the intermediates
+    that :func:`gru_sequence`'s backward pass reuses."""
+    z = _sigmoid(xz + h @ w_hz)
+    r = _sigmoid(xr + h @ w_hr)
+    rh = r * h
+    n = np.tanh(xn + rh @ w_hn)
+    return (1.0 - z) * n + z * h, z, r, rh, n
+
+
+def gru_sequence(xz, xr, xn, w_hz, w_hr, w_hn):
+    """Hidden states (..., T, H) of a GRU run from a zero state over the
+    time axis (second to last) of the input projections xz, xr, xn, each
+    (..., T, H), with recurrent weights (H, H) or slot-stacked (S, H, H).
+
+    Plain arrays give an array. If any operand is a Tensor, the whole
+    recurrence is one graph node: the forward caches each step's
+    h_{t-1}, z, r, r * h and n, and the backward runs once in reverse
+    over T, then forms each recurrent-weight gradient as one
+    (H, rows) @ (rows, H) product per slot.
+    """
+    operands = (xz, xr, xn, w_hz, w_hr, w_hn)
+    xz_d, xr_d, xn_d, hz, hr, hn = (o.data if isinstance(o, Tensor) else o for o in operands)
+    *lead, t_len, hd = xz_d.shape
+    graph = any(isinstance(o, Tensor) for o in operands)
+    hs = np.empty(xz_d.shape)
+    cache = [np.empty(xz_d.shape) for _ in range(5)] if graph else ()
+    h = np.zeros((*lead, hd))
+    for t in range(t_len):
+        h_prev = h
+        h, *gates = gru_cell(xz_d[..., t, :], xr_d[..., t, :], xn_d[..., t, :], h, hz, hr, hn)
+        hs[..., t, :] = h
+        for arr, value in zip(cache, (h_prev, *gates)):
+            arr[..., t, :] = value
+    if not graph:
+        return hs
+
+    h_prev, z, r, rh, n = cache
+    out = Tensor(hs, tuple(o for o in operands if isinstance(o, Tensor)))
+
+    def back(g):
+        # per-step factors, for all steps at once: the gradient w.r.t. the
+        # pre-activation of n and z is dh times these, and w.r.t. that of r
+        # it is d(r * h) times c_r
+        one_minus_z = 1.0 - z
+        c_n = one_minus_z * (1.0 - n * n)
+        c_z = (h_prev - n) * z * one_minus_z
+        c_r = h_prev * r * (1.0 - r)
+        hz_t, hr_t, hn_t = (np.ascontiguousarray(np.swapaxes(w, -1, -2)) for w in (hz, hr, hn))
+        dxz, dxr, dxn = np.empty(hs.shape), np.empty(hs.shape), np.empty(hs.shape)
+        dh = np.zeros((*lead, hd))
+        for t in range(t_len - 1, -1, -1):
+            dh = dh + g[..., t, :]  # dL/dh_t: its own output plus step t + 1
+            d_an = np.multiply(dh, c_n[..., t, :], out=dxn[..., t, :])
+            d_az = np.multiply(dh, c_z[..., t, :], out=dxz[..., t, :])
+            d_rh = d_an @ hn_t
+            d_ar = np.multiply(d_rh, c_r[..., t, :], out=dxr[..., t, :])
+            dh = dh * z[..., t, :] + d_rh * r[..., t, :] + d_az @ hz_t + d_ar @ hr_t
+        rows = (*lead[:-1], -1, hd)
+        grads = (dxz, dxr, dxn)
+        for operand, grad in zip(operands, grads):
+            if isinstance(operand, Tensor):
+                operand._accum(grad)
+        for operand, left, right in zip(operands[3:], (h_prev, h_prev, rh), grads):
+            if isinstance(operand, Tensor):
+                w_grad = np.swapaxes(left.reshape(rows), -1, -2) @ right.reshape(rows)
+                operand._accum(_unbroadcast(w_grad, operand.data.shape))
+
+    out._backward = back
+    return out

@@ -38,8 +38,6 @@ ABLATION_VARIANTS = {
 # the fields that shape the nets and the env: no other changes greedy evaluation
 EVAL_KEYS = ("hidden_dim", "mixer_embed_dim", "repr_hidden_dim", "share_params",
              "disable_repr", "env", "reward_mode")
-# EnvConfig fields that must be positive integers
-POSITIVE_ENV_KEYS = ("width", "height", "n_allies", "n_enemies", "episode_limit")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,15 +48,13 @@ class _Parser(argparse.ArgumentParser):
 def resolve_env_config(cfg: TrainConfig) -> EnvConfig:
     """Environment from a preset name or an env spec file, with the
     training config's reward mode applied. An unknown preset, an unknown
-    key or a non-positive size is a configuration error."""
+    key or any spec :meth:`EnvConfig.validate` rejects is a configuration
+    error, found before any work."""
     try:
         env_cfg = EnvConfig.load(cfg.env) if os.path.exists(cfg.env) else preset(cfg.env)
-    except ValueError as err:
+        env_cfg.validate()
+    except (ValueError, TypeError) as err:
         raise ConfigError(f"env {cfg.env!r}: {err}") from err
-    for key in POSITIVE_ENV_KEYS:
-        value = getattr(env_cfg, key)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ConfigError(f"env {cfg.env!r}: {key} must be a positive integer, got {value!r}")
     env_cfg.reward_mode = cfg.reward_mode
     return env_cfg
 
@@ -166,9 +162,19 @@ def run_ablation_matrix(base_cfg: TrainConfig, seeds, variants=None, out_dir="ab
             tasks.append((name, seed, cfg.to_dict(), str(out_dir / f"{name}-seed{seed}")))
     if jobs > 1:
         import multiprocessing as mp
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with mp.Pool(jobs) as pool:
-            results = pool.map(_run_variant, tasks)
+        # a worker that dies (killed, out of memory) breaks the pool: the
+        # runs it took down become error rows instead of a hang
+        with ProcessPoolExecutor(jobs, mp_context=mp.get_context("spawn")) as pool:
+            futures = [pool.submit(_run_variant, t) for t in tasks]
+        results = []
+        for (name, seed, *_), future in zip(tasks, futures):
+            try:
+                results.append(future.result())
+            except BrokenProcessPool as err:
+                results.append((name, seed, float("nan"), f"error: worker died: {err}"))
     else:
         results = [_run_variant(t) for t in tasks]
 

@@ -15,6 +15,7 @@ first), then all attacks resolve simultaneously.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -26,6 +27,25 @@ MOVE_DELTAS = {MOVE_N: (0, -1), MOVE_S: (0, 1), MOVE_E: (1, 0), MOVE_W: (-1, 0)}
 REWARD_WIN = 200.0
 REWARD_ENEMY_KILL = 10.0
 REWARD_ALLY_DEATH = -5.0
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+# scalar EnvConfig fields: (names, test of a value, what the test asks for)
+FIELD_RULES = (
+    (("width", "height", "n_allies", "n_enemies", "episode_limit"),
+     lambda v: _is_int(v) and v >= 1, "a positive integer"),
+    (("sight_range", "attack_range"), lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    (("ally_health", "enemy_health"), lambda v: _is_number(v) and v > 0, "a positive number"),
+    (("ally_damage", "enemy_damage", "health_scale"),
+     lambda v: _is_number(v) and v >= 0, "a non-negative number"),
+)
 
 
 @dataclass
@@ -55,6 +75,48 @@ class EnvConfig:
         d["enemy_spawn"] = list(d["enemy_spawn"])
         d["cliff_cells"] = [list(c) for c in d["cliff_cells"]]
         return d
+
+    def validate(self):
+        """Raise ValueError unless the env can run and every reset can place
+        every unit: integer sizes and ranges, positive healths, non-negative
+        damages, cliff cells inside the grid, and spawn rectangles
+        (x0, y0, x1, y1) with enough free cells. Allies are placed first,
+        anywhere in their rectangle, so the enemies' rectangle must hold
+        their team even after the allies took the most of it they can.
+        Returns self."""
+        for keys, ok, kind in FIELD_RULES:
+            for key in keys:
+                value = getattr(self, key)
+                if not ok(value):
+                    raise ValueError(f"{key} must be {kind}, got {value!r}")
+        cliff = set()
+        for cell in self.cliff_cells:
+            cell = tuple(cell)
+            if (len(cell) != 2 or not all(map(_is_int, cell))
+                    or not (0 <= cell[0] < self.width and 0 <= cell[1] < self.height)):
+                raise ValueError(f"cliff cell {list(cell)} is not a cell of the "
+                                 f"{self.width}x{self.height} grid")
+            cliff.add(cell)
+        free = []
+        for key, team in (("ally_spawn", self.n_allies), ("enemy_spawn", self.n_enemies)):
+            rect = tuple(getattr(self, key))
+            if len(rect) != 4 or not all(map(_is_int, rect)) or rect[0] > rect[2] or rect[1] > rect[3]:
+                raise ValueError(f"{key} must be 4 integers x0, y0, x1, y1 with x0 <= x1 "
+                                 f"and y0 <= y1, got {list(rect)}")
+            x0, y0, x1, y1 = rect
+            cells = {(x, y) for x in range(max(x0, 0), min(x1, self.width - 1) + 1)
+                     for y in range(max(y0, 0), min(y1, self.height - 1) + 1)} - cliff
+            if len(cells) < team:
+                raise ValueError(f"{key} {list(rect)} has {len(cells)} free cells "
+                                 f"for {team} units")
+            free.append(cells)
+        allies, enemies = free
+        left = len(enemies) - min(self.n_allies, len(allies & enemies))
+        if left < self.n_enemies:
+            raise ValueError(f"enemy_spawn {list(self.enemy_spawn)} has {left} free cells for "
+                             f"{self.n_enemies} units once the allies are placed in ally_spawn "
+                             f"{list(self.ally_spawn)}")
+        return self
 
     @classmethod
     def from_dict(cls, d):
@@ -130,10 +192,7 @@ class SkirmishEnv:
         self.n_actions = N_ACTIONS
         self.n_units = config.n_allies + config.n_enemies
         self.episode_limit = config.episode_limit
-        self._cliff = set(config.cliff_cells)
-        for c in self._cliff:
-            if not self._in_bounds(c):
-                raise ValueError(f"cliff cell {c} outside the grid")
+        self._cliff = set(config.validate().cliff_cells)
         # per entity slot: rel x, rel y, normalised health, side flag
         self._ent_feats = 4
         self.obs_dim = 7 + N_ACTIONS + self._ent_feats * (self.n_units - 1)

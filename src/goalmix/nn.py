@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, sigmoid, stack, tanh
+from .autodiff import Tensor, stack
 
 Params = dict  # name -> np.ndarray (or Tensor in graph mode)
 
@@ -61,42 +61,6 @@ def affine(params, prefix, x):
     if w.ndim == 3:
         b = b.reshape(b.shape[0], 1, b.shape[1])
     return x @ w + b
-
-
-class GRUCell:
-    """Gated recurrent cell (update + reset gates, candidate via reset-scaled state)."""
-
-    def __init__(self, n_in, n_hidden):
-        self.n_in = n_in
-        self.n_hidden = n_hidden
-
-    def init_params(self, rng, prefix="gru"):
-        p = {}
-        for gate in ("z", "r", "n"):
-            p.update(linear_params(rng, self.n_in, self.n_hidden, f"{prefix}.x{gate}"))
-            p[f"{prefix}.h{gate}.w"] = uniform_init(
-                rng, self.n_hidden, (self.n_hidden, self.n_hidden)
-            )
-        return p
-
-    def step(self, params, x, h, prefix="gru"):
-        return gru_update(
-            params,
-            affine(params, f"{prefix}.xz", x),
-            affine(params, f"{prefix}.xr", x),
-            affine(params, f"{prefix}.xn", x),
-            h,
-            prefix,
-        )
-
-
-def gru_update(params, xz, xr, xn, h, prefix="gru"):
-    """Next hidden state from the input projections xz, xr, xn of the
-    update, reset and candidate gates and the previous state h."""
-    z = sigmoid(xz + h @ params[f"{prefix}.hz.w"])
-    r = sigmoid(xr + h @ params[f"{prefix}.hr.w"])
-    n = tanh(xn + (r * h) @ params[f"{prefix}.hn.w"])
-    return (1.0 - z) * n + z * h
 
 
 # ---------------------------------------------------------------------------

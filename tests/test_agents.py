@@ -10,7 +10,9 @@ from goalmix.agents import (
     local_q,
     masked_argmax,
 )
-from goalmix.nn import stack_slots
+from goalmix.autodiff import Tensor, gru_sequence
+from goalmix.nn import affine, as_tensors, gradient, stack_slots
+from goalmix.oracles import finite_diff_grad
 from tests.conftest import zero_params
 
 # frozen on the first correct run (seed 99, the 3-step history below)
@@ -68,6 +70,64 @@ def _check_unroll_against_steps(n_slots):
     for t in range(6):
         q, h = qnet.step(params, obs[..., t, :], h)
         np.testing.assert_allclose(q, q_seq[..., t, :], rtol=0, atol=1e-12)
+
+
+GRU_OPERANDS = ("xz", "xr", "xn", "gru.hz.w", "gru.hr.w", "gru.hn.w")
+
+
+def _stacked_qnet_and_obs(n_slots, seed):
+    # three agents on slot-stacked nets (S = 3) or sharing one slot (S = 1);
+    # the second sequence ends after 3 of 5 steps and is zero-padded after
+    rng = np.random.default_rng(seed)
+    qnet = RecurrentQNet(4, 3, 5)
+    params = stack_slots([qnet.init_params(rng) for _ in range(n_slots)])
+    obs = rng.normal(size=(3, 2, 5, 4))
+    obs[:, 1, 3:] = 0.0
+    return rng, qnet, params, obs
+
+
+@pytest.mark.parametrize("n_slots", [3, 1])
+def test_gru_sequence_gradient_matches_finite_differences(n_slots):
+    rng, qnet, params, obs = _stacked_qnet_and_obs(n_slots, seed=21)
+    x = np.maximum(affine(params, "in", obs.reshape(3, 10, 4)), 0.0)
+    operands = {f"x{g}": affine(params, f"gru.x{g}", x).reshape(3, 2, 5, 5) for g in "zrn"}
+    operands.update({k: params[k] for k in GRU_OPERANDS[3:]})
+    # a squared loss, zero on the padded steps as in the TD losses
+    weights = rng.uniform(0.5, 1.5, size=(3, 2, 5, 5))
+    weights[:, 1, 3:] = 0.0
+
+    def loss(p):
+        hs = gru_sequence(*(p[k] for k in GRU_OPERANDS))
+        return (hs * hs * weights).sum()
+
+    tensors = as_tensors(operands)
+    grads = gradient(loss(tensors), tensors)
+    fd = finite_diff_grad(lambda p: float(loss(p)), operands, step=1e-6)
+    for name in GRU_OPERANDS:
+        assert grads[name].shape == operands[name].shape
+        np.testing.assert_allclose(grads[name], fd[name], rtol=1e-7, atol=2e-9, err_msg=name)
+    for name in GRU_OPERANDS[:3]:  # (the reset gate acts on h_0 = 0, so skip t = 0)
+        np.testing.assert_array_equal(grads[name][:, 1, 3:], 0.0)
+        assert np.abs(grads[name][:, 1, 1:3]).min() > 0.0
+
+
+@pytest.mark.parametrize("n_slots", [None, 3, 1])
+def test_graph_unroll_and_steps_equal_numpy_unroll(n_slots):
+    if n_slots is None:
+        rng = np.random.default_rng(22)
+        qnet = RecurrentQNet(4, 3, 5)
+        params = qnet.init_params(rng)
+        obs = rng.normal(size=(2, 5, 4))
+    else:
+        _, qnet, params, obs = _stacked_qnet_and_obs(n_slots, seed=22)
+    q_seq = qnet.unroll(params, obs)
+    graph = qnet.unroll(as_tensors(params), obs)
+    assert isinstance(graph, Tensor)
+    np.testing.assert_array_equal(graph.data, q_seq)
+    h = qnet.initial_hidden(*obs.shape[:-2])
+    for t in range(obs.shape[-2]):
+        q, h = qnet.step(params, obs[..., t, :], h)
+        np.testing.assert_array_equal(q, q_seq[..., t, :])
 
 
 # -- action selection ------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from goalmix.autodiff import (
-    Tensor, absval, elu, exp, log, logsumexp_last, moveaxis, relu, sigmoid, slice_time,
+    Tensor, absval, elu, exp, log, logsumexp_last, moveaxis, relu, sigmoid,
     sqrt, stack, take_along_last, tanh,
 )
 from goalmix.nn import gradient
@@ -133,7 +133,7 @@ def test_stack_take_slice_reshape_backward():
 
     x, y = Tensor(x0), Tensor(y0)
     s = stack([x, y], axis=1)
-    first = slice_time(s, 0)
+    first = (s * np.array([1.0, 0.0])[:, None]).sum(axis=1)  # s[:, 0] by a constant mask
     picked = take_along_last(first.reshape(3, 4), np.stack([idx] * 4, axis=1)[:, 0])
     loss = (picked * picked).sum() + (s * s).sum()
     loss.backward()
@@ -153,15 +153,15 @@ def test_moveaxis_and_later_axis_slice_backward():
         return float((moved * w).sum() + (p["x"][..., 3, :] ** 2).sum())
 
     x = Tensor(x0)
-    moved = moveaxis(slice_time(x, 1), 0, -1)
+    at_step = np.eye(4)[:, :, None]  # at_step[t]: one-hot mask of time step t, (4, 1)
+    moved = moveaxis((x * at_step[1]).sum(axis=-2), 0, -1)
     assert moved.data.flags["C_CONTIGUOUS"]
-    last = slice_time(x, 3)
+    last = (x * at_step[3]).sum(axis=-2)
     loss = (moved * w).sum() + (last * last).sum()
     loss.backward()
     fd = finite_diff_grad(loss_np, {"x": x0}, step=1e-6)
     np.testing.assert_allclose(x.grad, fd["x"], rtol=1e-6, atol=1e-8)
     np.testing.assert_array_equal(moveaxis(x0, 0, -1), np.moveaxis(x0, 0, -1))
-    np.testing.assert_array_equal(slice_time(x0, 2), x0[:, :, 2])
 
 
 def test_logsumexp_matches_reference_and_fd():

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -149,10 +151,29 @@ def test_eval_checkpoint_with_retired_config_keys(tmp_path, capsys):
     assert wins[0] == wins[1] > 0
 
 
-@pytest.mark.parametrize("spec", ["bogus", {"widht": 7}, {"episode_limit": 0},
-                                  {"n_enemies": -1}, {"height": 2.5}],
-                         ids=["unknown-preset", "unknown-key", "zero-limit", "negative-enemies",
-                              "fractional-height"])
+BAD_ENVS = {
+    "unknown-preset": "bogus",
+    "unknown-key": {"widht": 7},
+    "zero-limit": {"episode_limit": 0},
+    "negative-enemies": {"n_enemies": -1},
+    "fractional-height": {"height": 2.5},
+    "short-spawn": {"ally_spawn": [0, 0]},
+    "inverted-spawn": {"enemy_spawn": [6, 0, 5, 6]},
+    "fractional-spawn": {"ally_spawn": [0, 0, 1.5, 6]},
+    "crowded-spawn": {"n_allies": 30, "ally_spawn": [0, 0, 0, 0]},
+    "off-grid-spawn": {"enemy_spawn": [7, 0, 9, 6]},
+    # 2 free cells for 2 allies + 2 enemies in the same rectangle
+    "overlapping-spawns": {"ally_spawn": [0, 0, 1, 0], "enemy_spawn": [0, 0, 1, 0]},
+    "cliff-filled-spawn": {"ally_spawn": [0, 0, 0, 1], "cliff_cells": [[0, 0]]},
+    "negative-sight": {"sight_range": -1},
+    "fractional-attack": {"attack_range": 1.5},
+    "zero-health": {"enemy_health": 0},
+    "text-damage": {"ally_damage": "2"},
+    "cliff-outside-grid": {"cliff_cells": [[9, 9]]},
+}
+
+
+@pytest.mark.parametrize("spec", list(BAD_ENVS.values()), ids=list(BAD_ENVS))
 @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
 def test_bad_env_is_config_error_exit_1(tmp_path, fast_cfg_file, command, spec, capsys):
     env = spec
@@ -213,6 +234,36 @@ def test_ablation_matrix_rows_and_aggregates(tmp_path, fast_cfg_file):
     qmix_manifest = json.loads((out / "qmix-seed0" / "manifest.json").read_text())
     for key in ("lam", "lam_i", "lam_e", "lam_d"):
         assert qmix_manifest["config"][key] == 0.0
+
+
+def _die_on_seed_1(args):
+    """An ablation worker killed mid-run on seed 1 (module-level, so a
+    spawned worker process can unpickle it)."""
+    variant, seed, _, _ = args
+    if seed == 1:
+        os._exit(1)
+    return variant, seed, 0.5, "ok"
+
+
+def test_ablation_dead_worker_is_an_error_row(tmp_path, monkeypatch):
+    import goalmix.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "_run_variant", _die_on_seed_1)
+    base = TrainConfig(max_env_steps=90, batch_size=8).validate()
+    done = []
+    runner = threading.Thread(target=lambda: done.append(cli_mod.run_ablation_matrix(
+        base, [0, 1], ["full"], tmp_path / "abl", jobs=2)), daemon=True)
+    runner.start()
+    runner.join(timeout=120)
+    assert not runner.is_alive(), "ablate --jobs 2 hung on a dead worker"
+    path, results = done[0]
+    status = {seed: st for _, seed, _, st in results}
+    assert status[1].startswith("error: worker died")
+    assert status[0] == "ok" or status[0].startswith("error: worker died")
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["seed"], r["status"]) for r in rows[:2]] == [("0", status[0]), ("1", status[1])]
+    assert np.isnan(float(rows[1]["final_win_rate"]))
 
 
 def test_env_flag_accepts_env_config_file(tmp_path, fast_cfg_file):

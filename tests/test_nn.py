@@ -10,7 +10,6 @@ from goalmix.agents import RecurrentQNet
 from goalmix.autodiff import Tensor, relu
 from goalmix.nn import (
     ConfigurationError,
-    GRUCell,
     NonFiniteGradientError,
     ParamSet,
     RMSProp,
@@ -45,10 +44,11 @@ def test_affine_dimension_mismatch_is_configuration_error():
 
 
 def test_gru_zero_params_zero_hidden_gives_zero():
-    cell = GRUCell(3, 3)
-    params = zero_params(cell.init_params(np.random.default_rng(0)))
-    h = cell.step(params, np.random.default_rng(1).normal(size=(2, 3)), np.zeros((2, 3)))
+    qnet = RecurrentQNet(3, 2, 3)
+    params = zero_params(qnet.init_params(np.random.default_rng(0)))
+    q, h = qnet.step(params, np.random.default_rng(1).normal(size=(2, 3)), np.zeros((2, 3)))
     np.testing.assert_array_equal(h, np.zeros((2, 3)))
+    np.testing.assert_array_equal(q, np.zeros((2, 2)))
 
 
 def test_two_layer_block_golden_value():

@@ -10,9 +10,10 @@ from goalmix.cli import ABLATION_VARIANTS
 from goalmix.config import TrainConfig
 from goalmix.mixer import MonotonicMixer
 from goalmix.nn import ParamSet, as_tensors, gradient, weighted_sq_error
-from goalmix.oracles import finite_diff_grad, slow_mix, slow_q_seq
+from goalmix.oracles import TabularEnv, coordination_chain, finite_diff_grad, slow_mix, slow_q_seq
 from goalmix.subgoals import select_subgoals
 from goalmix.training import (
+    Trainer,
     correction_window,
     entropy_correction,
     loss_value,
@@ -471,3 +472,25 @@ def test_share_params_trains_single_network():
     assert np.isfinite(rep.loss_total)
     names = [n for n, _ in tr.params.named_online()]
     assert not any(n.startswith("agent.1.") for n in names)
+
+
+def test_graph_size_does_not_grow_with_episode_length(monkeypatch):
+    """The GRU recurrence is one graph node, so a block builds as many
+    Tensors on episodes of 10 steps as on episodes of 5."""
+    built = []
+    init = Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[-1] += 1
+        init(self, *args, **kwargs)
+
+    for limit in (5, 10):
+        cfg = TrainConfig(seed=0, hidden_dim=32, eps_anneal_steps=6000).validate()
+        trainer = Trainer(cfg, lambda: TabularEnv(coordination_chain(), episode_limit=limit),
+                          rng=np.random.default_rng(0))
+        trainer.collect_episode()
+        built.append(0)
+        with monkeypatch.context() as patch:
+            patch.setattr(Tensor, "__init__", counting_init)
+            trainer.train_block()
+    assert built[0] == built[1] > 0
