@@ -51,8 +51,8 @@ def main():
     mparams = mixer.init_params(rng)
     q = rng.normal(size=(1, 3))
     s = rng.normal(size=(1, 5))
-    base = mixer.forward(mparams, q, s)[0]
-    bumped = mixer.forward(mparams, q + np.array([[0.0, 1.0, 0.0]]), s)[0]
+    base = mixer.forward(mparams, q.T, s)[0]  # agents on the first axis
+    bumped = mixer.forward(mparams, (q + np.array([[0.0, 1.0, 0.0]])).T, s)[0]
     print(f"mixer monotonicity: Q_tot {base:+.4f} -> {bumped:+.4f} after raising one input")
 
 

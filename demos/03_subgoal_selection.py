@@ -31,18 +31,16 @@ def main():
     print(f"episode uid={episode.uid} length={episode.length} "
           f"return={episode.rewards.sum():+.1f}")
 
-    # the score inputs at block start: masked max local Q and the mixed Q
-    # of the taken actions
+    # the score inputs at block start, from one forward of the online nets:
+    # masked max local Q and the mixed Q of the taken actions
     n = episode.n_agents
-    q_seq = trainer.qnet.unroll(trainer.params.agent, batch["obs"])  # (N, 1, T, U)
-    q_max = np.max(np.where(batch["avail"], q_seq, -np.inf), axis=-1)
-    q_taken = np.take_along_axis(q_seq, batch["actions"][..., None], axis=-1)[..., 0]
-    q_tot = trainer.mixer.forward(trainer.params.mixer, q_taken[:, 0].T, batch["states"][0])
+    online = trainer.forward(trainer.params, batch)  # q (N, 1, T, U), q_tot (1, T)
+    q_max = np.max(np.where(batch["avail"], online["q"], -np.inf), axis=-1)
 
     for alpha in (0.0, 0.5, 1.0):
-        scores = subgoal_scores(q_max, q_tot[None], batch["valid"], alpha)
+        scores = subgoal_scores(q_max, online["q_tot"], batch["valid"], alpha)
         trainer.cfg = cfg.replace(alpha=alpha)
-        t_star = trainer.prepare_block(batch)["t_star"][:, 0]
+        t_star = trainer.prepare_block(batch, online)["t_star"][:, 0]
         oracle = brute_force_subgoal(trainer.params.agent, trainer.params.mixer, episode, alpha)
         assert np.array_equal(t_star, oracle)
         print(f"\nalpha = {alpha}")

@@ -31,8 +31,8 @@ def main():
     batch = stack_episodes([episode])  # a batch of M=1
 
     # the trainer's own block preparation: subgoals, D_Q targets and the
-    # shaped rewards, all under the block-start parameters
-    prep = trainer.prepare_block(batch)
+    # shaped rewards, all from one forward of the block-start parameters
+    prep = trainer.prepare_block(batch, trainer.forward(trainer.params, batch))
     t_star = prep["t_star"][:, 0]
     dq = prep["dq_targets"][:, 0]
     intr = prep["intrinsics"][:, 0]

@@ -32,6 +32,7 @@ from .rewards import (
     intrinsic_rewards,
     proxy_reward,
     repr_loss,
+    subgoal_distance,
 )
 from .subgoals import random_subgoals, select_subgoals, subgoal_scores
 from .training import BlockReport, Trainer, TrainingDiverged, stack_episodes
@@ -46,7 +47,7 @@ __all__ = [
     "ParamSet", "RMSProp", "load_checkpoint", "save_checkpoint", "sync_targets",
     "Episode", "ReplayBuffer",
     "ReprNet", "actionable_distance", "individual_rewards",
-    "intrinsic_rewards", "proxy_reward", "repr_loss",
+    "intrinsic_rewards", "proxy_reward", "repr_loss", "subgoal_distance",
     "random_subgoals", "select_subgoals", "subgoal_scores",
     "BlockReport", "Trainer", "TrainingDiverged", "stack_episodes",
 ]

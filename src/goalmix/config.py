@@ -9,6 +9,7 @@ batch 32, target sync every 200 episodes, epsilon 1.0 -> 0.05 over
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, fields, asdict
 
@@ -80,7 +81,9 @@ class TrainConfig:
             if not isinstance(value, FIELD_KINDS[f.type]) or (
                     isinstance(value, bool) and f.type != "bool"):
                 raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
-        checks = [(getattr(self, k) >= 1, k, ">= 1") for k in AT_LEAST_ONE]
+        checks = [(math.isfinite(getattr(self, f.name)), f.name, "finite")
+                  for f in fields(self) if f.type == "float"]
+        checks += [(getattr(self, k) >= 1, k, ">= 1") for k in AT_LEAST_ONE]
         checks += [(getattr(self, k) >= 0, k, ">= 0") for k in NON_NEGATIVE]
         checks += [(0.0 <= getattr(self, k) <= 1.0, k, "in [0, 1]") for k in UNIT_INTERVAL]
         checks += [
@@ -88,6 +91,7 @@ class TrainConfig:
             (self.lr > 0, "lr", "> 0"),
             (0.0 <= self.rms_decay < 1.0, "rms_decay", "in [0, 1)"),
             (self.rms_eps > 0, "rms_eps", "> 0"),
+            (self.grad_clip_norm > 0, "grad_clip_norm", "> 0"),
             (self.subgoal_mode in SUBGOAL_MODES, "subgoal_mode", f"one of {SUBGOAL_MODES}"),
             (self.correction in CORRECTION_MODES, "correction", f"one of {CORRECTION_MODES}"),
             (self.reward_mode in REWARD_MODES, "reward_mode", f"one of {REWARD_MODES}"),

@@ -235,9 +235,7 @@ class RMSProp:
 
 
 def clip_grads_global(grads, max_norm):
-    """Scale all gradients so the joint L2 norm is at most ``max_norm``."""
-    if not max_norm or max_norm <= 0:
-        return grads
+    """Scale all gradients so the joint L2 norm is at most ``max_norm`` (> 0)."""
     total = 0.0
     for g in grads.values():
         total += float(np.sum(g * g))

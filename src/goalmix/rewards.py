@@ -1,13 +1,13 @@
 """Reward design: actionable distance, representation nets and shaped rewards.
 
-The actionable distance between two observations is one minus the
-cosine similarity of their Q-vectors under the block-start parameters. Each
-agent's representation net phi is trained so the Euclidean distance
-between two embedded observations matches that actionable distance.
-The intrinsic reward is the negative embedded distance to the agent's
-subgoal observation; the proxy reward adds the averaged intrinsic
-rewards to the extrinsic reward, and individual rewards split the
-proxy reward by a softmax over the agents' block-start max-Q values.
+The actionable distance between two observations is one minus the cosine
+similarity of their Q-vectors under the block-start parameters. Each
+agent's representation net phi is trained so the embedded distance to
+its subgoal step, ||phi(o_t) - phi(o_g)|| (:func:`subgoal_distance`),
+matches that actionable distance. The intrinsic reward is the negative
+of the same distance; the proxy reward adds the averaged intrinsic
+rewards to the extrinsic reward, and individual rewards split it by a
+softmax over the agents' block-start max-Q values.
 
 All distance targets, credit weights and reward scalars are computed
 from the block-start parameters and enter the losses as constants.
@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import relu, sqrt
+from .autodiff import moveaxis, relu, sqrt, take_along_last
 from .nn import affine, linear_params, weighted_sq_error
-from .subgoals import at_subgoal
 
 
 class ReprNet:
@@ -78,39 +77,39 @@ def actionable_distance(q_seq, q_goal):
 
 
 # ---------------------------------------------------------------------------
-# representation loss (differentiable)
+# embedded subgoal distance, representation loss and rewards
 # ---------------------------------------------------------------------------
 
 
-def repr_loss(repr_net, params, obs, goal_obs, dq_targets, weights):
+def subgoal_distance(emb, t_star):
+    """||phi_i(o_t) - phi_i(o_g)||_2 of every step to its agent's subgoal step.
+
+    emb (N, M, T, E) are the embedded observations, t_star (N, M) -> (N, M, T).
+    The goal embedding is gathered from ``emb``, so the distance at t_star is
+    exactly 0. A graph node when ``emb`` is a Tensor; the zero-safe sqrt
+    gives a zero gradient wherever the distance is 0.
+    """
+    n, m, t_len, e = emb.shape
+    idx = np.broadcast_to(t_star[:, :, None], (n, m, e))
+    emb_g = take_along_last(moveaxis(emb, 2, -1), idx)               # (N, M, E)
+    diff = emb - emb_g.reshape(n, m, 1, e)
+    return sqrt((diff * diff).sum(axis=-1))
+
+
+def repr_loss(emb, t_star, dq_targets, weights):
     """Weighted sum over (i, m, t) of (||phi_i(o_t) - phi_i(o_g)||_2 - D_Q)^2.
 
-    obs (N, M, T, D), goal_obs (N, M, D), dq_targets (N, M, T), weights
-    (M, T); ``params`` are slot-stacked, one slot per agent or one shared.
+    emb (N, M, T, E), t_star (N, M), dq_targets (N, M, T), weights (M, T).
     ``dq_targets`` are block-start constants; no gradient flows through
-    them. Differentiable when ``params`` are Tensors.
+    them. Differentiable when ``emb`` is a Tensor.
     """
-    n, m, t_len, d = obs.shape
-    emb = repr_net.forward(params, obs.reshape(n, m * t_len, d)).reshape(n, m, t_len, -1)
-    emb_g = repr_net.forward(params, goal_obs)
-    diff = emb - emb_g.reshape(n, m, 1, -1)
-    dist = sqrt((diff * diff).sum(axis=-1))
-    return weighted_sq_error(dist, dq_targets, weights)
-
-
-# ---------------------------------------------------------------------------
-# rewards
-# ---------------------------------------------------------------------------
+    return weighted_sq_error(subgoal_distance(emb, t_star), dq_targets, weights)
 
 
 def intrinsic_rewards(emb, t_star):
-    """Negative embedded distance to each agent's subgoal step (always <= 0).
-
-    emb (N, M, T, E) are the embedded observations, t_star (N, M); the goal
-    embedding is gathered from ``emb``, so the reward at t_star is exactly 0.
-    """
-    emb_g = at_subgoal(emb, t_star)[:, :, None]
-    return -np.linalg.norm(emb - emb_g, axis=-1)
+    """Negative embedded distance to each agent's subgoal step (always <= 0),
+    (N, M, T); exactly 0 at t_star."""
+    return -subgoal_distance(emb, t_star)
 
 
 def proxy_reward(r_ex, intrinsics, lam):

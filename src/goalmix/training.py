@@ -1,21 +1,20 @@
 """Blockwise training loop and the composite loss.
 
-One block = one gradient step: sample M episodes, pick subgoals and
-shape rewards for the whole batch under the block-start parameters
-(:meth:`Trainer.prepare_block`), build
+One block = one gradient step: sample M episodes and run the online
+nets on them once (:meth:`Trainer.forward`, in graph mode). The data of
+that forward are the block-start values from which subgoals and shaped
+rewards are picked (:meth:`Trainer.prepare_block`); its nodes build
 
     L = L_TD + sum_i [ lam_i * L_i + lam_e * sum_{t>=t*} L_corr + lam_d * L_repr ]
 
-summed over the M episodes (:meth:`Trainer.block_losses`), take one
+summed over the M episodes (:meth:`Trainer.block_losses`). Then take one
 RMSProp step on every online parameter, sync the target copies on the
-configured episode cadence, then collect one fresh epsilon-greedy
-episode into the buffer. Parameters change only after the gradient
-step, so everything computed before it sees the block-start values.
+configured episode cadence, and collect one fresh epsilon-greedy episode.
 
-Each equation is one batched kernel: the subgoal score, D_Q and the
-shaped rewards live in :mod:`goalmix.subgoals` and
-:mod:`goalmix.rewards`; the TD targets and the entropy correction are
-below. Zero-weighted loss components are skipped entirely, so with
+Each equation is one batched kernel: the subgoal score, D_Q, the
+embedded distance and the shaped rewards live in :mod:`goalmix.subgoals`
+and :mod:`goalmix.rewards`; the TD targets and the entropy correction
+are below. Zero-weighted loss components are skipped entirely, so with
 lam = lam_i = lam_e = lam_d = 0 a block reduces bitwise to a plain
 monotonic-mixing TD step (the QMIX baseline used by the ablations).
 """
@@ -29,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .agents import EpsilonSchedule, RecurrentQNet, act_epsilon_greedy, masked_argmax
-from .autodiff import Tensor, exp, logsumexp_last, moveaxis, take_along_last
+from .autodiff import Tensor, exp, logsumexp_last, take_along_last
 from .mixer import MonotonicMixer
 from .nn import (
     NonFiniteGradientError,
@@ -104,6 +103,11 @@ def stack_episodes(episodes):
 
 def _masked_max(q, avail):
     return np.max(np.where(avail, q, -np.inf), axis=-1)
+
+
+def _data(x):
+    """The values of a graph node, or the array itself."""
+    return x.data if isinstance(x, Tensor) else x
 
 
 # ---------------------------------------------------------------------------
@@ -254,32 +258,38 @@ class Trainer:
             wins += int(won)
         return wins / n_episodes
 
+    # -- the online forward (block-start values and graph nodes alike) -------
+
+    def _trains_repr(self):
+        return self.cfg.lam_d > 0 and not self.cfg.disable_repr
+
+    def forward(self, params, batch):
+        """One evaluation of the online nets (a ParamSet) on a batch: ``q``
+        (N, M, T, U), ``q_taken`` (N, M, T), ``q_tot`` (M, T) and, when a block
+        needs it, ``emb`` (N, M, T, E). Arrays in give arrays out; Tensors in
+        give graph nodes, whose data are the block-start values."""
+        n, m, t_len, d = batch["obs"].shape
+        q = self.qnet.unroll(params.agent, batch["obs"])
+        q_taken = take_along_last(q, batch["actions"])
+        out = {"q": q, "q_taken": q_taken,
+               "q_tot": self.mixer.forward(params.mixer, q_taken, batch["states"])}
+        if self.cfg.lam > 0 or self._trains_repr():  # the intrinsic reward or L_D
+            emb = self.repr_net.forward(params.repr, batch["obs"].reshape(n, m * t_len, d))
+            out["emb"] = emb.reshape(n, m, t_len, -1)
+        return out
+
     # -- block preparation (block-start side, no gradients) ------------------
 
-    def prepare_block(self, batch, q_seq=None):
-        """Subgoals, distance targets and shaped rewards for a sampled batch.
-
-        ``q_seq`` (N, M, T, U) are the block-start Q values of every agent;
-        the trainer passes the data of the online graph unroll (identical to
-        a separate evaluation and cheaper), tests may omit it.
-        """
+    def prepare_block(self, batch, online):
+        """Subgoals, distance targets and shaped rewards for a sampled batch,
+        from ``online``, the :meth:`forward` of the block-start parameters."""
         cfg = self.cfg
-        n = self.n_agents
-
-        if q_seq is None:
-            q_seq = self.qnet.unroll(self.params.agent, batch["obs"])      # (N, M, T, U)
-        _, m, t_len, _ = q_seq.shape
+        q_seq, q_tot = _data(online["q"]), _data(online["q_tot"])
         valid = batch["valid"]
         q_max = _masked_max(q_seq, batch["avail"])                       # (N, M, T)
-        q_taken = np.take_along_axis(q_seq, batch["actions"][..., None], axis=-1)[..., 0]
-        q_tot = self.mixer.forward(
-            self.params.mixer,
-            moveaxis(q_taken, 0, -1).reshape(m * t_len, n),
-            batch["states"].reshape(m * t_len, -1),
-        ).reshape(m, t_len)
 
         if cfg.subgoal_mode == "random":
-            t_star = random_subgoals(valid, n, self.rng)
+            t_star = random_subgoals(valid, self.n_agents, self.rng)
         else:
             t_star = select_subgoals(q_max, q_tot, valid, cfg.alpha)     # (N, M)
 
@@ -288,8 +298,7 @@ class Trainer:
 
         intr = None
         if cfg.lam > 0:
-            emb = self.repr_net.forward(self.params.repr, batch["obs"].reshape(n, m * t_len, -1))
-            intr = intrinsic_rewards(emb.reshape(n, m, t_len, -1), t_star)
+            intr = intrinsic_rewards(_data(online["emb"]), t_star)
             out["intrinsics"] = intr
             out["proxy"] = proxy_reward(batch["rewards"], intr, cfg.lam)
         else:
@@ -298,7 +307,7 @@ class Trainer:
         if cfg.lam_i > 0:
             out["r_individual"] = individual_rewards(q_max, out["proxy"], intr, cfg.lam)
 
-        if cfg.lam_d > 0 and not cfg.disable_repr:
+        if self._trains_repr():
             out["dq_targets"] = actionable_distance(q_seq, at_subgoal(q_seq, t_star))
 
         if cfg.lam_e > 0:
@@ -308,15 +317,14 @@ class Trainer:
 
     # -- loss (gradient side) ------------------------------------------------
 
-    def block_losses(self, tensors, batch, prep, q_online=None):
-        """Composite loss over the batch as a scalar Tensor, plus parts.
+    def block_losses(self, batch, prep, online):
+        """Composite loss over the batch as a scalar, plus parts.
 
-        ``tensors`` is a ParamSet of the online groups wrapped as Tensors;
-        ``q_online`` (N, M, T, U), their unroll on ``batch``, is recomputed
-        when omitted.
+        ``online`` is the :meth:`forward` that ``prep`` was built from; the
+        loss is a Tensor when its values are graph nodes. Only the target
+        bootstrap is evaluated here.
         """
         cfg = self.cfg
-        n, m, t_len, _ = batch["obs"].shape
         n_valid = batch["valid"].sum(axis=1)
         w_ep = batch["valid"] / n_valid[:, None]                         # (M, T)
         gamma, dones = cfg.gamma, batch["dones"]
@@ -328,41 +336,27 @@ class Trainer:
         tq_next[:, :, :-1] = tq_max[:, :, 1:]
         states_next = np.zeros_like(batch["states"])
         states_next[:, :-1] = batch["states"][:, 1:]
-        tot_next = self.mixer.forward(
-            self.params.target_mixer,
-            moveaxis(tq_next, 0, -1).reshape(m * t_len, n),
-            states_next.reshape(m * t_len, -1),
-        ).reshape(m, t_len)
+        tot_next = self.mixer.forward(self.params.target_mixer, tq_next, states_next)
 
-        # online unroll (graph mode), shared by every loss component
-        if q_online is None:
-            q_online = self.qnet.unroll(tensors.agent, batch["obs"])
-        q_taken = take_along_last(q_online, batch["actions"])            # (N, M, T)
-
-        qtot_online = self.mixer.forward(
-            tensors.mixer, moveaxis(q_taken, 0, -1).reshape(m * t_len, n),
-            batch["states"].reshape(m * t_len, -1))
         loss_td = weighted_sq_error(
-            qtot_online.reshape(m, t_len), td_targets(prep["proxy"], dones, tot_next, gamma), w_ep
-        )
+            online["q_tot"], td_targets(prep["proxy"], dones, tot_next, gamma), w_ep)
 
         total = loss_td
         parts = {"L_TD": loss_td.item(), "sum_Li": 0.0, "sum_LE": 0.0, "sum_LD": 0.0}
 
         if cfg.lam_i > 0:
             y_i = td_targets(prep["r_individual"], dones, tq_next, gamma)
-            loss_i = weighted_sq_error(q_taken, y_i, w_ep)
+            loss_i = weighted_sq_error(online["q_taken"], y_i, w_ep)
             total = total + cfg.lam_i * loss_i
             parts["sum_Li"] = loss_i.item()
 
         if cfg.lam_e > 0:
-            loss_e = entropy_correction(q_online, prep["correction_window"])
+            loss_e = entropy_correction(online["q"], prep["correction_window"])
             total = total + cfg.lam_e * loss_e
             parts["sum_LE"] = loss_e.item()
 
-        if cfg.lam_d > 0 and not cfg.disable_repr:
-            loss_d = repr_loss(self.repr_net, tensors.repr, batch["obs"],
-                               prep["goal_obs"], prep["dq_targets"], w_ep)
+        if self._trains_repr():
+            loss_d = repr_loss(online["emb"], prep["t_star"], prep["dq_targets"], w_ep)
             total = total + cfg.lam_d * loss_d
             parts["sum_LD"] = loss_d.item()
 
@@ -383,11 +377,12 @@ class Trainer:
         episodes = self.buffer.sample(cfg.batch_size, self.rng)
         batch = stack_episodes(episodes)
         tensors = self._wrap_online()
-        # the online unroll doubles as the block-start snapshot evaluation:
-        # parameters are only mutated after the gradient step below
-        q_online = self.qnet.unroll(tensors.agent, batch["obs"])
-        prep = self.prepare_block(batch, q_seq=q_online.data)
-        loss, parts = self.block_losses(tensors, batch, prep, q_online=q_online)
+        # one online forward: its data are the block-start values the prep
+        # needs (parameters change only after the gradient step below), its
+        # nodes are what the losses differentiate
+        online = self.forward(tensors, batch)
+        prep = self.prepare_block(batch, online)
+        loss, parts = self.block_losses(batch, prep, online)
 
         valid = batch["valid"].astype(bool)
         report = BlockReport(

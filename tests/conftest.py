@@ -109,6 +109,11 @@ def make_trainer(seed=0, env_name="skirmish-2v2", **cfg_kw):
     return Trainer(cfg, lambda: SkirmishEnv(env_cfg), rng=np.random.default_rng(seed))
 
 
+def prepare(trainer, batch):
+    """Trainer.prepare_block on a batch, from one forward of the online arrays."""
+    return trainer.prepare_block(batch, trainer.forward(trainer.params, batch))
+
+
 def make_batch(rng, m, **episode_kw):
     """M random episodes of equal padding and their stacked batch."""
     episodes = [make_episode(rng, **episode_kw) for _ in range(m)]

@@ -10,7 +10,7 @@ representation nets.
 
 import numpy as np
 
-from goalmix.autodiff import moveaxis, take_along_last
+from goalmix.autodiff import take_along_last
 from goalmix.nn import ParamSet, as_tensors, clip_grads_global, gradient
 
 
@@ -24,7 +24,6 @@ def reference_qmix_block(qnet, mixer, params, opt, buffer, cfg, rng):
     rewards = np.stack([e.rewards for e in episodes])
     dones = np.stack([e.dones for e in episodes]).astype(np.float64)
     valid = np.stack([e.valid for e in episodes]).astype(np.float64)
-    n, m, t_len, _ = obs.shape
 
     agent_t = as_tensors(params.agent)
     mixer_t = as_tensors(params.mixer)
@@ -37,19 +36,11 @@ def reference_qmix_block(qnet, mixer, params, opt, buffer, cfg, rng):
     tq_next[:, :, :-1] = tq_max[:, :, 1:]
     states_next = np.zeros_like(states)
     states_next[:, :-1] = states[:, 1:]
-    tot_next = mixer.forward(
-        params.target_mixer,
-        moveaxis(tq_next, 0, -1).reshape(m * t_len, n),
-        states_next.reshape(m * t_len, -1),
-    ).reshape(m, t_len)
+    tot_next = mixer.forward(params.target_mixer, tq_next, states_next)
     y = rewards + cfg.gamma * (1.0 - dones) * tot_next
 
     q_taken = take_along_last(q_online, actions)                # (N, M, T)
-    q_tot = mixer.forward(
-        mixer_t,
-        moveaxis(q_taken, 0, -1).reshape(m * t_len, n),
-        states.reshape(m * t_len, -1),
-    ).reshape(m, t_len)
+    q_tot = mixer.forward(mixer_t, q_taken, states)             # (M, T)
     delta = q_tot - y
     w_ep = valid / valid.sum(axis=1)[:, None]
     loss = (delta.square() * w_ep).sum()

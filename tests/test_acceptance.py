@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from goalmix.agents import masked_argmax
-from goalmix.autodiff import take_along_last
+from goalmix.autodiff import moveaxis, take_along_last
 from goalmix.config import TrainConfig
 from goalmix.env import SkirmishEnv, preset
 from goalmix.mixer import MonotonicMixer
@@ -25,7 +25,6 @@ from goalmix.oracles import (
     optimal_joint_actions,
 )
 from goalmix.rewards import (
-    IdentityRepr,
     actionable_distance,
     individual_rewards,
     proxy_reward,
@@ -46,6 +45,7 @@ from tests.conftest import (
     make_nets,
     make_q_params,
     make_stub_trainer,
+    prepare,
     zero_params,
     zero_trainer,
 )
@@ -104,12 +104,12 @@ def test_criterion_1_equation_exactness(rng):
                                 _per_agent([-1.0, -2.0]), 0.0)
     checks.append(abs(r_zero.sum() - 1.7) < TOL)
 
-    # representation loss
-    ident, one = IdentityRepr(2), np.ones((1, 1))
-    checks.append(abs(float(repr_loss(ident, {}, np.array([[[[0.3, 0.0]]]]),
-                                      np.zeros((1, 1, 2)), np.array([[[0.3]]]), one))) < TOL)
-    checks.append(abs(float(repr_loss(ident, {}, np.array([[[[0.5, 0.0]]]]),
-                                      np.zeros((1, 1, 2)), np.array([[[0.3]]]), one)) - 0.04) < TOL)
+    # representation loss: step 0 is the subgoal, embedded at the origin
+    at_0, w_1 = np.zeros((1, 1), dtype=np.int64), np.array([[0.0, 1.0]])
+    checks.append(abs(float(repr_loss(np.array([[[[0.0, 0.0], [0.3, 0.0]]]]), at_0,
+                                      np.array([[[0.0, 0.3]]]), w_1))) < TOL)
+    checks.append(abs(float(repr_loss(np.array([[[[0.0, 0.0], [0.5, 0.0]]]]), at_0,
+                                      np.array([[[0.0, 0.3]]]), w_1)) - 0.04) < TOL)
 
     # entropy correction over the window from t*=0
     def corr(q_seq, episode):
@@ -139,10 +139,10 @@ def test_criterion_1_equation_exactness(rng):
             "proxy": np.array([[proxy_r, 0.0, 0.0]]),
             "r_individual": np.array([[[r_agent0, 0.0, 0.0]], [[0.0, 0.0, 0.0]]]),
             "correction_window": correction_window(t_star, batch["valid"], "normal"),
-            "goal_obs": batch["obs"][:, :, 0],
+            "t_star": t_star,
             "dq_targets": np.array([[[dq_agent0, 0.0, 0.0]], [[0.0, 0.0, 0.0]]]),
         }
-        total, parts = tr.block_losses(tr._wrap_online(), batch, prep)
+        total, parts = tr.block_losses(batch, prep, tr.forward(tr._wrap_online(), batch))
         return total.item(), parts
 
     total, parts = block(-0.03, 1.0, 1.0)
@@ -175,13 +175,13 @@ def test_criterion_2_subgoal_oracle_equivalence():
         episodes, batch = make_batch(rng, m)
         alpha = float(rng.random())
         trainer.cfg = trainer.cfg.replace(alpha=alpha)
-        t_star = trainer.prepare_block(batch)["t_star"]
+        t_star = prepare(trainer, batch)["t_star"]
         for j, episode in enumerate(episodes):
             slow = brute_force_subgoal(trainer.params.agent, trainer.params.mixer,
                                        episode, alpha)
             mismatches += int(not np.array_equal(t_star[:, j], slow))
         trainer.cfg = trainer.cfg.replace(alpha=0.0)
-        shared = trainer.prepare_block(batch)["t_star"]
+        shared = prepare(trainer, batch)["t_star"]
         alpha_zero_violations += int((shared != shared[0]).any(axis=0).sum())
     report(2, f"oracle equivalence ({cases} cases, {mismatches} mismatches, "
               f"{alpha_zero_violations} alpha=0 violations)",
@@ -257,12 +257,12 @@ def _criterion_3(rng, share_params):
     tr.params.target_agent, tr.params.target_mixer = make_q_params(
         rng, tr.qnet, tr.mixer, n_agents=len(slots))
     _, batch = make_batch(rng, 3, t_max=5, obs_dim=4, n_actions=3)
-    prep = tr.prepare_block(batch)
+    prep = prepare(tr, batch)
     flat = dict(tr.params.named_online())
     groups = (*(f"agent.{i}" for i in slots), "mixer", *(f"repr.{i}" for i in slots))
 
     def composite(p):
-        return tr.block_losses(ParamSet.from_named(p.items()), batch, prep)[0]
+        return tr.block_losses(batch, prep, tr.forward(ParamSet.from_named(p.items()), batch))[0]
 
     worst = [_check_component(rng, flat, composite, n_coords=30, groups=groups)]
 
@@ -271,10 +271,11 @@ def _criterion_3(rng, share_params):
                               lam=0.0, lam_i=0.0, lam_e=0.0, lam_d=0.0,
                               share_params=share_params)
     plain.params = tr.params
-    plain_prep = plain.prepare_block(batch)
+    plain_prep = prepare(plain, batch)
     worst.append(_check_component(
         rng, {k: v for k, v in flat.items() if not k.startswith("repr.")},
-        lambda p: plain.block_losses(ParamSet.from_named(p.items()), batch, plain_prep)[0],
+        lambda p: plain.block_losses(batch, plain_prep,
+                                     plain.forward(ParamSet.from_named(p.items()), batch))[0],
         n_coords=30, groups=[g for g in groups if not g.startswith("repr.")]))
 
     # the shaping terms alone, through the kernels block_losses calls
@@ -290,7 +291,8 @@ def _criterion_3(rng, share_params):
         lambda p: entropy_correction(tr.qnet.unroll(p, obs), prep["correction_window"])))
     worst.append(_check_component(
         rng, tr.params.repr,
-        lambda p: repr_loss(tr.repr_net, p, obs, prep["goal_obs"], prep["dq_targets"], w_ep)))
+        lambda p: repr_loss(tr.forward(ParamSet(tr.params.agent, tr.params.mixer, p),
+                                       batch)["emb"], prep["t_star"], prep["dq_targets"], w_ep)))
 
     report(3, f"gradient fidelity (max rel err {max(worst):.2e}; block_losses with all "
               f"weights on over {len(groups)} groups, L_TD, L_i, L_E, L_D)",
@@ -310,8 +312,8 @@ def test_criterion_4_mixer_monotonicity():
         q = rng.normal(size=(per_batch, 3)) * 3
         dq = rng.uniform(0, 2, size=(per_batch, 3))
         s = rng.normal(size=(per_batch, 5))
-        lo = mixer.forward(params, q, s)
-        hi = mixer.forward(params, q + dq, s)
+        lo = mixer.forward(params, q.T, s)
+        hi = mixer.forward(params, (q + dq).T, s)
         violations += int((hi < lo - 1e-12).sum())
 
     grad_bad = 0
@@ -321,7 +323,7 @@ def test_criterion_4_mixer_monotonicity():
         params = mixer.init_params(rng)
         q = Tensor(rng.normal(size=(per_batch, 3)) * 2)
         s = rng.normal(size=(per_batch, 5))
-        mixer.forward(params, q, s).sum().backward()
+        mixer.forward(params, moveaxis(q, 1, 0), s).sum().backward()
         grad_bad += int((q.grad < 0.0).sum())
 
     report(4, f"monotonicity ({violations} pair violations, {grad_bad} negative gradients)",
@@ -399,7 +401,7 @@ def _representative_fingerprint():
     rng = np.random.default_rng(909)
     stub = make_stub_trainer(seed=909, alpha=0.37)
     _, batch = make_batch(rng, 4)
-    prep = stub.prepare_block(batch)
+    prep = prepare(stub, batch)
 
     cfg = TrainConfig(seed=909, eval_episodes=2).validate()
     trainer = Trainer(cfg, lambda: SkirmishEnv(preset("skirmish-2v2")),

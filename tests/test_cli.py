@@ -107,6 +107,29 @@ def test_invalid_config_value_exit_1(tmp_path, bad, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("bad", [{"grad_clip_norm": 0}, {"grad_clip_norm": -1.0},
+                                 {"grad_clip_norm": float("nan")}, {"lr": float("inf")},
+                                 {"rms_eps": float("inf")}])
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_nonfinite_or_no_clip_config_exit_1(tmp_path, command, bad, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))  # NaN and Infinity, as Python's json writes them
+    args = ["--config", path, "--out", tmp_path / "x"]
+    if command == "ablate":
+        args += ["--seeds", "0", "--variants", "full"]
+    assert run_cli([command, *args]) == 1
+    assert f"configuration error: {next(iter(bad))}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("flags", [["--lambda", "inf"], ["--lambda-i", "inf"],
+                                   ["--alpha", "nan"]])
+def test_nonfinite_flag_exit_1(tmp_path, flags, capsys):
+    assert run_cli(["train", "--out", tmp_path / "x", *flags, *FAST]) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_missing_checkpoint_is_runtime_failure_exit_2(tmp_path):
     assert run_cli(["eval", "--checkpoint", tmp_path / "absent.npz"]) == 2
 

@@ -1,11 +1,13 @@
 """Config defaults, file parsing, precedence and validation."""
 
 import json
+import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from goalmix.config import ConfigError, TrainConfig, parse_config
+from goalmix.config import FILE_KEYS, ConfigError, TrainConfig, parse_config
 
 
 def test_empty_file_yields_reference_defaults(tmp_path):
@@ -54,6 +56,20 @@ def test_nonpositive_eval_episodes_rejected(episodes):
 def test_invalid_field_value_rejected(key, value):
     with pytest.raises(ConfigError, match=key):
         parse_config(None, {key: value})
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("key", [f.name for f in fields(TrainConfig) if f.type == "float"])
+def test_float_fields_must_be_finite(key, value):
+    with pytest.raises(ConfigError, match=f"{FILE_KEYS.get(key, key)} must be finite"):
+        parse_config(None, {key: value})
+
+
+@pytest.mark.parametrize("value", [0, 0.0, -1.0, -1e-300])
+def test_grad_clip_norm_must_be_positive(value):
+    """There is no off-switch: every block clips at a positive norm."""
+    with pytest.raises(ConfigError, match="grad_clip_norm must be > 0"):
+        parse_config(None, {"grad_clip_norm": value})
 
 
 def test_integral_and_real_values_accepted():

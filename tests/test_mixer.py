@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from goalmix.autodiff import Tensor
+from goalmix.autodiff import Tensor, moveaxis
 from goalmix.mixer import MonotonicMixer
 from goalmix.nn import as_tensors, gradient
 from goalmix.oracles import slow_mix
@@ -30,7 +30,7 @@ def test_linear_reduction_sums_locals():
     rng = np.random.default_rng(1)
     q = rng.uniform(0.0, 5.0, size=(10, 3))  # non-negative: ELU is identity
     states = rng.normal(size=(10, 4))
-    out = mixer.forward(params, q, states)
+    out = mixer.forward(params, q.T, states)
     np.testing.assert_allclose(out, q.sum(axis=1), rtol=0, atol=1e-12)
 
 
@@ -39,10 +39,10 @@ def test_single_coordinate_increase_does_not_decrease_total(rng):
     params = mixer.init_params(rng)
     q = rng.normal(size=(1, 2))
     s = rng.normal(size=(1, 4))
-    base = mixer.forward(params, q, s)[0]
+    base = mixer.forward(params, q.T, s)[0]
     q2 = q.copy()
     q2[0, 1] += 0.37
-    assert mixer.forward(params, q2, s)[0] >= base - 1e-12
+    assert mixer.forward(params, q2.T, s)[0] >= base - 1e-12
 
 
 def test_sampled_monotonicity_ten_thousand_pairs(rng):
@@ -54,8 +54,8 @@ def test_sampled_monotonicity_ten_thousand_pairs(rng):
         q = rng.normal(size=(per_param, 3)) * 3
         dq = rng.uniform(0, 2, size=(per_param, 3))
         s = rng.normal(size=(per_param, 5))
-        lo = mixer.forward(params, q, s)
-        hi = mixer.forward(params, q + dq, s)
+        lo = mixer.forward(params, q.T, s)
+        hi = mixer.forward(params, (q + dq).T, s)
         assert np.all(hi >= lo - 1e-12)
 
 
@@ -66,7 +66,7 @@ def test_gradient_sign_nonnegative_thousand_points(rng):
         params = mixer.init_params(rng)
         q = Tensor(rng.normal(size=(25, 3)) * 2)
         s = rng.normal(size=(25, 5))
-        out = mixer.forward(params, q, s)
+        out = mixer.forward(params, moveaxis(q, 1, 0), s)
         out.sum().backward()
         assert np.all(q.grad >= 0.0)
         checked += 25
@@ -78,8 +78,23 @@ def test_forward_matches_slow_oracle(rng):
     for _ in range(20):
         q = rng.normal(size=2)
         s = rng.normal(size=4)
-        fast = mixer.forward(params, q[None], s[None])[0]
+        fast = mixer.forward(params, q[:, None], s[None])[0]
         assert fast == pytest.approx(slow_mix(params, q, s), abs=1e-10)
+
+
+def test_batch_axes_are_rows(rng):
+    """Agents on the first axis, any batch shape: (N, M, T) locals with
+    (M, T, S) states give bitwise the rows of the flattened batch."""
+    mixer = MonotonicMixer(3, 4, 6)
+    params = mixer.init_params(rng)
+    q = rng.normal(size=(3, 5, 7))
+    s = rng.normal(size=(5, 7, 4))
+    out = mixer.forward(params, q, s)
+    assert out.shape == (5, 7)
+    flat = mixer.forward(params, q.reshape(3, 35), s.reshape(35, 4))
+    np.testing.assert_array_equal(out, flat.reshape(5, 7))
+    graph = mixer.forward(as_tensors(params), Tensor(q), s)
+    np.testing.assert_array_equal(graph.data, out)
 
 
 def test_mixer_differentiable_wrt_params(rng):
@@ -91,11 +106,11 @@ def test_mixer_differentiable_wrt_params(rng):
     s = rng.normal(size=(6, 3))
 
     def loss_fn(p):
-        out = mixer.forward(p, q, s)
+        out = mixer.forward(p, q.T, s)
         return float((out * out).sum())
 
     tensors = as_tensors(params)
-    out = mixer.forward(tensors, q, s)
+    out = mixer.forward(tensors, q.T, s)
     grads = gradient((out * out).sum(), tensors)
     fd = finite_diff_grad(loss_fn, params, step=1e-5)
     assert_grads_close(grads, fd)

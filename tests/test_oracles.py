@@ -15,7 +15,14 @@ from goalmix.oracles import (
     slow_q_seq,
     value_iteration,
 )
-from tests.conftest import make_batch, make_episode, make_nets, make_q_params, make_stub_trainer
+from tests.conftest import (
+    make_batch,
+    make_episode,
+    make_nets,
+    make_q_params,
+    make_stub_trainer,
+    prepare,
+)
 
 
 # -- finite differences -----------------------------------------------------
@@ -58,7 +65,7 @@ def test_slow_mix_matches_fast_forward(rng):
     for _ in range(10):
         q = rng.normal(size=3)
         s = rng.normal(size=4)
-        assert mixer.forward(params, q[None], s[None])[0] == pytest.approx(
+        assert mixer.forward(params, q[:, None], s[None])[0] == pytest.approx(
             slow_mix(params, q, s), abs=1e-10)
 
 
@@ -85,7 +92,7 @@ def test_brute_force_agrees_with_engine(rng):
             rng, trainer.qnet, trainer.mixer)
         trainer.cfg = trainer.cfg.replace(alpha=float(rng.random()))
         episodes, batch = make_batch(rng, 5)
-        t_star = trainer.prepare_block(batch)["t_star"]
+        t_star = prepare(trainer, batch)["t_star"]
         for m, episode in enumerate(episodes):
             np.testing.assert_array_equal(
                 brute_force_subgoal(trainer.params.agent, trainer.params.mixer,

@@ -25,12 +25,24 @@ def test_demos_found():
     assert len(DEMOS) >= 6
 
 
-@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
-def test_demo_imports_cleanly(path):
+def load_demo(path):
     spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)  # runs the imports only; main() is guarded
-    assert callable(module.main)
+    return module
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_imports_cleanly(path):
+    assert callable(load_demo(path).main)
+
+
+# demos 01-04 take a few seconds together; 05 and 06 train for tens of
+# seconds each and stay import-only
+@pytest.mark.parametrize("path", DEMOS[:4], ids=lambda p: p.name)
+def test_demo_runs_end_to_end(path, capsys):
+    load_demo(path).main()
+    assert capsys.readouterr().out.strip()
 
 
 def test_readme_ablation_variants_are_the_cli_variants():

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from goalmix.autodiff import Tensor
 from goalmix.nn import as_tensors, gradient, stack_slots
 from goalmix.oracles import finite_diff_grad
 from goalmix.rewards import (
-    IdentityRepr,
     ReprNet,
     actionable_distance,
     individual_rewards,
@@ -16,9 +16,11 @@ from goalmix.rewards import (
     proxy_reward,
     repr_loss,
     softmax_credit,
+    subgoal_distance,
 )
+from goalmix.subgoals import at_subgoal
 from goalmix.training import loss_value
-from tests.conftest import assert_grads_close, make_batch, make_stub_trainer
+from tests.conftest import assert_grads_close, make_batch, make_stub_trainer, prepare
 
 
 def distance(a, b):
@@ -71,7 +73,7 @@ def test_distance_range_symmetry_reflexivity(rng):
 def test_dq_targets_zero_at_subgoal_step(rng):
     trainer = make_stub_trainer()
     _, batch = make_batch(rng, 5)
-    prep = trainer.prepare_block(batch)
+    prep = prepare(trainer, batch)
     dq, t_star = prep["dq_targets"], prep["t_star"]
     valid = batch["valid"].astype(bool)
     for i in range(2):
@@ -81,24 +83,69 @@ def test_dq_targets_zero_at_subgoal_step(rng):
         assert np.all(dq[i][valid] <= 2.0)
 
 
+# -- embedded subgoal distance ------------------------------------------------
+
+
+def test_subgoal_distance_exactly_zero_at_subgoal(rng):
+    emb = rng.normal(size=(2, 3, 5, 4))
+    t_star = rng.integers(5, size=(2, 3))
+    for x in (emb, Tensor(emb)):
+        dist = subgoal_distance(x, t_star)
+        dist = dist.data if isinstance(dist, Tensor) else dist
+        assert dist.shape == (2, 3, 5)
+        for i in range(2):
+            for m in range(3):
+                assert dist[i, m, t_star[i, m]] == 0.0  # exactly
+
+
+def test_subgoal_distance_is_the_norm_bitwise(rng):
+    emb = rng.normal(size=(3, 4, 6, 5)) * rng.uniform(0.1, 10, size=(3, 4, 6, 1))
+    t_star = rng.integers(6, size=(3, 4))
+    by_norm = np.linalg.norm(emb - at_subgoal(emb, t_star)[:, :, None], axis=-1)
+    np.testing.assert_array_equal(subgoal_distance(emb, t_star), by_norm)
+    np.testing.assert_array_equal(subgoal_distance(Tensor(emb), t_star).data, by_norm)
+
+
+def embed(net, params, obs):
+    """phi of every observation (N, M, T, D) -> (N, M, T, E), as Trainer.forward."""
+    n, m, t_len, d = obs.shape
+    return net.forward(params, obs.reshape(n, m * t_len, d)).reshape(n, m, t_len, -1)
+
+
+def test_repeated_subgoal_observation_has_zero_distance_and_gradient(rng):
+    """A step that sees the subgoal's observation again is at distance 0: its
+    L_D term (0 - D_Q)^2 is positive, but the zero-safe sqrt sends no
+    gradient through it."""
+    net = ReprNet(4, 3, 5)
+    params = stack_slots([net.init_params(rng) for _ in range(2)])
+    obs = rng.normal(size=(2, 1, 5, 4))
+    obs[:, :, 3] = obs[:, :, 1]
+    t_star = np.ones((2, 1), dtype=np.int64)
+    dq = np.full((2, 1, 5), 0.7)
+    weights = np.zeros((1, 5))
+    weights[0, 3] = 1.0
+    tensors = as_tensors(params)
+    loss = repr_loss(embed(net, tensors, obs), t_star, dq, weights)
+    assert loss.item() == pytest.approx(2 * 0.7 ** 2, abs=1e-15)
+    for g in gradient(loss, tensors).values():
+        assert np.all(g == 0.0)
+
+
 # -- representation loss ------------------------------------------------------
 
 
 def test_repr_loss_zero_when_distances_match():
-    net = IdentityRepr(2)
-    obs = np.array([[[[0.3, 0.0], [0.0, 0.4]]]])          # (N=1, M=1, T=2, D)
-    goal = np.zeros((1, 1, 2))
-    dq = np.array([[[0.3, 0.4]]])  # equals the embedded distances exactly
-    loss = repr_loss(net, {}, obs, goal, dq, np.full((1, 2), 0.5))
+    emb = np.array([[[[0.0, 0.0], [0.3, 0.0], [0.0, 0.4]]]])  # (N=1, M=1, T=3, E)
+    dq = np.array([[[0.0, 0.3, 0.4]]])  # equals the distances to step 0 exactly
+    loss = repr_loss(emb, np.zeros((1, 1), dtype=np.int64), dq, np.full((1, 3), 0.5))
     assert float(loss) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_repr_loss_single_pair_hand_value():
     # ||d_phi|| = 0.5 vs target 0.3 -> (0.2)^2 = 0.04
-    net = IdentityRepr(2)
-    obs = np.array([[[[0.5, 0.0]]]])
-    loss = float(repr_loss(net, {}, obs, np.zeros((1, 1, 2)), np.array([[[0.3]]]),
-                           np.ones((1, 1))))
+    emb = np.array([[[[0.0, 0.0], [0.5, 0.0]]]])
+    loss = float(repr_loss(emb, np.zeros((1, 1), dtype=np.int64), np.array([[[0.0, 0.3]]]),
+                           np.array([[0.0, 1.0]])))
     assert loss == pytest.approx(0.04, abs=1e-12)
 
 
@@ -106,10 +153,10 @@ def test_repr_loss_nonnegative(rng):
     net = ReprNet(5, 4, 6)
     params = stack_slots([net.init_params(rng) for _ in range(2)])
     for _ in range(20):
-        obs = rng.normal(size=(2, 3, 7, 5))
-        goal = rng.normal(size=(2, 3, 5))
+        emb = embed(net, params, rng.normal(size=(2, 3, 7, 5)))
+        t_star = rng.integers(7, size=(2, 3))
         dq = rng.uniform(0, 2, size=(2, 3, 7))
-        assert float(repr_loss(net, params, obs, goal, dq, np.full((3, 7), 1 / 7))) >= 0.0
+        assert float(repr_loss(emb, t_star, dq, np.full((3, 7), 1 / 7))) >= 0.0
 
 
 def test_repr_loss_gradient_matches_finite_differences(rng):
@@ -121,20 +168,21 @@ def test_repr_loss_gradient_matches_finite_differences_shared_params(rng):
 
 
 def _check_repr_loss_gradient(rng, n_slots):
-    # two agents, each with its own slot or both sharing one
+    # two agents, each with its own slot or both sharing one; the goal
+    # embedding is a step of the same forward, so its gradient flows too
     net = ReprNet(4, 3, 5)
     params = stack_slots([net.init_params(rng) for _ in range(n_slots)])
     obs = rng.normal(size=(2, 2, 6, 4))
-    goal = rng.normal(size=(2, 2, 4))
+    t_star = rng.integers(6, size=(2, 2))
     dq = rng.uniform(0, 2, size=(2, 2, 6))
     weights = rng.uniform(0, 1, size=(2, 6))
 
     def loss_fn(p):
-        return loss_value(repr_loss(net, p, obs, goal, dq, weights))
+        return repr_loss(embed(net, p, obs), t_star, dq, weights)
 
     tensors = as_tensors(params)
-    grads = gradient(repr_loss(net, tensors, obs, goal, dq, weights), tensors)
-    fd = finite_diff_grad(loss_fn, params, step=1e-5)
+    grads = gradient(loss_fn(tensors), tensors)
+    fd = finite_diff_grad(lambda p: loss_value(loss_fn(p)), params, step=1e-5)
     assert_grads_close(grads, fd)
 
 

@@ -12,6 +12,7 @@ from tests.conftest import (
     make_q_params,
     make_stub_trainer,
     make_trainer,
+    prepare,
     slot_net,
     zero_trainer,
 )
@@ -46,7 +47,7 @@ def test_alpha_one_score_is_local_max(setup):
     trainer, episodes, batch = setup
     q_max, q_tot = slow_tables(trainer, episodes)
     valid = batch["valid"].astype(bool)
-    prep = trainer.prepare_block(batch)
+    prep = prepare(trainer, batch)
     np.testing.assert_allclose(prep["q_max_snapshot"][:, valid], q_max[:, valid],
                                rtol=0, atol=1e-9)
     scores = subgoal_scores(q_max, q_tot, batch["valid"], 1.0)
@@ -59,7 +60,7 @@ def test_alpha_zero_score_is_agent_independent(setup):
     scores = subgoal_scores(q_max, q_tot, batch["valid"], 0.0)
     np.testing.assert_array_equal(scores[0], scores[1])
     trainer.cfg = trainer.cfg.replace(alpha=0.0)
-    t_star = trainer.prepare_block(batch)["t_star"]
+    t_star = prepare(trainer, batch)["t_star"]
     np.testing.assert_array_equal(t_star[0], t_star[1])
 
 
@@ -74,11 +75,8 @@ def test_score_matches_hand_evaluation_from_q_tables(setup):
     # unrolled Q values of the taken actions
     q_seq = trainer.qnet.unroll(trainer.params.agent, batch["obs"])
     taken = np.take_along_axis(q_seq, batch["actions"][..., None], axis=-1)[..., 0]
-    m, t_len = batch["rewards"].shape
-    q_tot_fast = trainer.mixer.forward(
-        trainer.params.mixer, np.moveaxis(taken, 0, -1).reshape(m * t_len, n),
-        batch["states"].reshape(m * t_len, -1)).reshape(m, t_len)
-    scores = subgoal_scores(trainer.prepare_block(batch)["q_max_snapshot"], q_tot_fast,
+    q_tot_fast = trainer.mixer.forward(trainer.params.mixer, taken, batch["states"])
+    scores = subgoal_scores(prepare(trainer, batch)["q_max_snapshot"], q_tot_fast,
                             batch["valid"], alpha)
     for j, ep in enumerate(episodes):
         for i in range(n):
@@ -101,13 +99,13 @@ def test_padded_steps_never_selected(rng):
         assert np.all(select_subgoals(q_max, q_tot, valid, alpha) < lengths)
     for mode in ("value", "random"):
         trainer = make_stub_trainer(subgoal_mode=mode)
-        assert np.all(trainer.prepare_block(batch)["t_star"] < lengths)
+        assert np.all(prepare(trainer, batch)["t_star"] < lengths)
 
 
 def test_constant_scores_tie_break_to_earliest(rng):
     trainer = zero_trainer()
     _, batch = make_batch(rng, 6)
-    np.testing.assert_array_equal(trainer.prepare_block(batch)["t_star"], 0)
+    np.testing.assert_array_equal(prepare(trainer, batch)["t_star"], 0)
 
 
 def test_per_agent_argmax_can_differ_at_alpha_one(rng):
@@ -117,7 +115,7 @@ def test_per_agent_argmax_can_differ_at_alpha_one(rng):
         trainer.params.agent, trainer.params.mixer = make_q_params(
             rng, trainer.qnet, trainer.mixer)
         episodes, batch = make_batch(rng, 5, length=6)
-        t_star = trainer.prepare_block(batch)["t_star"]
+        t_star = prepare(trainer, batch)["t_star"]
         for m, episode in enumerate(episodes):
             oracle = brute_force_subgoal(trainer.params.agent, trainer.params.mixer,
                                          episode, 1.0)
@@ -128,7 +126,7 @@ def test_per_agent_argmax_can_differ_at_alpha_one(rng):
 
 def test_subgoal_observation_is_bitwise_stored_observation(setup):
     trainer, episodes, batch = setup
-    prep = trainer.prepare_block(batch)
+    prep = prepare(trainer, batch)
     for i in range(2):
         for m, episode in enumerate(episodes):
             t = prep["t_star"][i, m]
@@ -138,17 +136,17 @@ def test_subgoal_observation_is_bitwise_stored_observation(setup):
 
 def test_prepare_block_matches_train_block_prep():
     """The trainer's snapshot: parameters change only after the gradient
-    step, so the prep train_block builds from the graph unroll is bitwise
-    the prep of a separate evaluation at block start."""
+    step, so the prep train_block builds from the data of its graph forward
+    is bitwise the prep of a separate array forward at block start."""
     trainer = make_trainer(seed=0)
     for _ in range(5):
         trainer.train_block()
     seen = {}
-    prepare = trainer.prepare_block
+    prepare_block = trainer.prepare_block
 
-    def spy(batch, q_seq=None):
-        seen["direct"] = prepare(batch)
-        seen["trained"] = prepare(batch, q_seq=q_seq)
+    def spy(batch, online):
+        seen["direct"] = prepare_block(batch, trainer.forward(trainer.params, batch))
+        seen["trained"] = prepare_block(batch, online)
         return seen["trained"]
 
     trainer.prepare_block = spy
@@ -165,7 +163,7 @@ def test_oracle_equivalence_sweep(rng):
             rng, trainer.qnet, trainer.mixer)
         trainer.cfg = trainer.cfg.replace(alpha=float(rng.random()))
         episodes, batch = make_batch(rng, 6)
-        t_star = trainer.prepare_block(batch)["t_star"]
+        t_star = prepare(trainer, batch)["t_star"]
         for m, episode in enumerate(episodes):
             slow = brute_force_subgoal(trainer.params.agent, trainer.params.mixer,
                                        episode, trainer.cfg.alpha)

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from goalmix.autodiff import Tensor, moveaxis, take_along_last
+from goalmix.agents import RecurrentQNet
+from goalmix.autodiff import Tensor, take_along_last
 from goalmix.cli import ABLATION_VARIANTS
 from goalmix.config import TrainConfig
 from goalmix.mixer import MonotonicMixer
 from goalmix.nn import ParamSet, as_tensors, gradient, weighted_sq_error
 from goalmix.oracles import TabularEnv, coordination_chain, finite_diff_grad, slow_mix, slow_q_seq
+from goalmix.rewards import ReprNet
 from goalmix.subgoals import select_subgoals
 from goalmix.training import (
     Trainer,
@@ -27,6 +29,7 @@ from tests.conftest import (
     make_q_params,
     make_stub_trainer,
     make_trainer,
+    prepare,
     slot_net,
     zero_params,
     zero_trainer,
@@ -38,12 +41,14 @@ def losses(tr, episodes, **prep):
     """Trainer.block_losses on the batch of ``episodes`` with a hand-set
     prep (rewards as (M, T) / (N, M, T) arrays)."""
     batch = stack_episodes(episodes)
-    return tr.block_losses(tr._wrap_online(), batch, prep)
+    return tr.block_losses(batch, prep, tr.forward(tr._wrap_online(), batch))
 
 
 def block_losses(tr, batch):
-    """Trainer.block_losses on a batch with the trainer's own prep."""
-    return tr.block_losses(tr._wrap_online(), batch, tr.prepare_block(batch))
+    """Trainer.block_losses on a batch with the trainer's own prep, both
+    from one graph forward, as in train_block."""
+    online = tr.forward(tr._wrap_online(), batch)
+    return tr.block_losses(batch, tr.prepare_block(batch, online), online)
 
 
 # -- individual TD loss (one agent, so sum_Li is that agent's loss) -------------
@@ -257,7 +262,8 @@ def _check_loss_gradients(rng, share_params):
     prep = {"proxy": rng.normal(size=(2, 4))}
 
     def ltd(agent, mixer):
-        return tr.block_losses(ParamSet(agent=agent, mixer=mixer), batch, prep)[0]
+        online = tr.forward(ParamSet(agent=agent, mixer=mixer, repr=tr.params.repr), batch)
+        return tr.block_losses(batch, prep, online)[0]
 
     # L_TD w.r.t. the (possibly shared) agent slots, then the mixer
     tensors = as_tensors(tr.params.agent)
@@ -334,7 +340,7 @@ def test_correction_window_in_trainer_modes():
         tr.collect_episode()
         episodes = tr.buffer.sample(tr.cfg.batch_size, tr.rng)
         batch = stack_episodes(episodes)
-        prep = tr.prepare_block(batch)
+        prep = prepare(tr, batch)
         if lam_e == 0:
             assert "correction_window" not in prep
             continue
@@ -359,7 +365,7 @@ def test_ablation_variant_is_a_coefficient_setting(name, rng):
         assert cfg.alpha == {"local_only": 1.0, "total_only": 0.0}[name]
     tr = make_stub_trainer(seed=3, **ABLATION_VARIANTS[name])
     _, batch = make_batch(rng, 4)
-    prep = tr.prepare_block(batch)
+    prep = prepare(tr, batch)
     # a term is built exactly when its weight is nonzero
     assert ("intrinsics" in prep) == (cfg.lam > 0)
     assert ("r_individual" in prep) == (cfg.lam_i > 0)
@@ -368,36 +374,45 @@ def test_ablation_variant_is_a_coefficient_setting(name, rng):
     if cfg.subgoal_mode == "value":
         q_seq = tr.qnet.unroll(tr.params.agent, batch["obs"])
         taken = np.take_along_axis(q_seq, batch["actions"][..., None], axis=-1)[..., 0]
-        m, t_len = batch["rewards"].shape
-        q_tot = tr.mixer.forward(tr.params.mixer, moveaxis(taken, 0, -1).reshape(m * t_len, -1),
-                                 batch["states"].reshape(m * t_len, -1)).reshape(m, t_len)
+        q_tot = tr.mixer.forward(tr.params.mixer, taken, batch["states"])
         expect = select_subgoals(prep["q_max_snapshot"], q_tot, batch["valid"], cfg.alpha)
         np.testing.assert_array_equal(prep["t_star"], expect)
 
 
-def test_mixer_inputs_contiguous_and_prepare_qtot_is_the_trained_one(monkeypatch):
-    """Subgoals are scored with the Q_tot that L_TD trains: every mixer input
-    is C-contiguous (so every call takes the same BLAS path), and
-    prepare_block's Q_tot equals the graph's bitwise."""
-    calls = []
-    forward = MonotonicMixer.forward
+def test_one_online_forward_per_block(monkeypatch):
+    """A block evaluates each online net once, in graph mode; prepare_block
+    reads the data of those nodes. Besides them only the target bootstrap
+    runs, on arrays: the mixer twice (a Tensor and an ndarray, both on
+    C-contiguous inputs), the representation net once, the utility nets twice."""
+    calls = {"mixer": [], "repr": 0, "unroll": 0}
+    mixer_forward, repr_forward, unroll = (
+        MonotonicMixer.forward, ReprNet.forward, RecurrentQNet.unroll)
 
-    def spy(self, params, q_locals, states):
-        out = forward(self, params, q_locals, states)
-        calls.append((q_locals, out))
-        return out
+    def mixer_spy(self, params, q_locals, states):
+        calls["mixer"].append((q_locals, states))
+        return mixer_forward(self, params, q_locals, states)
 
-    monkeypatch.setattr(MonotonicMixer, "forward", spy)
+    def repr_spy(self, params, obs):
+        calls["repr"] += 1
+        return repr_forward(self, params, obs)
+
+    def unroll_spy(self, params, obs_seq):
+        calls["unroll"] += 1
+        return unroll(self, params, obs_seq)
+
+    monkeypatch.setattr(MonotonicMixer, "forward", mixer_spy)
+    monkeypatch.setattr(ReprNet, "forward", repr_spy)
+    monkeypatch.setattr(RecurrentQNet, "unroll", unroll_spy)
     tr = make_trainer(seed=0, batch_size=8)
+    tr.collect_episode()
     for _ in range(3):
-        calls.clear()
+        calls.update(mixer=[], repr=0, unroll=0)
         tr.train_block()
-        # prepare_block, the target bootstrap, then the graph's Q_tot
-        (q_prep, qtot_prep), _, (q_graph, qtot_graph) = calls
-        assert isinstance(q_graph, Tensor) and not isinstance(q_prep, Tensor)
-        for q, _ in calls:
+        assert len(calls["mixer"]) == 2 and calls["repr"] == 1 and calls["unroll"] == 2
+        assert sorted(isinstance(q, Tensor) for q, _ in calls["mixer"]) == [False, True]
+        for q, states in calls["mixer"]:
             assert (q.data if isinstance(q, Tensor) else q).flags.c_contiguous
-        np.testing.assert_array_equal(qtot_prep, qtot_graph.data)
+            assert states.flags.c_contiguous
 
 
 def test_intrinsic_reward_zero_at_subgoal_step():
@@ -405,7 +420,7 @@ def test_intrinsic_reward_zero_at_subgoal_step():
     tr.collect_episode()
     episodes = tr.buffer.sample(tr.cfg.batch_size, tr.rng)
     batch = stack_episodes(episodes)
-    prep = tr.prepare_block(batch)
+    prep = prepare(tr, batch)
     intr = prep["intrinsics"]
     for i in range(tr.n_agents):
         for m in range(intr.shape[1]):
