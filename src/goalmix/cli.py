@@ -143,7 +143,11 @@ def _run_variant(args):
 
 def run_ablation_matrix(base_cfg: TrainConfig, seeds, variants=None, out_dir="ablation",
                         jobs=1):
-    """Run variant x seed training runs and write a summary CSV."""
+    """Run variant x seed training runs and write a summary CSV.
+
+    Every run gets its own ``<variant>-seed<seed>`` directory, so there must
+    be at least one seed and no seed or variant may repeat; a bad argument
+    is a configuration error raised before any directory is made."""
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     names = list(variants) if variants else list(ABLATION_VARIANTS)
@@ -154,12 +158,19 @@ def run_ablation_matrix(base_cfg: TrainConfig, seeds, variants=None, out_dir="ab
             )
     resolve_env_config(base_cfg)  # no variant changes the env
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    seeds = list(seeds)
+    if not seeds:
+        raise ConfigError("seeds must name at least one seed")
     tasks = []
     for name in names:
         for seed in seeds:
             cfg = base_cfg.replace(seed=seed, **ABLATION_VARIANTS[name])
             tasks.append((name, seed, cfg.to_dict(), str(out_dir / f"{name}-seed{seed}")))
+    for what, items in (("seeds", seeds), ("variants", names)):
+        repeated = sorted({x for x in items if items.count(x) > 1})
+        if repeated:
+            raise ConfigError(f"{what} must be distinct, got {repeated} more than once")
+    out_dir.mkdir(parents=True, exist_ok=True)
     if jobs > 1:
         import multiprocessing as mp
         from concurrent.futures import ProcessPoolExecutor
@@ -247,6 +258,14 @@ def build_parser():
     return parser
 
 
+def parse_seeds(text):
+    """The seed list of ``ablate --seeds``: comma-separated integers."""
+    try:
+        return [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise ConfigError(f"--seeds must be comma-separated integers, got {text!r}") from None
+
+
 def _out_root():
     return Path(os.environ.get("GOALMIX_OUT_ROOT", "runs"))
 
@@ -267,7 +286,7 @@ def main(argv=None) -> int:
             return 0
         if args.command == "ablate":
             cfg = parse_config(args.config, _config_flags(args))
-            seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+            seeds = parse_seeds(args.seeds)
             variants = args.variants.split(",") if args.variants else None
             out_dir = Path(args.out) if args.out else _out_root() / "ablation"
             path, results = run_ablation_matrix(cfg, seeds, variants, out_dir,

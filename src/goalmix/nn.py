@@ -235,13 +235,26 @@ class RMSProp:
 
 
 def clip_grads_global(grads, max_norm):
-    """Scale all gradients so the joint L2 norm is at most ``max_norm`` (> 0)."""
+    """Scale all gradients so the joint L2 norm is at most ``max_norm`` (> 0).
+
+    Finite gradients whose sum of squares overflows are measured again in
+    units of their largest |g|, so they are scaled down to the bound rather
+    than to zero. Gradients with a NaN or Inf entry come back unscaled, and
+    :meth:`RMSProp.step` rejects them.
+    """
     total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g * g))
-    norm = np.sqrt(total)
-    if norm > max_norm:
-        scale = max_norm / norm
+    with np.errstate(over="ignore"):
+        for g in grads.values():
+            total += float(np.sum(g * g))
+    unit = 1.0
+    if not np.isfinite(total):
+        peak = max(float(np.max(np.abs(g), initial=0.0)) for g in grads.values())
+        if np.isfinite(peak):
+            unit = peak
+            total = sum(float(np.sum(np.square(g / peak))) for g in grads.values())
+    norm = np.sqrt(total)  # in units of `unit`
+    if np.isfinite(norm) and norm > max_norm / unit:
+        scale = max_norm / unit / norm
         grads = {k: g * scale for k, g in grads.items()}
     return grads
 

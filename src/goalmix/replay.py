@@ -29,6 +29,13 @@ class Episode:
     rewards  (T,) float64, extrinsic
     dones    (T,) bool
     valid    (T,) bool, True for steps that actually happened
+
+    ``bootstrap`` is the trainer's cache slot for this episode's target
+    bootstrap: ``(token, tq_next (n_agents, T), tot_next (T,))``, valid only
+    while ``token`` is the token of the trainer's current target nets (see
+    ``Trainer.batch_bootstrap``). It lives and dies with the episode, so a
+    FIFO eviction drops it. The arrays above are read-only once the episode
+    is in a buffer.
     """
 
     obs: np.ndarray
@@ -40,6 +47,7 @@ class Episode:
     valid: np.ndarray
     length: int
     uid: int = -1
+    bootstrap: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_agents(self):

@@ -11,6 +11,13 @@ summed over the M episodes (:meth:`Trainer.block_losses`). Then take one
 RMSProp step on every online parameter, sync the target copies on the
 configured episode cadence, and collect one fresh epsilon-greedy episode.
 
+The TD targets bootstrap from the frozen target nets, which change only
+at a sync. An episode's bootstrap, max_u Q̄_i(o_{t+1}, u) and
+Q̄_tot(s_{t+1}) (:meth:`Trainer.target_bootstrap`), is therefore computed
+once per target generation, kept on the episode, and reused by every
+block that samples the episode again before the next sync; a block runs
+the target nets only on its rows without a valid entry.
+
 Each equation is one batched kernel: the subgoal score, D_Q, the
 embedded distance and the shaped rewards live in :mod:`goalmix.subgoals`
 and :mod:`goalmix.rewards`; the TD targets and the entropy correction
@@ -189,6 +196,7 @@ class Trainer:
         self.episodes_collected = 0
         self.block = 0
         self._next_sync = config.target_interval
+        self._target_key = None  # (token, the target arrays it stands for)
         self._subgoal_log_fh = None
 
     # -- data collection ----------------------------------------------------
@@ -322,21 +330,14 @@ class Trainer:
 
         ``online`` is the :meth:`forward` that ``prep`` was built from; the
         loss is a Tensor when its values are graph nodes. Only the target
-        bootstrap is evaluated here.
+        bootstrap is evaluated here, and only for rows without a cached entry
+        (:meth:`batch_bootstrap`).
         """
         cfg = self.cfg
         n_valid = batch["valid"].sum(axis=1)
         w_ep = batch["valid"] / n_valid[:, None]                         # (M, T)
         gamma, dones = cfg.gamma, batch["dones"]
-
-        # target-side bootstraps (constants)
-        tq_seq = self.qnet.unroll(self.params.target_agent, batch["obs"])
-        tq_max = _masked_max(tq_seq, batch["avail"])                     # (N, M, T)
-        tq_next = np.zeros_like(tq_max)
-        tq_next[:, :, :-1] = tq_max[:, :, 1:]
-        states_next = np.zeros_like(batch["states"])
-        states_next[:, :-1] = batch["states"][:, 1:]
-        tot_next = self.mixer.forward(self.params.target_mixer, tq_next, states_next)
+        tq_next, tot_next = self.batch_bootstrap(batch)                  # constants
 
         loss_td = weighted_sq_error(
             online["q_tot"], td_targets(prep["proxy"], dones, tot_next, gamma), w_ep)
@@ -362,6 +363,62 @@ class Trainer:
 
         return total, parts
 
+    # -- the target bootstrap (constants of the TD targets) ------------------
+
+    def target_bootstrap(self, obs, avail, states):
+        """The bootstraps of the TD targets under the target nets, for M
+        episodes: ``tq_next`` (N, M, T), max_u Q̄_i(o_{t+1}, u) over the
+        available actions, and ``tot_next`` (M, T), Q̄_tot of those values at
+        s_{t+1}; both 0 at the last step. ``obs`` (N, M, T, D), ``avail``
+        (N, M, T, U) and ``states`` (M, T, S) are batch arrays."""
+        tq_max = _masked_max(self.qnet.unroll(self.params.target_agent, obs), avail)
+        tq_next = np.zeros_like(tq_max)
+        tq_next[:, :, :-1] = tq_max[:, :, 1:]
+        states_next = np.zeros_like(states)
+        states_next[:, :-1] = states[:, 1:]
+        return tq_next, self.mixer.forward(self.params.target_mixer, tq_next, states_next)
+
+    def _target_token(self):
+        """The token of the current target generation: the same object for
+        as long as the target groups hold the same arrays, a new one once any
+        of them is replaced (a new ``params``, a reassigned target group).
+        Holding the arrays keeps the identity test sound. Writing into target
+        arrays in place is not detected and is unsupported."""
+        arrays = (*self.params.target_agent.values(), *self.params.target_mixer.values())
+        key = self._target_key
+        if key is None or len(key[1]) != len(arrays) or any(
+                a is not b for a, b in zip(arrays, key[1])):
+            key = self._target_key = (object(), arrays)
+        return key[0]
+
+    def batch_bootstrap(self, batch):
+        """:meth:`target_bootstrap` of a batch. A batch that carries its
+        ``episodes`` (as in :meth:`train_block`) reuses each episode's entry
+        from the current target generation and runs the target nets once, in
+        batch order, on the rows without one, storing their entries; a batch
+        without episodes is bootstrapped whole."""
+        episodes = batch.get("episodes")
+        if episodes is None:
+            return self.target_bootstrap(batch["obs"], batch["avail"], batch["states"])
+        token = self._target_token()
+        tq_next = np.empty(batch["obs"].shape[:3])                      # (N, M, T)
+        tot_next = np.empty(batch["states"].shape[:2])                   # (M, T)
+        miss = []
+        for m, ep in enumerate(episodes):
+            if ep.bootstrap is not None and ep.bootstrap[0] is token:
+                tq_next[:, m], tot_next[m] = ep.bootstrap[1:]
+            else:
+                miss.append(m)
+        if miss:
+            # np.take keeps the sub-batch C-contiguous, like a stacked batch
+            fresh_tq, fresh_tot = self.target_bootstrap(
+                np.take(batch["obs"], miss, axis=1), np.take(batch["avail"], miss, axis=1),
+                np.take(batch["states"], miss, axis=0))
+            tq_next[:, miss], tot_next[miss] = fresh_tq, fresh_tot
+            for j, m in enumerate(miss):
+                episodes[m].bootstrap = (token, fresh_tq[:, j].copy(), fresh_tot[j].copy())
+        return tq_next, tot_next
+
     # -- one block ----------------------------------------------------------
 
     def _wrap_online(self):
@@ -376,6 +433,7 @@ class Trainer:
 
         episodes = self.buffer.sample(cfg.batch_size, self.rng)
         batch = stack_episodes(episodes)
+        batch["episodes"] = episodes  # their cached target bootstraps
         tensors = self._wrap_online()
         # one online forward: its data are the block-start values the prep
         # needs (parameters change only after the gradient step below), its
@@ -411,6 +469,7 @@ class Trainer:
 
         if self.episodes_collected >= self._next_sync:
             sync_targets(self.params)
+            self._target_key = None  # a new target generation
             self._next_sync += cfg.target_interval
 
         self._log_subgoals(batch, prep)

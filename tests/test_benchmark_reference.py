@@ -1,0 +1,37 @@
+"""The benchmark's output check (perfbench/workload.py) pins the first
+train blocks' losses and every eval episode of a seed; a change that moves
+them past the check's tolerance must fail here, not only in benchmark runs."""
+
+import importlib.util
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+REFERENCE = json.loads((BENCH / "reference.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def workload():
+    """perfbench/workload.py as a module; importing it sets BLAS thread
+    variables and prepends src/ to sys.path, which are put back."""
+    environ, path = dict(os.environ), list(sys.path)
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_workload", BENCH / "workload.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        os.environ.clear()
+        os.environ.update(environ)
+        sys.path[:] = path
+    return module
+
+
+@pytest.mark.parametrize("seed", [0, REFERENCE["heldout_seed"]])
+@pytest.mark.parametrize("name", sorted(REFERENCE["workloads"]))
+def test_outputs_pass_the_benchmark_check(workload, name, seed):
+    reference = REFERENCE["workloads"][name][str(seed)]
+    assert workload.check(name, workload.reference_outputs(name, seed), reference) == []

@@ -311,6 +311,35 @@ def test_ablation_unknown_variant_exit_1(tmp_path, fast_cfg_file):
                     "--variants", "bogus", "--out", tmp_path / "abl"]) == 1
 
 
+@pytest.mark.parametrize("seeds, message", [
+    ("x", "comma-separated integers"),
+    ("0,1.5", "comma-separated integers"),
+    ("", "at least one seed"),
+    (",", "at least one seed"),
+    ("1,1", "[1] more than once"),
+    ("0,-1", "seed must be >= 0"),
+])
+def test_ablation_bad_seeds_exit_1_before_any_directory(tmp_path, fast_cfg_file, seeds,
+                                                         message, capsys):
+    out = tmp_path / "abl"
+    assert run_cli(["ablate", "--config", fast_cfg_file, "--seeds", seeds,
+                    "--variants", "full", "--out", out]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds, variants", [([], ["full"]), ([1, 1], ["full"]),
+                                             ([0], ["full", "full"]), (["0"], ["full"])])
+def test_ablation_matrix_rejects_bad_seeds_and_variants(tmp_path, seeds, variants):
+    import goalmix.cli as cli_mod
+    from goalmix.config import ConfigError
+
+    base = TrainConfig(max_env_steps=90, batch_size=8).validate()
+    with pytest.raises(ConfigError):
+        cli_mod.run_ablation_matrix(base, seeds, variants, tmp_path / "abl")
+    assert not (tmp_path / "abl").exists()
+
+
 def test_ablation_records_crashes_and_continues(tmp_path, monkeypatch):
     import goalmix.cli as cli_mod
     from goalmix.config import TrainConfig

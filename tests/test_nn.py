@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,34 @@ def test_clip_grads_global_norm():
     np.testing.assert_allclose(clipped["a"] / clipped["b"][0], [0.75, 0.0])
     same = clip_grads_global(grads, 100.0)
     np.testing.assert_array_equal(same["a"], grads["a"])
+
+
+def test_clip_grads_global_keeps_the_bits_of_the_plain_norm(rng):
+    grads = {"a": rng.normal(size=(3, 4)) * 40.0, "b": rng.normal(size=5)}
+    scale = 10.0 / np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    clipped = clip_grads_global(grads, 10.0)
+    for k, g in grads.items():
+        np.testing.assert_array_equal(clipped[k], g * scale)
+
+
+def test_clip_grads_global_scales_finite_gradients_whose_squares_overflow():
+    grads = {"a": np.array([1e200, 1.0]), "b": np.array([3.0])}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clipped = clip_grads_global(grads, 10.0)
+    np.testing.assert_allclose(clipped["a"], [10.0, 1e-199], rtol=1e-15)
+    np.testing.assert_allclose(clipped["b"], [3e-199], rtol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_clip_grads_global_leaves_nonfinite_gradients_to_rmsprop(bad):
+    grads = {"a": np.array([1e200, bad]), "b": np.array([3.0])}
+    clipped = clip_grads_global(grads, 10.0)
+    np.testing.assert_array_equal(clipped["b"], [3.0])
+    p = np.zeros(2)
+    with pytest.raises(NonFiniteGradientError):
+        RMSProp().step([("a", p)], clipped)
+    np.testing.assert_array_equal(p, [0.0, 0.0])
 
 
 # -- target sync ----------------------------------------------------------------

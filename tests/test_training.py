@@ -10,7 +10,14 @@ from goalmix.autodiff import Tensor, take_along_last
 from goalmix.cli import ABLATION_VARIANTS
 from goalmix.config import TrainConfig
 from goalmix.mixer import MonotonicMixer
-from goalmix.nn import ParamSet, as_tensors, gradient, weighted_sq_error
+from goalmix.nn import (
+    ParamSet,
+    as_tensors,
+    gradient,
+    load_checkpoint,
+    save_checkpoint,
+    weighted_sq_error,
+)
 from goalmix.oracles import TabularEnv, coordination_chain, finite_diff_grad, slow_mix, slow_q_seq
 from goalmix.rewards import ReprNet
 from goalmix.subgoals import select_subgoals
@@ -334,6 +341,154 @@ def test_target_sync_cadence():
     assert online_changes >= 2
 
 
+# -- the target bootstrap, once per episode and target generation ---------------------
+
+
+def buffer_batch(tr, m):
+    """A batch sampled from the trainer's buffer that carries its episodes,
+    as train_block builds it."""
+    episodes = tr.buffer.sample(m, tr.rng)
+    batch = stack_episodes(episodes)
+    batch["episodes"] = episodes
+    return batch
+
+
+def count_target_rows(monkeypatch, tr):
+    """Patch the trainer so each batch_bootstrap call appends
+    (rows the target nets ran on, rows in the batch, its result, a fresh
+    full-batch bootstrap under the same target nets) to the returned list."""
+    calls, ran = [], []
+    fresh = tr.target_bootstrap
+
+    def counting(obs, avail, states):
+        ran.append(obs.shape[1])
+        return fresh(obs, avail, states)
+
+    def recording(batch):
+        ran.clear()
+        got = Trainer.batch_bootstrap(tr, batch)
+        calls.append((sum(ran), batch["obs"].shape[1], got,
+                      fresh(batch["obs"], batch["avail"], batch["states"])))
+        return got
+
+    monkeypatch.setattr(tr, "target_bootstrap", counting)
+    monkeypatch.setattr(tr, "batch_bootstrap", recording)
+    return calls
+
+
+def chain_trainer(**cfg_kw):
+    cfg = TrainConfig(seed=1, hidden_dim=32, eps_anneal_steps=6000, **cfg_kw).validate()
+    return Trainer(cfg, lambda: TabularEnv(coordination_chain(), episode_limit=10),
+                   rng=np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_trainer(seed=12, batch_size=8, target_interval=5),
+    lambda: chain_trainer(batch_size=8, target_interval=5),
+    lambda: make_trainer(seed=13, batch_size=8, target_interval=5, share_params=True),
+], ids=["skirmish", "chain", "share_params"])
+def test_cached_bootstrap_matches_a_full_batch_bootstrap(monkeypatch, build):
+    tr = build()
+    tr.collect_episode()
+    calls = count_target_rows(monkeypatch, tr)
+    syncs = []
+    for _ in range(18):
+        before = tr.params.target_mixer
+        tr.train_block()
+        syncs.append(tr.params.target_mixer is not before)
+    assert sum(syncs) >= 3
+    for k, (ran, m, (tq, tot), (fresh_tq, fresh_tot)) in enumerate(calls):
+        if k == 0 or syncs[k - 1]:
+            assert ran == m, f"block {k} after a sync reused an entry"
+        for got, want in ((tq, fresh_tq), (tot, fresh_tot)):
+            if ran == m:
+                np.testing.assert_array_equal(got, want)
+            else:  # a sub-batch may take other BLAS kernels: last-bit differences
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    assert any(ran < m for ran, m, *_ in calls), "no block reused an entry"
+
+
+def test_cached_rows_skip_the_target_nets(monkeypatch):
+    """Target unrolls are numpy unrolls: a block whose rows are all cached
+    runs none, and the first block after a sync runs one on all M rows."""
+    target_rows = []
+    unroll = RecurrentQNet.unroll
+
+    def spy(self, params, obs_seq):
+        if not isinstance(next(iter(params.values())), Tensor):
+            target_rows[-1].append(obs_seq.shape[1])
+        return unroll(self, params, obs_seq)
+
+    monkeypatch.setattr(RecurrentQNet, "unroll", spy)
+    tr = make_trainer(seed=0, batch_size=8, target_interval=6)
+    for _ in range(4):
+        tr.collect_episode()
+    rows = tr.buffer.episodes() * 2
+    monkeypatch.setattr(tr.buffer, "sample", lambda m, rng: list(rows))
+    for _ in range(5):
+        target_rows.append([])
+        tr.train_block()
+    # blocks 1-2 reuse block 0's entries; block 2 syncs (6 episodes collected)
+    assert target_rows == [[8], [], [], [8], []]
+
+
+def test_no_stale_bootstrap_after_the_target_nets_change(tmp_path, monkeypatch):
+    import goalmix.training as training
+
+    tr = make_trainer(seed=14, batch_size=6, target_interval=3)
+    for _ in range(3):
+        tr.collect_episode()
+    batch = buffer_batch(tr, 6)
+    calls = count_target_rows(monkeypatch, tr)
+
+    def bootstrap_all_rows():
+        """The next bootstrap recomputes every row, bitwise the full batch's."""
+        tr.batch_bootstrap(batch)
+        ran, m, got, fresh = calls[-1]
+        assert ran == m
+        for g, f in zip(got, fresh):
+            np.testing.assert_array_equal(g, f)
+
+    bootstrap_all_rows()
+    tr.batch_bootstrap(batch)
+    assert calls[-1][0] == 0
+    save_checkpoint(tmp_path / "other.npz", make_trainer(seed=15).params)
+
+    # a sync that writes the targets in place still starts a new generation
+    def sync_in_place(ps):
+        for online, target in ((ps.agent, ps.target_agent), (ps.mixer, ps.target_mixer)):
+            for k, v in online.items():
+                np.copyto(target[k], v)
+        return ps
+
+    monkeypatch.setattr(training, "sync_targets", sync_in_place)
+    monkeypatch.setattr(tr.buffer, "sample", lambda m, rng: list(batch["episodes"]))
+    tr.train_block()  # 3 episodes collected: the gradient step, then a sync
+    bootstrap_all_rows()
+
+    # a checkpoint of other parameters loaded into the live trainer
+    tr.params = load_checkpoint(tmp_path / "other.npz")[0]
+    bootstrap_all_rows()
+
+    # a reassigned target group
+    tr.params.target_mixer = tr.mixer.init_params(np.random.default_rng(16))
+    bootstrap_all_rows()
+    tr.params.target_agent = make_q_params(np.random.default_rng(17), tr.qnet, tr.mixer)[0]
+    bootstrap_all_rows()
+
+
+def test_trainers_sharing_episodes_never_read_each_others_entries():
+    a, b = make_trainer(seed=18, batch_size=4), make_trainer(seed=19, batch_size=4)
+    a.collect_episode()
+    a.collect_episode()
+    batch = buffer_batch(a, 4)
+    for tr in (a, b, a, b):
+        got = tr.batch_bootstrap(batch)
+        fresh = tr.target_bootstrap(batch["obs"], batch["avail"], batch["states"])
+        for g, f in zip(got, fresh):
+            np.testing.assert_array_equal(g, f)
+
+
 def test_correction_window_in_trainer_modes():
     for mode, lam_e in [("normal", 0.0), ("over", 0.001), ("normal", 0.001)]:
         tr = make_trainer(seed=2, correction=mode, lam_e=lam_e)
@@ -382,8 +537,9 @@ def test_ablation_variant_is_a_coefficient_setting(name, rng):
 def test_one_online_forward_per_block(monkeypatch):
     """A block evaluates each online net once, in graph mode; prepare_block
     reads the data of those nodes. Besides them only the target bootstrap
-    runs, on arrays: the mixer twice (a Tensor and an ndarray, both on
-    C-contiguous inputs), the representation net once, the utility nets twice."""
+    runs, on arrays, and only when a row has no cached entry: the mixer and
+    the utility nets once each in graph mode plus at most once on arrays
+    (every mixer input C-contiguous), the representation net once."""
     calls = {"mixer": [], "repr": 0, "unroll": 0}
     mixer_forward, repr_forward, unroll = (
         MonotonicMixer.forward, ReprNet.forward, RecurrentQNet.unroll)
@@ -408,8 +564,9 @@ def test_one_online_forward_per_block(monkeypatch):
     for _ in range(3):
         calls.update(mixer=[], repr=0, unroll=0)
         tr.train_block()
-        assert len(calls["mixer"]) == 2 and calls["repr"] == 1 and calls["unroll"] == 2
-        assert sorted(isinstance(q, Tensor) for q, _ in calls["mixer"]) == [False, True]
+        graph = [isinstance(q, Tensor) for q, _ in calls["mixer"]]
+        assert graph.count(True) == 1 and calls["repr"] == 1
+        assert graph.count(False) <= 1 and calls["unroll"] == 1 + graph.count(False)
         for q, states in calls["mixer"]:
             assert (q.data if isinstance(q, Tensor) else q).flags.c_contiguous
             assert states.flags.c_contiguous
