@@ -39,9 +39,10 @@ def main():
     print("\ngreedy rollout of the trained decentralised policy:")
     while True:
         s = env.s
-        # every agent's net in one call on the slot-stacked parameters
+        # every agent's net in one call on the slot-stacked parameters, and
+        # every agent's greedy action in one masked argmax over (agents, actions)
         q, hidden = trainer.qnet.step(trainer.params.agent, obs[:, None], hidden)
-        acts = [masked_argmax(q[i, 0], env.avail_actions()[i]) for i in range(2)]
+        acts = masked_argmax(q[:, 0], env.avail_actions())
         mark = "optimal" if tuple(acts) in optimal[s] else "SUBOPTIMAL"
         result = env.step(acts)
         print(f"  state {s} -> joint action {tuple(acts)} [{mark}], reward {result.reward:+.2f}")

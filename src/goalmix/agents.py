@@ -82,24 +82,33 @@ def local_q(qnet, params, obs_history):
 
 
 def masked_argmax(q, mask):
-    """Index of the largest Q among valid actions; ties -> lowest index."""
-    q = np.asarray(q, dtype=np.float64)
+    """Index of the largest Q among valid actions along the last axis; ties
+    -> lowest index. One row, q and mask (U,), gives an int; a batch of rows,
+    (N, U), gives a list of N ints. Raises ValueError when a row has no valid
+    action."""
     mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
+    if not mask.any(axis=-1).all():
         raise ValueError("no valid action in mask")
-    scored = np.where(mask, q, -np.inf)
-    return int(np.argmax(scored))
+    return np.where(mask, q, -np.inf).argmax(axis=-1).tolist()
 
 
 def act_epsilon_greedy(q, epsilon, rng, mask):
-    """Greedy action with probability 1-eps, else uniform over valid actions."""
+    """Per row, the greedy action with probability 1-eps, else uniform over
+    the row's valid actions. Takes and returns the shapes of
+    :func:`masked_argmax`. The draws go row by row, in row order: one
+    ``rng.random()``, then ``rng.integers`` only when the row explores."""
     mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise ValueError("no valid action in mask")
+    greedy = masked_argmax(q, mask)
+    if mask.ndim == 1:
+        return _explore_or(greedy, mask, epsilon, rng)
+    return [_explore_or(a, row, epsilon, rng) for a, row in zip(greedy, mask)]
+
+
+def _explore_or(greedy, mask, epsilon, rng):
     if rng.random() < epsilon:
         valid = np.flatnonzero(mask)
         return int(valid[rng.integers(len(valid))])
-    return masked_argmax(q, mask)
+    return greedy
 
 
 @dataclass

@@ -14,6 +14,7 @@ first), then all attacks resolve simultaneously.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -23,10 +24,17 @@ import numpy as np
 N_ACTIONS = 6
 NOOP, MOVE_N, MOVE_S, MOVE_E, MOVE_W, ATTACK = range(6)
 MOVE_DELTAS = {MOVE_N: (0, -1), MOVE_S: (0, 1), MOVE_E: (1, 0), MOVE_W: (-1, 0)}
+MOVES = tuple(MOVE_DELTAS)  # N, S, E, W: the order of every per-move table
 
 REWARD_WIN = 200.0
 REWARD_ENEMY_KILL = 10.0
 REWARD_ALLY_DEATH = -5.0
+
+
+_NOOP_ONLY = (True,) + (False,) * (N_ACTIONS - 1)
+_NO_ENTITY = (0.0,) * 4
+# last-action one-hots; index -1 (no action yet) is the all-zero row
+_ONE_HOT = [tuple(float(k == a) for k in range(N_ACTIONS)) for a in range(N_ACTIONS + 1)]
 
 
 def _is_int(value):
@@ -183,8 +191,36 @@ class StepResult:
     info: dict
 
 
+@functools.lru_cache(maxsize=16)
+def _grid_tables(width, height, cliff):
+    """Read-only per-cell tables of a width x height grid whose cliff cells
+    are ``cliff`` (a frozenset), shared by every env on that grid. Each maps
+    a cell to: the cell each move (N, S, E, W) leads to, None where blocked;
+    observation entries 1-6 (normalised x and y, the four neighbours'
+    blocked flags); mask entries 0-4 (no-op, the four moves)."""
+    open_cells = {(x, y) for x in range(width) for y in range(height)} - cliff
+    moves, obs, mask = {}, {}, {}
+    for x in range(width):
+        for y in range(height):
+            targets = tuple(c if c in open_cells else None
+                            for c in ((x + dx, y + dy) for dx, dy in MOVE_DELTAS.values()))
+            moves[x, y] = targets
+            obs[x, y] = (2.0 * x / (width - 1) - 1.0 if width > 1 else 0.0,
+                         2.0 * y / (height - 1) - 1.0 if height > 1 else 0.0,
+                         *(1.0 if c is None else 0.0 for c in targets))
+            mask[x, y] = (True, *(c is not None for c in targets))
+    return moves, obs, mask
+
+
 class SkirmishEnv:
-    """One self-contained environment instance (single-threaded)."""
+    """One self-contained environment instance (single-threaded).
+
+    ``pos`` (a list of (x, y) tuples), ``health``, ``alive``, ``t`` and
+    ``last_action`` are the whole game state and may be read or assigned
+    between calls. Each call measures the ally-to-unit distances it needs
+    from the current ``pos`` (a step does so once before and once after the
+    moves), so nothing derived from positions outlives the call that made it.
+    """
 
     def __init__(self, config: EnvConfig):
         self.cfg = config
@@ -199,6 +235,15 @@ class SkirmishEnv:
         self.state_dim = 4 * self.n_units + 1
         self._live = False
         self.t = 0
+        # per unit: maximum health, damage per attack, side flag
+        units = range(self.n_units)
+        self._max_hp = [config.ally_health if self._is_ally(u) else config.enemy_health
+                        for u in units]
+        self._damage = [config.ally_damage if self._is_ally(u) else config.enemy_damage
+                        for u in units]
+        self._side = [1.0 if self._is_ally(u) else -1.0 for u in units]
+        self._moves, self._cell_obs, self._cell_mask = _grid_tables(
+            config.width, config.height, frozenset(self._cliff))
 
     # -- geometry -------------------------------------------------------
 
@@ -213,39 +258,39 @@ class SkirmishEnv:
     def _dist(a, b):
         return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
+    def _distances(self):
+        """Manhattan distance from each ally (rows) to every unit (columns),
+        measured from the current ``pos``."""
+        pos = self.pos
+        return [[abs(x - ux) + abs(y - uy) for ux, uy in pos]
+                for x, y in pos[:self.cfg.n_allies]]
+
+    def _nearest_foe(self, u, dist, alive):
+        """(nearest alive opposing unit, its distance), ties -> lower index;
+        (None, inf) when every foe is dead. ``dist`` is a :meth:`_distances`
+        table and ``alive`` a list of flags."""
+        n_allies = self.cfg.n_allies
+        if self._is_ally(u):
+            first, dists = n_allies, dist[u][n_allies:]
+        else:
+            first, dists = 0, [row[u] for row in dist]
+        best, best_d = None, math.inf
+        for k, d in enumerate(dists):
+            if d < best_d and alive[first + k]:
+                best, best_d = first + k, d
+        return best, best_d
+
     # -- unit helpers -----------------------------------------------------
 
     def _is_ally(self, u):
         return u < self.cfg.n_allies
-
-    def _max_health(self, u):
-        return self.cfg.ally_health if self._is_ally(u) else self.cfg.enemy_health
-
-    def _damage_of(self, u):
-        return self.cfg.ally_damage if self._is_ally(u) else self.cfg.enemy_damage
-
-    def _foes(self, u):
-        if self._is_ally(u):
-            return range(self.cfg.n_allies, self.n_units)
-        return range(self.cfg.n_allies)
-
-    def _nearest_visible_foe(self, u, max_range):
-        """Nearest alive opposing unit within max_range; ties -> lower index."""
-        best, best_d = None, None
-        for v in self._foes(u):
-            if not self.alive[v]:
-                continue
-            d = self._dist(self.pos[u], self.pos[v])
-            if d <= max_range and (best_d is None or d < best_d):
-                best, best_d = v, d
-        return best
 
     # -- lifecycle --------------------------------------------------------
 
     def reset(self, rng):
         """Place all units in their spawn rectangles; full health; t=0."""
         self.pos = [None] * self.n_units
-        self.health = np.array([self._max_health(u) for u in range(self.n_units)])
+        self.health = np.array(self._max_hp)
         self.alive = np.ones(self.n_units, dtype=bool)
         self.last_action = np.full(self.cfg.n_allies, -1, dtype=np.int64)
         self.t = 0
@@ -266,26 +311,25 @@ class SkirmishEnv:
             cell = cells[int(rng.integers(len(cells)))]
             self.pos[u] = cell
             taken.add(cell)
-        return self._observe_all(), self._global_state()
+        return self._observe(self._distances())
 
     # -- scripted opponent --------------------------------------------------
 
     def scripted_enemy_actions(self):
         """Deterministic enemy policy: attack nearest visible ally in range,
         else step toward the nearest visible ally, else hold."""
+        return self._enemy_actions(self._distances(), self.alive.tolist())
+
+    def _enemy_actions(self, dist, alive):
         actions = []
         for e in range(self.cfg.n_allies, self.n_units):
-            if not self.alive[e]:
-                actions.append(NOOP)
-                continue
-            if self._nearest_visible_foe(e, self.cfg.attack_range) is not None:
+            target, d = self._nearest_foe(e, dist, alive) if alive[e] else (None, math.inf)
+            if d <= self.cfg.attack_range:
                 actions.append(ATTACK)
-                continue
-            target = self._nearest_visible_foe(e, self.cfg.sight_range)
-            if target is None:
+            elif d <= self.cfg.sight_range:
+                actions.append(self._step_toward(e, self.pos[target]))
+            else:
                 actions.append(NOOP)
-                continue
-            actions.append(self._step_toward(e, self.pos[target]))
         return actions
 
     def _step_toward(self, u, goal):
@@ -293,11 +337,10 @@ class SkirmishEnv:
         distance and is not statically blocked; NOOP if none."""
         here = self.pos[u]
         d0 = self._dist(here, goal)
-        occupied = {self.pos[v] for v in range(self.n_units) if self.alive[v] and v != u}
-        for act in (MOVE_N, MOVE_S, MOVE_E, MOVE_W):
-            dx, dy = MOVE_DELTAS[act]
-            cell = (here[0] + dx, here[1] + dy)
-            if self._blocked(cell) or cell in occupied:
+        occupied = {cell for v, (cell, live) in enumerate(zip(self.pos, self.alive.tolist()))
+                    if live and v != u}
+        for act, cell in zip(MOVES, self._moves[here]):
+            if cell is None or cell in occupied:
                 continue
             if self._dist(cell, goal) < d0:
                 return act
@@ -306,58 +349,58 @@ class SkirmishEnv:
     # -- stepping -------------------------------------------------------------
 
     def step(self, actions) -> StepResult:
+        """Advance one step on the allies' actions, integers in
+        ``range(N_ACTIONS)``; any other value raises ValueError."""
         if not self._live:
             raise RuntimeError("step() called on a terminated episode; call reset() first")
-        actions = [int(a) for a in actions]
-        if len(actions) != self.cfg.n_allies:
-            raise ValueError(f"expected {self.cfg.n_allies} actions, got {len(actions)}")
-        enemy_actions = self.scripted_enemy_actions()
-        all_actions = list(actions) + enemy_actions
+        actions = list(actions)
+        n_allies, n_units = self.cfg.n_allies, self.n_units
+        if len(actions) != n_allies:
+            raise ValueError(f"expected {n_allies} actions, got {len(actions)}")
+        for i, a in enumerate(actions):
+            if not (_is_int(a) or isinstance(a, np.integer)) or not 0 <= a < N_ACTIONS:
+                raise ValueError(f"agent {i}: action {a!r} is not an integer "
+                                 f"in range({N_ACTIONS})")
+        alive = self.alive.tolist()
+        all_actions = [int(a) for a in actions] + self._enemy_actions(self._distances(), alive)
         # dead units cannot act
-        for u in range(self.n_units):
-            if not self.alive[u]:
-                all_actions[u] = NOOP
+        all_actions = [a if live else NOOP for a, live in zip(all_actions, alive)]
 
         # movement, resolved sequentially by unit index
-        occupied = {self.pos[u]: u for u in range(self.n_units) if self.alive[u]}
-        for u in range(self.n_units):
-            act = all_actions[u]
-            if not self.alive[u] or act not in MOVE_DELTAS:
+        pos = self.pos
+        occupied = {pos[u]: u for u in range(n_units) if alive[u]}
+        for u, act in enumerate(all_actions):
+            if act not in MOVE_DELTAS:
                 continue
-            dx, dy = MOVE_DELTAS[act]
-            cell = (self.pos[u][0] + dx, self.pos[u][1] + dy)
-            if self._blocked(cell) or cell in occupied:
+            cell = self._moves[pos[u]][act - MOVE_N]
+            if cell is None or cell in occupied:
                 continue
-            del occupied[self.pos[u]]
-            self.pos[u] = cell
+            del occupied[pos[u]]
+            pos[u] = cell
             occupied[cell] = u
 
         # attacks: all computed on post-move positions, applied simultaneously
-        damage = np.zeros(self.n_units)
-        for u in range(self.n_units):
-            if not self.alive[u] or all_actions[u] != ATTACK:
-                continue
-            target = self._nearest_visible_foe(u, self.cfg.attack_range)
-            if target is not None:
-                damage[target] += self._damage_of(u)
+        dist = self._distances()
+        damage = [0.0] * n_units
+        for u, act in enumerate(all_actions):
+            if act == ATTACK:
+                target, d = self._nearest_foe(u, dist, alive)
+                if d <= self.cfg.attack_range:
+                    damage[target] += self._damage[u]
 
         dealt = np.minimum(damage, self.health)  # actual health reduction
         self.health = self.health - dealt
-        died = self.alive & (self.health <= 0)
         self.alive = self.alive & (self.health > 0)
-
-        ally_slice = slice(0, self.cfg.n_allies)
-        enemy_slice = slice(self.cfg.n_allies, self.n_units)
-        enemy_deaths = int(died[enemy_slice].sum())
-        ally_deaths = int(died[ally_slice].sum())
-        dmg_to_enemies = float(dealt[enemy_slice].sum())
-        dmg_to_allies = float(dealt[ally_slice].sum())
+        # numpy's sums: their summation order sets the totals' rounding
+        dmg_to_allies = float(dealt[:n_allies].sum())
+        dmg_to_enemies = float(dealt[n_allies:].sum())
+        survived = self.alive.tolist()
+        died = [was and not now for was, now in zip(alive, survived)]
+        ally_deaths, enemy_deaths = sum(died[:n_allies]), sum(died[n_allies:])
 
         self.t += 1
-        enemies_alive = bool(self.alive[enemy_slice].any())
-        allies_alive = bool(self.alive[ally_slice].any())
-        won = not enemies_alive
-        done = won or not allies_alive or self.t >= self.cfg.episode_limit
+        won = not any(survived[n_allies:])
+        done = won or not any(survived[:n_allies]) or self.t >= self.cfg.episode_limit
 
         reward_sparse = (
             REWARD_WIN * float(won)
@@ -367,8 +410,7 @@ class SkirmishEnv:
         reward_dense = reward_sparse + self.cfg.health_scale * (dmg_to_enemies - dmg_to_allies)
         reward = reward_sparse if self.cfg.reward_mode == "sparse" else reward_dense
 
-        for i in range(self.cfg.n_allies):
-            self.last_action[i] = all_actions[i]
+        self.last_action[:] = all_actions[:n_allies]
         if done:
             self._live = False
             self._won = won
@@ -381,83 +423,59 @@ class SkirmishEnv:
             "reward_sparse": reward_sparse,
             "reward_dense": reward_dense,
         }
-        return StepResult(self._observe_all(), self._global_state(), reward, done, won, info)
+        return StepResult(*self._observe(dist), reward, done, won, info)
 
     # -- action masks -------------------------------------------------------
 
     def avail_actions(self):
         """(n_allies, 6) bool; dead agents may only no-op, attack needs a
         visible target in range, moves need an unblocked cell."""
-        masks = np.zeros((self.cfg.n_allies, N_ACTIONS), dtype=bool)
-        masks[:, NOOP] = True
-        for i in range(self.cfg.n_allies):
-            if not self.alive[i]:
-                continue
-            for act, (dx, dy) in MOVE_DELTAS.items():
-                cell = (self.pos[i][0] + dx, self.pos[i][1] + dy)
-                masks[i, act] = not self._blocked(cell)
-            if self._nearest_visible_foe(i, self.cfg.attack_range) is not None:
-                masks[i, ATTACK] = True
-        return masks
+        dist, alive = self._distances(), self.alive.tolist()
+        masks = [
+            (*self._cell_mask[self.pos[i]],
+             self._nearest_foe(i, dist, alive)[1] <= self.cfg.attack_range)
+            if alive[i] else _NOOP_ONLY
+            for i in range(self.cfg.n_allies)
+        ]
+        return np.array(masks, dtype=bool)
 
     # -- observations ---------------------------------------------------------
 
-    def _observe_all(self):
-        return np.stack([self._observe(i) for i in range(self.cfg.n_allies)])
+    def _observe(self, dist):
+        """(obs (n_allies, obs_dim), state (state_dim,)) of the current
+        game; ``dist`` is the :meth:`_distances` table of the current ``pos``.
 
-    def _observe(self, i):
-        """Fixed-length local view for agent i; all entries in [-1, 1].
-
-        Own health, own position, four adjacent-cell blocked flags
-        (SMAC-style pathing cues), own last-action one-hot, then one slot
-        per other unit with relative position / health / side when visible.
+        Observations, all entries in [-1, 1]: each live agent sees its own
+        health, own position, four adjacent-cell blocked flags (SMAC-style
+        pathing cues), its own last-action one-hot, then one slot per other
+        unit with relative position / health / side when visible. A dead
+        agent sees zeros. The state holds each unit's position, health and
+        alive flag (zeros when dead), then the elapsed fraction of the
+        episode.
         """
-        obs = np.zeros(self.obs_dim)
-        if not self.alive[i]:
-            return obs
-        x, y = self.pos[i]
-        w, h = self.cfg.width, self.cfg.height
-        obs[0] = self.health[i] / self._max_health(i)
-        obs[1] = 2.0 * x / (w - 1) - 1.0 if w > 1 else 0.0
-        obs[2] = 2.0 * y / (h - 1) - 1.0 if h > 1 else 0.0
-        for k, act in enumerate((MOVE_N, MOVE_S, MOVE_E, MOVE_W)):
-            dx, dy = MOVE_DELTAS[act]
-            obs[3 + k] = 1.0 if self._blocked((x + dx, y + dy)) else 0.0
-        if self.last_action[i] >= 0:
-            obs[7 + self.last_action[i]] = 1.0
-        base = 7 + N_ACTIONS
-        slot = 0
-        sight = self.cfg.sight_range
-        for u in range(self.n_units):
-            if u == i:
+        pos, sight = self.pos, self.cfg.sight_range
+        alive = self.alive.tolist()
+        hp = [h / m for h, m in zip(self.health.tolist(), self._max_hp)]
+        rows = []
+        for i, last in enumerate(self.last_action.tolist()):
+            if not alive[i]:
+                rows.append([0.0] * self.obs_dim)
                 continue
-            off = base + slot * self._ent_feats
-            slot += 1
-            if not self.alive[u]:
-                continue
-            d = self._dist(self.pos[i], self.pos[u])
-            if d > sight:
-                continue
-            ux, uy = self.pos[u]
-            obs[off + 0] = (ux - x) / sight
-            obs[off + 1] = (uy - y) / sight
-            obs[off + 2] = self.health[u] / self._max_health(u)
-            obs[off + 3] = 1.0 if self._is_ally(u) else -1.0
-        return obs
-
-    def _global_state(self):
-        state = np.zeros(self.state_dim)
-        w, h = self.cfg.width, self.cfg.height
-        for u in range(self.n_units):
-            off = 4 * u
-            if self.alive[u]:
-                x, y = self.pos[u]
-                state[off + 0] = 2.0 * x / (w - 1) - 1.0 if w > 1 else 0.0
-                state[off + 1] = 2.0 * y / (h - 1) - 1.0 if h > 1 else 0.0
-                state[off + 2] = self.health[u] / self._max_health(u)
-                state[off + 3] = 1.0
-        state[-1] = self.t / self.cfg.episode_limit
-        return state
+            x, y = pos[i]
+            row = [hp[i], *self._cell_obs[x, y], *_ONE_HOT[last]]
+            for u, ((ux, uy), d) in enumerate(zip(pos, dist[i])):
+                if u == i:
+                    continue
+                if alive[u] and d <= sight:
+                    row += ((ux - x) / sight, (uy - y) / sight, hp[u], self._side[u])
+                else:
+                    row += _NO_ENTITY
+            rows.append(row)
+        state = []
+        for cell, live, h in zip(pos, alive, hp):
+            state += (*self._cell_obs[cell][:2], h, 1.0) if live else _NO_ENTITY
+        state.append(self.t / self.cfg.episode_limit)
+        return np.array(rows, dtype=np.float64), np.array(state, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

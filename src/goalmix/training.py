@@ -229,9 +229,9 @@ class Trainer:
             eps = 0.0 if greedy else self.schedule.value(self.env_steps)
             q, hidden = self.qnet.step(self.params.agent, obs[:, None], hidden)
             if greedy:
-                actions = [masked_argmax(q[i, 0], avail[i]) for i in range(n)]
+                actions = masked_argmax(q[:, 0], avail)
             else:
-                actions = [act_epsilon_greedy(q[i, 0], eps, rng, avail[i]) for i in range(n)]
+                actions = act_epsilon_greedy(q[:, 0], eps, rng, avail)
             result = env.step(actions)
             act_hist[:, t] = actions
             rew_hist[t] = result.reward

@@ -166,6 +166,69 @@ def test_empty_mask_rejected():
         act_epsilon_greedy(np.zeros(3), 0.5, np.random.default_rng(0), np.zeros(3, bool))
 
 
+def row_wise_greedy(q_row, mask_row):
+    """The selection rule written out: the lowest index among the valid
+    actions of largest Q."""
+    best = max(q_row[a] for a in range(len(q_row)) if mask_row[a])
+    return next(a for a in range(len(q_row)) if mask_row[a] and q_row[a] == best)
+
+
+def random_rows(rng, n, u):
+    """(n, u) Q-values with many ties, and masks with a valid action per row."""
+    q = rng.integers(-2, 3, size=(n, u)).astype(np.float64)
+    mask = rng.random((n, u)) < 0.5
+    mask[np.arange(n), rng.integers(u, size=n)] = True
+    return q, mask
+
+
+def test_batched_greedy_equals_row_wise_rule():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        q, mask = random_rows(rng, int(rng.integers(1, 5)), int(rng.integers(1, 7)))
+        expected = [row_wise_greedy(qr, mr) for qr, mr in zip(q, mask)]
+        got = masked_argmax(q, mask)
+        assert got == expected and all(type(a) is int for a in got)
+        assert [masked_argmax(qr, mr) for qr, mr in zip(q, mask)] == expected
+        assert act_epsilon_greedy(q, 0.0, np.random.default_rng(0), mask) == expected
+
+
+def test_batched_greedy_ties_break_to_lowest_index():
+    q = np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [5.0, 5.0, 5.0]])
+    assert masked_argmax(q, np.ones((3, 3), bool)) == [0, 1, 0]
+    mask = np.array([[False, True, True], [True, False, True], [False, False, True]])
+    assert masked_argmax(q, mask) == [1, 2, 2]
+
+
+def test_batched_epsilon_greedy_draws_replay_row_by_row():
+    rng = np.random.default_rng(6)
+    for seed in range(200):
+        q, mask = random_rows(rng, int(rng.integers(1, 5)), int(rng.integers(1, 7)))
+        gen, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = act_epsilon_greedy(q, 0.5, gen, mask)
+        expected = []
+        for qr, mr in zip(q, mask):
+            if replay.random() < 0.5:
+                valid = np.flatnonzero(mr)
+                expected.append(int(valid[replay.integers(len(valid))]))
+            else:
+                expected.append(row_wise_greedy(qr, mr))
+        assert got == expected and all(type(a) is int for a in got)
+        assert gen.bit_generator.state == replay.bit_generator.state
+
+
+def test_batched_row_without_valid_action_rejected():
+    q = np.zeros((3, 4))
+    mask = np.ones((3, 4), bool)
+    mask[1] = False
+    with pytest.raises(ValueError, match="no valid action"):
+        masked_argmax(q, mask)
+    gen = np.random.default_rng(0)
+    state = gen.bit_generator.state
+    with pytest.raises(ValueError, match="no valid action"):
+        act_epsilon_greedy(q, 0.5, gen, mask)
+    assert gen.bit_generator.state == state  # rejected before any draw
+
+
 def test_epsilon_one_is_uniform_over_valid_actions():
     rng = np.random.default_rng(42)
     q = np.array([9.0, 1.0, 2.0, 3.0])

@@ -1,6 +1,7 @@
 """Skirmish gridworld: placement, stepping, rewards, masks, invariants."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from goalmix.env import (
     MOVE_DELTAS,
     MOVE_E,
     MOVE_N,
+    MOVE_W,
     NOOP,
     EnvConfig,
     SkirmishEnv,
@@ -144,6 +146,20 @@ def test_step_on_terminal_state_raises():
     assert r.done
     with pytest.raises(RuntimeError):
         env.step([NOOP, NOOP])
+
+
+@pytest.mark.parametrize("agent, bad", [(0, 7), (0, -3), (0, 100), (1, 6), (0, 1.0),
+                                        (1, True), (0, "1")])
+def test_step_rejects_actions_outside_the_action_range(agent, bad):
+    env = SkirmishEnv(fixed_duel_config())
+    canonical_duel(env)
+    actions = [NOOP, NOOP]
+    actions[agent] = bad
+    with pytest.raises(ValueError, match=re.escape(f"agent {agent}: action {bad!r}")):
+        env.step(actions)
+    assert env.t == 0 and list(env.last_action) == [-1, -1]
+    env.step(np.array([MOVE_E, NOOP]))  # numpy integers are integers
+    assert env.t == 1 and list(env.last_action) == [MOVE_E, NOOP]
 
 
 def test_episode_ends_by_limit_and_win_iff_enemies_dead():
@@ -290,6 +306,42 @@ def test_movement_conflict_resolved_by_unit_index():
     env.step([MOVE_E, 4])              # both allies try to enter (1, 1)
     assert env.pos[0] == (1, 1)        # lower index wins
     assert env.pos[1] == (2, 1)        # blocked, stays
+
+
+def test_assigned_positions_are_read_fresh_by_every_call():
+    """Masks, the enemy script and the next observation follow an
+    assignment to ``pos`` made mid-episode (5x5 grid, sight 3, range 1)."""
+    env = SkirmishEnv(fixed_duel_config(enemy_damage=0.0))
+    canonical_duel(env)
+    env.step([NOOP, NOOP])
+    env.avail_actions()
+    env.pos = [(0, 0), (4, 4), (3, 0), (0, 4)]
+    # corner allies: no foe within range 1, moves only into the grid
+    np.testing.assert_array_equal(env.avail_actions(), [
+        [True, False, True, True, False, False],
+        [True, True, False, False, True, False],
+    ])
+    # enemy 0 sees ally 0 at distance 3 and steps west; enemy 1 sees no ally
+    assert env.scripted_enemy_actions() == [MOVE_W, NOOP]
+    r = env.step([MOVE_E, NOOP])
+    assert env.pos == [(1, 0), (4, 4), (2, 0), (0, 4)]
+    np.testing.assert_array_equal(r.obs[0], [
+        1.0, -0.5, -1.0, 1.0, 0.0, 0.0, 0.0,   # health, x, y, blocked N/S/E/W
+        0.0, 0.0, 0.0, 1.0, 0.0, 0.0,          # last action: move E
+        0.0, 0.0, 0.0, 0.0,                    # ally 1 out of sight (7)
+        1 / 3, 0.0, 1.0, -1.0,                 # enemy 0 adjacent
+        0.0, 0.0, 0.0, 0.0,                    # enemy 1 out of sight (5)
+    ])
+    np.testing.assert_array_equal(r.obs[1], [
+        1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0,
+        1.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+        *[0.0] * 12,                           # nobody within 3
+    ])
+    np.testing.assert_array_equal(r.state, [
+        -0.5, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
+        0.0, -1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0, 2 / 20,
+    ])
+    np.testing.assert_array_equal(env.avail_actions()[0], [True, False, True, True, True, True])
 
 
 # -- hand policy: the default skirmish is solvable -------------------------------
