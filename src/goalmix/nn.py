@@ -13,6 +13,7 @@ together with the target copies.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,11 +22,12 @@ from .autodiff import Tensor, stack
 
 Params = dict  # name -> np.ndarray (or Tensor in graph mode)
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class ConfigurationError(ValueError):
-    """Raised for shape/arity mismatches when wiring blocks."""
+    """Raised for shape/arity mismatches when wiring blocks, and for
+    checkpoints that are malformed or of an unknown version."""
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -265,29 +267,86 @@ def clip_grads_global(grads, max_norm):
 
 
 def save_checkpoint(path, ps: ParamSet, meta=None):
-    """Write a versioned .npz checkpoint (documented in the README): one
-    ``param/<name>`` array per :meth:`ParamSet.named_all` entry."""
-    arrays = {f"param/{name}": arr for name, arr in ps.named_all()}
+    """Write a version-2 .npz checkpoint (documented in the README): a JSON
+    ``header`` whose ``layout`` lists ``[group, key, shape]`` in GROUPS
+    order, and one float64 ``params`` vector holding those arrays end to end.
+    The file is written beside ``path`` and moved over it, so a failed write
+    leaves any existing checkpoint as it was."""
+    layout, arrays = [], []
+    for group in GROUPS:
+        for key, arr in getattr(ps, group).items():
+            layout.append([group, key, list(arr.shape)])
+            arrays.append(np.ravel(arr))
     header = {
         "version": CHECKPOINT_VERSION,
         "n_agents": n_slots(ps.agent),
         "n_reprs": n_slots(ps.repr),
         "meta": meta or {},
+        "layout": layout,
     }
-    arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    params = np.concatenate([np.empty(0), *arrays])
+    tmp = f"{os.fspath(path)}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+                     params=params)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _malformed(path, problem):
+    return ConfigurationError(f"malformed checkpoint {os.fspath(path)}: {problem}")
+
+
+def _unpack(path, layout, params):
+    """The ParamSet of a version-2 layout: each array a reshaped slice of
+    ``params``, which is read once."""
+    try:
+        sizes = [int(np.prod(shape, dtype=np.int64)) for _, _, shape in layout]
+    except (TypeError, ValueError):
+        raise _malformed(path, "layout is not a list of [group, key, shape]") from None
+    if params.ndim != 1 or params.dtype != np.float64 or params.size != sum(sizes):
+        raise _malformed(path, f"params is {params.dtype} of shape {params.shape}, "
+                               f"the layout needs float64 of shape ({sum(sizes)},)")
+    groups = {g: {} for g in GROUPS}
+    offset = 0
+    for (group, key, shape), size in zip(layout, sizes):
+        if group not in groups:
+            raise _malformed(path, f"unknown group {group!r}")
+        if key in groups[group]:
+            raise _malformed(path, f"{group}.{key} occurs twice")
+        groups[group][key] = params[offset:offset + size].reshape(shape)
+        offset += size
+    return ParamSet(**groups)
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back into a ParamSet, stacking the per-slot arrays;
-    returns (ParamSet, meta)."""
+    """Read a checkpoint back into a ParamSet; returns (ParamSet, meta).
+    Version 1 files (one ``param/<name>`` array per slot) still load."""
     with np.load(path) as data:
-        header = json.loads(bytes(data["header"]).decode())
-        if header["version"] != CHECKPOINT_VERSION:
+        if "header" not in data.files:
+            raise _malformed(path, "no 'header' entry")
+        try:
+            header = json.loads(bytes(data["header"]).decode())
+        except ValueError:
+            raise _malformed(path, "the header is not JSON") from None
+        if not isinstance(header, dict) or "version" not in header:
+            raise _malformed(path, "the header has no 'version'")
+        if header["version"] == 1:
+            named = [(key[len("param/"):], data[key])
+                     for key in data.files if key.startswith("param/")]
+            unknown = [name for name, _ in named if name.split(".", 1)[0] not in GROUPS]
+            if unknown:
+                raise _malformed(path, f"unknown group in {unknown[0]!r}")
+            ps = ParamSet.from_named(named)
+        elif header["version"] == CHECKPOINT_VERSION:
+            if "params" not in data.files:
+                raise _malformed(path, "no 'params' entry")
+            ps = _unpack(path, header.get("layout"), data["params"])
+        else:
             raise ConfigurationError(
-                f"unsupported checkpoint version {header['version']}"
+                f"unsupported checkpoint version {header['version']} in {os.fspath(path)}"
             )
-        ps = ParamSet.from_named((key[len("param/"):], data[key])
-                                 for key in data.files if key.startswith("param/"))
     return ps, header["meta"]

@@ -1,5 +1,7 @@
 """Shared fixtures and factories for synthetic episodes and small nets."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from goalmix.agents import RecurrentQNet
 from goalmix.config import TrainConfig
 from goalmix.env import SkirmishEnv, preset
 from goalmix.mixer import MonotonicMixer
-from goalmix.nn import ParamSet, stack_slots, sync_targets
+from goalmix.nn import ParamSet, save_checkpoint, stack_slots, sync_targets
 from goalmix.replay import Episode
 from goalmix.rewards import ReprNet
 from goalmix.training import Trainer, stack_episodes
@@ -145,3 +147,63 @@ def assert_grads_close(analytic, fd, rtol=1e-4, scale_floor=1e-6, zero_tol=1e-8)
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def header_bytes(header):
+    """A checkpoint header member: the JSON text as uint8."""
+    return np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+
+
+def _malform(case, arrays, header):
+    """The members of a checkpoint broken in one way, from a good one's."""
+    if case == "no header":
+        del arrays["header"]
+    elif case == "header not JSON":
+        arrays["header"] = np.frombuffer(b"{not json", dtype=np.uint8)
+    elif case == "header without version":
+        del header["version"]
+        arrays["header"] = header_bytes(header)
+    elif case == "no params":
+        del arrays["params"]
+    elif case == "no layout":
+        del header["layout"]
+        arrays["header"] = header_bytes(header)
+    elif case == "params not 1-D":
+        arrays["params"] = arrays["params"].reshape(-1, 1)
+    elif case == "params not float64":
+        arrays["params"] = arrays["params"].astype(np.float32)
+    elif case == "params too short":
+        arrays["params"] = arrays["params"][:-1]
+    elif case == "unknown group":
+        header["layout"][0][0] = "critic"
+        arrays["header"] = header_bytes(header)
+    elif case == "repeated key":
+        header["layout"][1][1] = header["layout"][0][1]
+        arrays["header"] = header_bytes(header)
+    return arrays
+
+
+# each way write_malformed_checkpoint breaks a file, and a pattern of the error
+# load_checkpoint raises for it
+MALFORMED_CHECKPOINTS = {
+    "no header": "no 'header' entry",
+    "header not JSON": "not JSON",
+    "header without version": "no 'version'",
+    "no params": "no 'params' entry",
+    "no layout": "layout is not a list of \\[group, key, shape\\]",
+    "params not 1-D": "params is float64 of shape",
+    "params not float64": "params is float32",
+    "params too short": "the layout needs float64",
+    "unknown group": "unknown group 'critic'",
+    "repeated key": "agent.in.w occurs twice",
+}
+
+
+def write_malformed_checkpoint(path, case, ps):
+    """Save ``ps`` to ``path``, then rewrite the file broken as ``case`` says."""
+    save_checkpoint(path, ps)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    header = json.loads(bytes(arrays["header"]).decode())
+    with open(path, "wb") as fh:
+        np.savez(fh, **_malform(case, arrays, header))

@@ -11,7 +11,8 @@ import pytest
 
 from goalmix.cli import main, make_trainer, resolve_env_config, run_eval
 from goalmix.config import TrainConfig
-from goalmix.nn import save_checkpoint
+from goalmix.nn import load_checkpoint, n_slots, save_checkpoint
+from tests.conftest import MALFORMED_CHECKPOINTS, header_bytes, write_malformed_checkpoint
 
 FAST = ["--env", "skirmish-2v2", "--steps", "90"]
 
@@ -132,6 +133,36 @@ def test_nonfinite_flag_exit_1(tmp_path, flags, capsys):
 
 def test_missing_checkpoint_is_runtime_failure_exit_2(tmp_path):
     assert run_cli(["eval", "--checkpoint", tmp_path / "absent.npz"]) == 2
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_CHECKPOINTS))
+def test_malformed_checkpoint_is_runtime_failure_exit_2(tmp_path, case, capsys):
+    path = tmp_path / "bad.npz"
+    write_malformed_checkpoint(path, case, make_trainer(TrainConfig()).params)
+    assert run_cli(["eval", "--checkpoint", path]) == 2
+    err = capsys.readouterr().err
+    assert f"runtime failure: ConfigurationError: malformed checkpoint {path}" in err
+
+
+def test_eval_same_on_version_1_and_2_checkpoints(tmp_path, fast_cfg_file, capsys):
+    out = tmp_path / "run"
+    assert run_cli(["train", "--config", fast_cfg_file, "--out", out, "--seed", 3]) == 0
+    v2 = out / "checkpoint.npz"
+    ps, meta = load_checkpoint(v2)
+    # the same parameters by hand in the version-1 layout, one array per slot
+    arrays = {f"param/{name}": arr for name, arr in ps.named_all()}
+    arrays["header"] = header_bytes({"version": 1, "n_agents": n_slots(ps.agent),
+                                     "n_reprs": n_slots(ps.repr), "meta": meta})
+    v1 = tmp_path / "v1.npz"
+    with open(v1, "wb") as fh:
+        np.savez(fh, **arrays)
+    capsys.readouterr()
+    printed = []
+    for path in (v2, v1):
+        assert run_cli(["eval", "--checkpoint", path, "--episodes", 8, "--seed", 4]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert printed[0].startswith("win rate over 8 episodes: ")
 
 
 def test_eval_checkpoint_roundtrip(tmp_path, fast_cfg_file, capsys):

@@ -10,6 +10,7 @@ import pytest
 from goalmix.agents import RecurrentQNet
 from goalmix.autodiff import Tensor, relu
 from goalmix.nn import (
+    GROUPS,
     ConfigurationError,
     NonFiniteGradientError,
     ParamSet,
@@ -20,13 +21,16 @@ from goalmix.nn import (
     gradient,
     linear_params,
     load_checkpoint,
+    n_slots,
     save_checkpoint,
     stack_slots,
     sync_targets,
     uniform_init,
 )
 from goalmix.oracles import finite_diff_grad
-from tests.conftest import assert_grads_close, make_nets, make_paramset, zero_params
+from tests.conftest import (MALFORMED_CHECKPOINTS, assert_grads_close, header_bytes, make_nets,
+                            make_paramset, make_stub_trainer, write_malformed_checkpoint,
+                            zero_params)
 
 # frozen on the first correct run (seed 42, input [0.5, -1, 2])
 TWO_LAYER_GOLDEN = [0.2520150121511014, 0.10127670374834144]
@@ -277,8 +281,7 @@ def test_checkpoint_roundtrip_bitwise(tmp_path, rng):
         np.testing.assert_array_equal(orig[k], new[k])
 
 
-# the on-disk arrays of one agent slot of make_nets(): one array per slot,
-# in this order, so checkpoints keep the per-agent file layout
+# the arrays of one agent slot of make_nets(), in this order
 AGENT_SHAPES = [
     ("in.w", (5, 8)), ("in.b", (8,)),
     ("gru.xz.w", (8, 8)), ("gru.xz.b", (8,)), ("gru.hz.w", (8, 8)),
@@ -294,15 +297,16 @@ MIXER_SHAPES = [
 REPR_SHAPES = [("h.w", (5, 6)), ("h.b", (6,)), ("out.w", (6, 4)), ("out.b", (4,))]
 
 
+# the header layout of a version-2 checkpoint: [group, key, shape] in GROUPS
+# order, slot-stacked groups with their leading slot axis of 2
 FILE_LAYOUT = [
-    (f"param/{prefix}{k}", shape)
-    for prefix, shapes in (("agent.0.", AGENT_SHAPES), ("agent.1.", AGENT_SHAPES),
-                           ("mixer.", MIXER_SHAPES),
-                           ("repr.0.", REPR_SHAPES), ("repr.1.", REPR_SHAPES),
-                           ("target_agent.0.", AGENT_SHAPES), ("target_agent.1.", AGENT_SHAPES),
-                           ("target_mixer.", MIXER_SHAPES))
+    [group, k, [*slots, *shape]]
+    for group, slots, shapes in (("agent", [2], AGENT_SHAPES), ("mixer", [], MIXER_SHAPES),
+                                 ("repr", [2], REPR_SHAPES),
+                                 ("target_agent", [2], AGENT_SHAPES),
+                                 ("target_mixer", [], MIXER_SHAPES))
     for k, shape in shapes
-] + [("header", None)]
+]
 
 
 def test_checkpoint_file_layout_pinned(tmp_path, rng):
@@ -311,10 +315,82 @@ def test_checkpoint_file_layout_pinned(tmp_path, rng):
     path = tmp_path / "ck.npz"
     save_checkpoint(path, ps)
     with np.load(path) as data:
-        found = [(k, None if k == "header" else data[k].shape) for k in data.files]
+        members = data.files
         header = json.loads(bytes(data["header"]).decode())
-    assert found == FILE_LAYOUT
+        params = data["params"]
+    assert members == ["header", "params"]
+    assert header["version"] == 2
+    assert header["layout"] == FILE_LAYOUT
     assert (header["n_agents"], header["n_reprs"]) == (2, 2)
+    assert params.dtype == np.float64
+    assert params.shape == (sum(math.prod(shape) for *_, shape in FILE_LAYOUT),)
+
+
+def test_checkpoint_array_rebuilt_with_numpy_load(tmp_path, rng):
+    # the README's recipe: one array from the header's layout and the params vector
+    qnet, mixer, repr_net = make_nets()
+    ps = make_paramset(rng, qnet, mixer, repr_net)
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, ps)
+    with np.load(path) as data:
+        layout = json.loads(bytes(data["header"]).decode())["layout"]
+        sizes = [math.prod(shape) for _, _, shape in layout]
+        i = next(i for i, (g, k, _) in enumerate(layout) if (g, k) == ("mixer", "hw1.w"))
+        arr = data["params"][sum(sizes[:i]):sum(sizes[:i + 1])].reshape(layout[i][2])
+    np.testing.assert_array_equal(arr, ps.mixer["hw1.w"])
+
+
+@pytest.mark.parametrize("share_params, disable_repr, slots",
+                         [(True, False, (1, 1)), (False, True, (2, 0))])
+def test_checkpoint_roundtrip_bitwise_shared_and_without_repr(tmp_path, share_params,
+                                                              disable_repr, slots):
+    tr = make_stub_trainer(share_params=share_params, disable_repr=disable_repr)
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, tr.params)
+    loaded, _ = load_checkpoint(path)
+    for group in GROUPS:
+        src, new = getattr(tr.params, group), getattr(loaded, group)
+        assert list(src) == list(new)
+        for k in src:
+            assert new[k].dtype == src[k].dtype
+            np.testing.assert_array_equal(new[k], src[k])
+    assert (n_slots(loaded.agent), n_slots(loaded.repr)) == slots
+
+
+def test_checkpoint_write_is_atomic(tmp_path, rng, monkeypatch):
+    qnet, mixer, repr_net = make_nets()
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, make_paramset(rng, qnet, mixer, repr_net))
+    before = path.read_bytes()
+
+    def savez_then_fail(fh, **arrays):
+        fh.write(b"PK partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", savez_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, make_paramset(rng, qnet, mixer, repr_net))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.npz"]
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_CHECKPOINTS))
+def test_malformed_checkpoint_is_configuration_error(tmp_path, rng, case):
+    qnet, mixer, repr_net = make_nets()
+    path = tmp_path / "bad.npz"
+    write_malformed_checkpoint(path, case, make_paramset(rng, qnet, mixer, repr_net))
+    with pytest.raises(ConfigurationError, match=MALFORMED_CHECKPOINTS[case]) as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+def test_version_1_checkpoint_with_unknown_group_is_configuration_error(tmp_path):
+    header = {"version": 1, "n_agents": 1, "n_reprs": 0, "meta": {}}
+    path = tmp_path / "old.npz"
+    with open(path, "wb") as fh:
+        np.savez(fh, **{"param/critic.w": np.ones(2), "header": header_bytes(header)})
+    with pytest.raises(ConfigurationError, match="unknown group in 'critic.w'"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_in_per_agent_layout_loads_bitwise(tmp_path, rng):

@@ -301,6 +301,21 @@ def test_trainer_deterministic_across_runs():
         assert ra == rb
 
 
+def test_trainer_on_round_tripped_params_trains_bitwise(tmp_path):
+    """The arrays a checkpoint loads are slices of one buffer; in-place
+    RMSProp steps and a target sync on them must not reach each other."""
+    src = make_trainer(seed=21, batch_size=4, target_interval=3)
+    copy = make_trainer(seed=21, batch_size=4, target_interval=3)
+    save_checkpoint(tmp_path / "ck.npz", src.params)
+    copy.params = load_checkpoint(tmp_path / "ck.npz")[0]
+    assert len({id(arr.base) for _, arr in copy.params.named_all()}) == 1
+    for _ in range(5):
+        assert src.train_block() == copy.train_block()
+        for (name, a), (_, b) in zip(src.params.named_all(), copy.params.named_all()):
+            np.testing.assert_array_equal(a, b, err_msg=name)
+    assert src.episodes_collected > 3  # the blocks passed a target sync
+
+
 def test_trainer_seeds_buffer_when_empty():
     tr = make_trainer(seed=1)
     assert len(tr.buffer) == 0
