@@ -8,7 +8,7 @@ import numpy as np
 
 from goalmix.agents import RecurrentQNet
 from goalmix.mixer import MonotonicMixer
-from goalmix.nn import RMSProp, as_tensors, gradient
+from goalmix.nn import RMSProp, as_tensors, flatten, gradient
 from goalmix.oracles import finite_diff_grad
 from goalmix.training import loss_value
 
@@ -39,11 +39,14 @@ def main():
         rel = np.abs(a - f) / np.maximum(np.abs(f), 1e-8)
         print(f"grad check {name:10s}: max rel err vs central differences = {rel.max():.2e}")
 
-    # one optimiser step
-    opt = RMSProp(lr=5e-4)
-    before = loss_value(loss_of(params))
-    opt.step(list(params.items()), grads)
-    after = loss_value(loss_of(params))
+    # one optimiser step: RMSProp updates one flat vector in place, here
+    # every array of the net end to end, named as one
+    flat, grad = flatten([params]), flatten([grads])
+    RMSProp(lr=5e-4).step(flat, grad, [("qnet", 0, flat.size)])
+    stops = np.cumsum([v.size for v in params.values()])
+    stepped = {k: flat[stop - v.size:stop].reshape(v.shape)
+               for (k, v), stop in zip(params.items(), stops)}
+    before, after = loss_value(loss_of(params)), loss_value(loss_of(stepped))
     print(f"RMSProp step: loss {before:.5f} -> {after:.5f}")
 
     # the mixer is monotone in every local Q by construction

@@ -23,8 +23,6 @@ __all__ = [
     "Tensor",
     "stack",
     "take_along_last",
-    "sigmoid",
-    "tanh",
     "relu",
     "elu",
     "absval",
@@ -290,10 +288,6 @@ def _wrap_unary(fn_val, fn_grad):
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
-
-sigmoid = _wrap_unary(_sigmoid, lambda x, y: y * (1.0 - y))
-
-tanh = _wrap_unary(np.tanh, lambda x, y: 1.0 - y * y)
 
 relu = _wrap_unary(
     lambda x: np.maximum(x, 0.0),

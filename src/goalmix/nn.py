@@ -7,7 +7,10 @@ numpy broadcasting shares across agents. Forward passes are written once
 and run either on raw arrays (fast, gradient-free) or on
 :class:`~goalmix.autodiff.Tensor` wrapped parameters (graph mode).
 :class:`ParamSet` bundles every learnable array of a training run
-together with the target copies.
+together with the target copies; once packed (:meth:`ParamSet.packed`)
+its arrays are views of one float64 vector per role, so the optimiser
+step, the gradient clip, the finite checks and the target sync are
+whole-vector operations.
 """
 
 from __future__ import annotations
@@ -119,6 +122,61 @@ def _copy_params(p):
     return {k: v.copy() for k, v in p.items()}
 
 
+def flatten(groups):
+    """The arrays of ``groups`` (parameter dicts) end to end in one 1-D
+    float64 vector, group by group in dict order: the checkpoint layout."""
+    return np.concatenate([np.empty(0), *(a.ravel() for g in groups for a in g.values())])
+
+
+def _views(vector, groups):
+    """Dicts with the keys and shapes of ``groups``, each array a reshaped
+    view of ``vector``, which holds them end to end."""
+    out, offset = [], 0
+    for group in groups:
+        views = {}
+        for key, arr in group.items():
+            views[key] = vector[offset:offset + arr.size].reshape(arr.shape)
+            offset += arr.size
+        out.append(views)
+    return out
+
+
+class FlatParams:
+    """The storage of a packed :class:`ParamSet`: ``online``, the groups
+    agent, mixer and repr end to end in checkpoint-layout order, and
+    ``target``, the groups target_agent and target_mixer. ``views`` lists
+    ``(name, start, stop)`` of every :meth:`ParamSet.named_online` view in
+    ``online``, in that order; the optimiser and the clip take it."""
+
+    def __init__(self, ps):
+        online = [getattr(ps, g) for g in ONLINE]
+        self.online = flatten(online)
+        self.target = flatten([ps.target_agent, ps.target_mixer])
+        ps.agent, ps.mixer, ps.repr = _views(self.online, online)
+        ps.target_agent, ps.target_mixer = _views(self.target, [ps.target_agent,
+                                                                ps.target_mixer])
+        self.n_synced = sum(a.size for g in online[:2] for a in g.values())
+        self.arrays = _group_arrays(ps)
+        # the span of each named view, read off the same views of 0, 1, 2, ...
+        index = ParamSet(*_views(np.arange(self.online.size), online))
+        self.views = tuple((name, int(v.flat[0]), int(v.flat[0]) + v.size)
+                           for name, v in index.named_online())
+
+    def holds(self, ps):
+        """Whether every group array of ``ps`` is still this storage's view
+        (the identity test of ``Trainer._target_token``)."""
+        arrays = _group_arrays(ps)
+        return len(arrays) == len(self.arrays) and all(
+            a is b for a, b in zip(arrays, self.arrays))
+
+    def all_finite(self):
+        return bool(np.isfinite(self.online).all() and np.isfinite(self.target).all())
+
+
+def _group_arrays(ps):
+    return tuple(a for g in GROUPS for a in getattr(ps, g).values())
+
+
 def stack_slots(nets):
     """One slot-stacked parameter dict from per-slot dicts with the same keys
     (Tensors stack into a graph node); no nets give an empty dict."""
@@ -139,7 +197,8 @@ class ParamSet:
     ``agent``, ``repr`` and ``target_agent`` are slot-stacked: each array
     has shape (S, ...), with S the number of agents, or 1 when all agents
     share one net. ``named_online``/``named_all`` yield one view per slot,
-    named ``agent.<i>.<name>``; optimiser state and checkpoints use these.
+    named ``agent.<i>.<name>``; the optimiser's error messages and version 1
+    checkpoints use these.
     """
 
     agent: Params = field(default_factory=dict)
@@ -147,6 +206,7 @@ class ParamSet:
     repr: Params = field(default_factory=dict)
     target_agent: Params = field(default_factory=dict)
     target_mixer: Params = field(default_factory=dict)
+    _flat: FlatParams | None = field(default=None, init=False, repr=False, compare=False)
 
     def _named(self, groups):
         for group in groups:
@@ -188,14 +248,31 @@ class ParamSet:
     def copy(self):
         return self.map(_copy_params)
 
-    def all_finite(self):
-        return all(np.all(np.isfinite(v)) for _, v in self.named_all())
+    def packed(self):
+        """The :class:`FlatParams` whose vectors hold every array of this set.
+        Packs afresh, copying the arrays into new vectors and replacing each
+        group with views of them, when a group array is not a view of the
+        last packing (never packed, or a group or array was reassigned)."""
+        if self._flat is None or not self._flat.holds(self):
+            self._flat = FlatParams(self)
+        return self._flat
 
 
 def sync_targets(ps: ParamSet) -> ParamSet:
-    """Copy online utility/mixer arrays onto the target copies (idempotent)."""
-    ps.target_agent = _copy_params(ps.agent)
-    ps.target_mixer = _copy_params(ps.mixer)
+    """Copy the online utility/mixer arrays onto the target copies
+    (idempotent). The target groups get new arrays; the old ones are left
+    as they were. Once ``ps`` is packed (``Trainer.train_block`` packs it)
+    this is one copy of the front of the online vector, and the new target
+    arrays are views of that copy. A set never packed is copied array by
+    array and stays unpacked, so a trainer that only evaluates never pays
+    for packing."""
+    if ps._flat is None:
+        ps.target_agent, ps.target_mixer = _copy_params(ps.agent), _copy_params(ps.mixer)
+        return ps
+    flat = ps.packed()
+    flat.target = flat.online[:flat.n_synced].copy()
+    ps.target_agent, ps.target_mixer = _views(flat.target, [ps.agent, ps.mixer])
+    flat.arrays = _group_arrays(ps)
     return ps
 
 
@@ -205,7 +282,7 @@ def sync_targets(ps: ParamSet) -> ParamSet:
 
 
 class RMSProp:
-    """RMSProp with a persistent per-array accumulator.
+    """RMSProp over one flat parameter vector, with a persistent accumulator.
 
     s <- decay*s + (1-decay)*g^2 ; p <- p - lr*g/(sqrt(s)+eps)
     """
@@ -214,50 +291,58 @@ class RMSProp:
         self.lr = lr
         self.decay = decay
         self.eps = eps
-        self.sq = {}
+        self.sq = None     # the accumulator, laid out as ``views`` says
+        self.views = None
 
-    def step(self, named_params, grads):
-        """Update arrays in place. ``named_params`` is an iterable of
-        (name, array); ``grads`` maps the same names to gradient arrays."""
-        pairs = list(named_params)
-        for name, p in pairs:
-            g = grads[name]
-            if g.shape != p.shape:
-                raise ConfigurationError(f"gradient shape mismatch for {name}")
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteGradientError(f"non-finite gradient entries in {name}")
-        for name, p in pairs:
-            g = grads[name]
-            s = self.sq.get(name)
-            if s is None:
-                s = np.zeros_like(p)
-            s = self.decay * s + (1.0 - self.decay) * g * g
-            self.sq[name] = s
-            p -= self.lr * g / (np.sqrt(s) + self.eps)
+    def step(self, params, grads, views):
+        """Update the 1-D vector ``params`` in place from ``grads`` (same
+        shape). ``views`` lists ``(name, start, stop)`` of the named arrays
+        ``params`` holds (:attr:`FlatParams.views`); the accumulator starts
+        at zero, and again whenever ``views`` changes. A NaN or Inf gradient
+        entry raises, naming the first array that holds one, and leaves
+        ``params`` untouched."""
+        if grads.shape != params.shape:
+            raise ConfigurationError(
+                f"gradient of shape {grads.shape} for parameters of shape {params.shape}")
+        if not np.isfinite(grads).all():
+            name = next(n for n, a, b in views if not np.isfinite(grads[a:b]).all())
+            raise NonFiniteGradientError(f"non-finite gradient entries in {name}")
+        s = self.sq
+        if s is None or (views is not self.views and views != self.views):
+            s = np.zeros_like(params)
+            self.views = views
+        s = self.decay * s + (1.0 - self.decay) * grads * grads
+        self.sq = s
+        params -= self.lr * grads / (np.sqrt(s) + self.eps)
 
 
-def clip_grads_global(grads, max_norm):
-    """Scale all gradients so the joint L2 norm is at most ``max_norm`` (> 0).
+def clip_grads_global(grads, max_norm, views):
+    """Scale the 1-D gradient ``grads`` so its L2 norm is at most
+    ``max_norm`` (> 0); returns the scaled vector, or ``grads`` itself.
 
-    Finite gradients whose sum of squares overflows are measured again in
-    units of their largest |g|, so they are scaled down to the bound rather
-    than to zero. Gradients with a NaN or Inf entry come back unscaled, and
+    The sum of squares adds one ``np.sum`` (as ``np.add.reduce``, without
+    its Python wrapper) per ``(name, start, stop)`` of ``views``, in order,
+    as the per-array norms did. Finite gradients whose
+    sum of squares overflows are measured again in units of their largest
+    |g|, so they are scaled down to the bound rather than to zero.
+    Gradients with a NaN or Inf entry come back unscaled, and
     :meth:`RMSProp.step` rejects them.
     """
     total = 0.0
     with np.errstate(over="ignore"):
-        for g in grads.values():
-            total += float(np.sum(g * g))
+        sq = grads * grads
+        for _, start, stop in views:
+            total += float(np.add.reduce(sq[start:stop]))
     unit = 1.0
     if not np.isfinite(total):
-        peak = max(float(np.max(np.abs(g), initial=0.0)) for g in grads.values())
+        peak = float(np.max(np.abs(grads), initial=0.0))
         if np.isfinite(peak):
             unit = peak
-            total = sum(float(np.sum(np.square(g / peak))) for g in grads.values())
+            sq = np.square(grads / peak)
+            total = sum(float(np.add.reduce(sq[start:stop])) for _, start, stop in views)
     norm = np.sqrt(total)  # in units of `unit`
     if np.isfinite(norm) and norm > max_norm / unit:
-        scale = max_norm / unit / norm
-        grads = {k: g * scale for k, g in grads.items()}
+        grads = grads * (max_norm / unit / norm)
     return grads
 
 
@@ -272,11 +357,9 @@ def save_checkpoint(path, ps: ParamSet, meta=None):
     order, and one float64 ``params`` vector holding those arrays end to end.
     The file is written beside ``path`` and moved over it, so a failed write
     leaves any existing checkpoint as it was."""
-    layout, arrays = [], []
-    for group in GROUPS:
-        for key, arr in getattr(ps, group).items():
-            layout.append([group, key, list(arr.shape)])
-            arrays.append(np.ravel(arr))
+    groups = [getattr(ps, g) for g in GROUPS]
+    layout = [[g, key, list(arr.shape)] for g, params in zip(GROUPS, groups)
+              for key, arr in params.items()]
     header = {
         "version": CHECKPOINT_VERSION,
         "n_agents": n_slots(ps.agent),
@@ -284,7 +367,7 @@ def save_checkpoint(path, ps: ParamSet, meta=None):
         "meta": meta or {},
         "layout": layout,
     }
-    params = np.concatenate([np.empty(0), *arrays])
+    params = flatten(groups)
     tmp = f"{os.fspath(path)}.tmp{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
@@ -322,6 +405,22 @@ def _unpack(path, layout, params):
     return ParamSet(**groups)
 
 
+def _check_slot_counts(path, header, ps):
+    """The header's ``n_agents`` and ``n_reprs`` against the layout: the
+    leading axis of every agent, target_agent and repr array, and the slot
+    count of the agent and repr groups (0 when empty)."""
+    for count, groups in (("n_agents", ("agent", "target_agent")), ("n_reprs", ("repr",))):
+        n = header.get(count)
+        for group in groups:
+            for key, arr in getattr(ps, group).items():
+                if arr.shape[:1] != (n,):
+                    raise _malformed(path, f"the header says {count} {n!r}, "
+                                           f"but {group}.{key} has shape {arr.shape}")
+        if n != n_slots(getattr(ps, groups[0])):
+            raise _malformed(path, f"the header says {count} {n!r}, "
+                                   f"but the {groups[0]} group is empty")
+
+
 def load_checkpoint(path):
     """Read a checkpoint back into a ParamSet; returns (ParamSet, meta).
     Version 1 files (one ``param/<name>`` array per slot) still load."""
@@ -345,6 +444,7 @@ def load_checkpoint(path):
             if "params" not in data.files:
                 raise _malformed(path, "no 'params' entry")
             ps = _unpack(path, header.get("layout"), data["params"])
+            _check_slot_counts(path, header, ps)
         else:
             raise ConfigurationError(
                 f"unsupported checkpoint version {header['version']} in {os.fspath(path)}"

@@ -10,6 +10,9 @@ rewards are picked (:meth:`Trainer.prepare_block`); its nodes build
 summed over the M episodes (:meth:`Trainer.block_losses`). Then take one
 RMSProp step on every online parameter, sync the target copies on the
 configured episode cadence, and collect one fresh epsilon-greedy episode.
+The parameters live in one float64 vector per role
+(:meth:`ParamSet.packed`), so the clip, the optimiser step, the finite
+checks and the sync each run over a whole vector.
 
 The TD targets bootstrap from the frozen target nets, which change only
 at a sync. An episode's bootstrap, max_u Q̄_i(o_{t+1}, u) and
@@ -43,6 +46,7 @@ from .nn import (
     RMSProp,
     as_tensors,
     clip_grads_global,
+    flatten,
     gradient,
     stack_slots,
     sync_targets,
@@ -428,6 +432,7 @@ class Trainer:
 
     def train_block(self) -> BlockReport:
         cfg = self.cfg
+        flat = self.params.packed()
         if len(self.buffer) == 0:
             self.collect_episode()
 
@@ -459,12 +464,13 @@ class Trainer:
         if not np.isfinite(loss.data):
             raise TrainingDiverged(f"non-finite loss at block {self.block}", report)
         try:
-            grads = dict(gradient(loss, tensors).named_online())
-            grads = clip_grads_global(grads, cfg.grad_clip_norm)
-            self.opt.step(self.params.named_online(), grads)
+            grads = gradient(loss, tensors)
+            grad = clip_grads_global(flatten([grads.agent, grads.mixer, grads.repr]),
+                                     cfg.grad_clip_norm, flat.views)
+            self.opt.step(flat.online, grad, flat.views)
         except NonFiniteGradientError as err:
             raise TrainingDiverged(str(err), report) from err
-        if not self.params.all_finite():
+        if not flat.all_finite():
             raise TrainingDiverged(f"non-finite parameters after block {self.block}", report)
 
         if self.episodes_collected >= self._next_sync:

@@ -180,6 +180,12 @@ def _malform(case, arrays, header):
     elif case == "repeated key":
         header["layout"][1][1] = header["layout"][0][1]
         arrays["header"] = header_bytes(header)
+    elif case == "n_agents 7, n_reprs 9":
+        header.update(n_agents=7, n_reprs=9)
+        arrays["header"] = header_bytes(header)
+    elif case == "n_reprs 9":
+        header["n_reprs"] = 9
+        arrays["header"] = header_bytes(header)
     return arrays
 
 
@@ -196,6 +202,8 @@ MALFORMED_CHECKPOINTS = {
     "params too short": "the layout needs float64",
     "unknown group": "unknown group 'critic'",
     "repeated key": "agent.in.w occurs twice",
+    "n_agents 7, n_reprs 9": "the header says n_agents 7, but agent.in.w has shape \\(2, ",
+    "n_reprs 9": "the header says n_reprs 9, but repr\\.[a-z.]+ has shape \\(2, ",
 }
 
 

@@ -5,7 +5,7 @@ weight at zero, one trainer block must reproduce this step bitwise on
 the same rng stream. It shares only the numeric kernels (net forwards,
 autodiff, optimiser) with the trainer; the loss assembly below is its
 own code and never touches subgoals, intrinsic rewards or
-representation nets.
+representation nets, and it packs its own parameter and gradient vectors.
 """
 
 import numpy as np
@@ -45,9 +45,15 @@ def reference_qmix_block(qnet, mixer, params, opt, buffer, cfg, rng):
     w_ep = valid / valid.sum(axis=1)[:, None]
     loss = (delta.square() * w_ep).sum()
 
-    grads = gradient(loss, ParamSet(agent=agent_t, mixer=mixer_t))
-    grads = clip_grads_global(dict(grads.named_online()), cfg.grad_clip_norm)
+    # its own flat vectors, one named view after another in named_online() order
+    grads = dict(gradient(loss, ParamSet(agent=agent_t, mixer=mixer_t)).named_online())
     named = [(name, arr) for name, arr in params.named_online()
              if not name.startswith("repr.")]
-    opt.step(named, grads)
+    stops = np.cumsum([arr.size for _, arr in named])
+    views = [(name, stop - arr.size, stop) for (name, arr), stop in zip(named, stops)]
+    flat = np.concatenate([arr.ravel() for _, arr in named])
+    grad = np.concatenate([grads[name].ravel() for name, _ in named])
+    opt.step(flat, clip_grads_global(grad, cfg.grad_clip_norm, views), views)
+    for (_, arr), (_, start, stop) in zip(named, views):
+        arr[...] = flat[start:stop].reshape(arr.shape)
     return float(loss.data)

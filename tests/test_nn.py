@@ -136,17 +136,22 @@ def _check_small_network_gradient(n_slots):
 # -- RMSProp -------------------------------------------------------------------
 
 
+def one_view(p):
+    """``views`` for a vector that holds one named array."""
+    return [("p", 0, p.size)]
+
+
 def test_rmsprop_zero_gradient_leaves_params():
     p = np.array([1.0, -2.0])
     opt = RMSProp()
-    opt.step([("p", p)], {"p": np.zeros(2)})
+    opt.step(p, np.zeros(2), one_view(p))
     np.testing.assert_array_equal(p, [1.0, -2.0])
 
 
 def test_rmsprop_symmetry():
     p = np.array([0.7, 0.7])
     opt = RMSProp(lr=0.01)
-    opt.step([("p", p)], {"p": np.array([0.3, 0.3])})
+    opt.step(p, np.array([0.3, 0.3]), one_view(p))
     assert p[0] == p[1]
 
 
@@ -157,70 +162,87 @@ def test_rmsprop_single_step_hand_evaluated():
     assert expected == pytest.approx(0.995000499950005, abs=1e-15)
     p = np.array([1.0])
     opt = RMSProp(lr=0.0005, decay=0.99, eps=1e-5)
-    opt.step([("p", p)], {"p": np.array([1.0])})
+    opt.step(p, np.array([1.0]), one_view(p))
     assert p[0] == pytest.approx(expected, abs=1e-15)
 
 
 def test_rmsprop_accumulator_persists():
     p1 = np.array([1.0])
     opt1 = RMSProp(lr=0.1)
-    opt1.step([("p", p1)], {"p": np.array([1.0])})
+    opt1.step(p1, np.array([1.0]), one_view(p1))
     after_one = p1.copy()
-    opt1.step([("p", p1)], {"p": np.array([1.0])})
+    opt1.step(p1, np.array([1.0]), one_view(p1))
     # a fresh optimiser applied to the one-step value gives a different result
     p2 = after_one.copy()
     opt2 = RMSProp(lr=0.1)
-    opt2.step([("p", p2)], {"p": np.array([1.0])})
+    opt2.step(p2, np.array([1.0]), one_view(p2))
     assert p1[0] != p2[0]
 
 
+def test_rmsprop_accumulator_restarts_for_another_layout():
+    p, g = np.array([1.0, 2.0]), np.array([1.0, 0.5])
+    opt = RMSProp(lr=0.1)
+    opt.step(p, g, [("p", 0, 1), ("q", 1, 2)])
+    after_one = p.copy()
+    other = [("q", 0, 1), ("p", 1, 2)]
+    opt.step(p, g, other)
+    RMSProp(lr=0.1).step(after_one, g, other)
+    np.testing.assert_array_equal(p, after_one)
+
+
 def test_rmsprop_rejects_non_finite_and_leaves_params_untouched():
-    p = np.array([1.0, 2.0])
-    q = np.array([3.0])
-    opt = RMSProp()
-    with pytest.raises(NonFiniteGradientError):
-        opt.step([("p", p), ("q", q)], {"p": np.array([0.1, 0.1]),
-                                        "q": np.array([np.nan])})
-    np.testing.assert_array_equal(p, [1.0, 2.0])
-    np.testing.assert_array_equal(q, [3.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        p = np.array([1.0, 2.0, 3.0])
+        opt = RMSProp()
+        with pytest.raises(NonFiniteGradientError, match="entries in q$"):
+            opt.step(p, np.array([0.1, 0.1, bad]), [("p", 0, 2), ("q", 2, 3)])
+        np.testing.assert_array_equal(p, [1.0, 2.0, 3.0])
+        assert opt.sq is None
+
+
+def test_rmsprop_rejects_a_gradient_of_another_shape():
+    p = np.zeros(3)
+    with pytest.raises(ConfigurationError, match="gradient of shape"):
+        RMSProp().step(p, np.zeros(2), one_view(p))
+
+
+AB_VIEWS = [("a", 0, 2), ("b", 2, 3)]
 
 
 def test_clip_grads_global_norm():
-    grads = {"a": np.array([3.0, 0.0]), "b": np.array([4.0])}
-    clipped = clip_grads_global(grads, 1.0)
-    total = np.sqrt(sum(float((g ** 2).sum()) for g in clipped.values()))
-    assert total == pytest.approx(1.0)
-    np.testing.assert_allclose(clipped["a"] / clipped["b"][0], [0.75, 0.0])
-    same = clip_grads_global(grads, 100.0)
-    np.testing.assert_array_equal(same["a"], grads["a"])
+    grads = np.array([3.0, 0.0, 4.0])  # a = [3, 0], b = [4]
+    clipped = clip_grads_global(grads, 1.0, AB_VIEWS)
+    assert np.sqrt(np.sum(clipped ** 2)) == pytest.approx(1.0)
+    np.testing.assert_allclose(clipped[:2] / clipped[2], [0.75, 0.0])
+    same = clip_grads_global(grads, 100.0, AB_VIEWS)
+    np.testing.assert_array_equal(same, grads)
 
 
 def test_clip_grads_global_keeps_the_bits_of_the_plain_norm(rng):
-    grads = {"a": rng.normal(size=(3, 4)) * 40.0, "b": rng.normal(size=5)}
-    scale = 10.0 / np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    clipped = clip_grads_global(grads, 10.0)
-    for k, g in grads.items():
-        np.testing.assert_array_equal(clipped[k], g * scale)
+    arrays = [rng.normal(size=(3, 4)) * 40.0, rng.normal(size=5)]
+    scale = 10.0 / np.sqrt(sum(float(np.sum(g * g)) for g in arrays))
+    grads = np.concatenate([g.ravel() for g in arrays])
+    clipped = clip_grads_global(grads, 10.0, [("a", 0, 12), ("b", 12, 17)])
+    np.testing.assert_array_equal(clipped, grads * scale)
 
 
 def test_clip_grads_global_scales_finite_gradients_whose_squares_overflow():
-    grads = {"a": np.array([1e200, 1.0]), "b": np.array([3.0])}
+    grads = np.array([1e200, 1.0, 3.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        clipped = clip_grads_global(grads, 10.0)
-    np.testing.assert_allclose(clipped["a"], [10.0, 1e-199], rtol=1e-15)
-    np.testing.assert_allclose(clipped["b"], [3e-199], rtol=1e-15)
+        clipped = clip_grads_global(grads, 10.0, AB_VIEWS)
+    np.testing.assert_allclose(clipped, [10.0, 1e-199, 3e-199], rtol=1e-15)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_clip_grads_global_leaves_nonfinite_gradients_to_rmsprop(bad):
-    grads = {"a": np.array([1e200, bad]), "b": np.array([3.0])}
-    clipped = clip_grads_global(grads, 10.0)
-    np.testing.assert_array_equal(clipped["b"], [3.0])
-    p = np.zeros(2)
-    with pytest.raises(NonFiniteGradientError):
-        RMSProp().step([("a", p)], clipped)
-    np.testing.assert_array_equal(p, [0.0, 0.0])
+    grads = np.array([1e200, bad, 3.0])
+    clipped = clip_grads_global(grads, 10.0, AB_VIEWS)
+    assert clipped[2] == 3.0
+    p = np.zeros(3)
+    with pytest.raises(NonFiniteGradientError, match="entries in a$"):
+        RMSProp().step(p, clipped, AB_VIEWS)
+    np.testing.assert_array_equal(p, [0.0, 0.0, 0.0])
 
 
 # -- target sync ----------------------------------------------------------------
@@ -243,12 +265,36 @@ def test_targets_follow_online_after_step_then_sync(rng):
     qnet, mixer, repr_net = make_nets()
     ps = make_paramset(rng, qnet, mixer, repr_net)
     opt = RMSProp(lr=0.01)
-    grads = {name: np.ones_like(arr) for name, arr in ps.named_online()}
-    opt.step(ps.named_online(), grads)
+    flat = ps.packed()
+    opt.step(flat.online, np.ones_like(flat.online), flat.views)
     # targets stale now, equal again after sync
     assert not np.array_equal(ps.agent["in.w"], ps.target_agent["in.w"])
     sync_targets(ps)
     np.testing.assert_array_equal(ps.agent["in.w"], ps.target_agent["in.w"])
+
+
+@pytest.mark.parametrize("n_agents", [1, 2])
+def test_packing_keeps_values_and_makes_every_array_a_view(rng, n_agents):
+    qnet, mixer, repr_net = make_nets()
+    ps = make_paramset(rng, qnet, mixer, repr_net, n_agents=n_agents)
+    before = [(name, arr.copy()) for name, arr in ps.named_all()]
+    flat = ps.packed()
+    assert ps.packed() is flat
+    named = list(ps.named_online())
+    assert [name for name, _, _ in flat.views] == [name for name, _ in named]
+    for (_, start, stop), (name, arr) in zip(flat.views, named, strict=True):
+        np.testing.assert_array_equal(flat.online[start:stop], arr.ravel(), err_msg=name)
+        assert np.shares_memory(flat.online[start:stop], arr)
+    for (name, a), (_, b) in zip(before, ps.named_all(), strict=True):
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    flat.online[:] = 1.0
+    flat.target[:] = 2.0
+    assert all(np.all(arr == 1.0) for _, arr in ps.named_online())
+    assert all(np.all(v == 2.0) for g in (ps.target_agent, ps.target_mixer) for v in g.values())
+    ps.mixer = dict(ps.mixer)  # the same arrays in a new dict: still packed
+    assert ps.packed() is flat
+    ps.mixer["hb1.b"] = ps.mixer["hb1.b"].copy()
+    assert ps.packed() is not flat
 
 
 def test_named_views_write_through_to_slots(rng):
@@ -382,6 +428,21 @@ def test_malformed_checkpoint_is_configuration_error(tmp_path, rng, case):
     with pytest.raises(ConfigurationError, match=MALFORMED_CHECKPOINTS[case]) as err:
         load_checkpoint(path)
     assert str(path) in str(err.value)
+
+
+def test_checkpoint_with_repr_slots_but_no_repr_group_is_configuration_error(tmp_path, rng):
+    qnet, mixer, _ = make_nets()
+    path = tmp_path / "bad.npz"
+    save_checkpoint(path, make_paramset(rng, qnet, mixer))  # no repr nets
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    header = json.loads(bytes(arrays["header"]).decode())
+    assert header["n_reprs"] == 0
+    arrays["header"] = header_bytes({**header, "n_reprs": 2})
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(ConfigurationError, match="n_reprs 2, but the repr group is empty"):
+        load_checkpoint(path)
 
 
 def test_version_1_checkpoint_with_unknown_group_is_configuration_error(tmp_path):

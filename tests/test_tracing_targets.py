@@ -46,4 +46,6 @@ def test_install_uninstall_round_trips(tracing):
     assert calls["training.train_block"] == 1
     assert calls["mixer.forward"] == 2 and calls["rewards.repr_forward"] == 1
     assert calls["agents.unroll_graph"] == 1 and calls["agents.unroll_np"] == 1
+    # the flat-vector step still runs through the names the tracer patches
+    assert calls["nn.rmsprop_step"] == 1 and calls["nn.clip_grads_global"] == 1
     assert tracer.nodes > 0

@@ -16,6 +16,7 @@ from goalmix.nn import (
     gradient,
     load_checkpoint,
     save_checkpoint,
+    sync_targets,
     weighted_sq_error,
 )
 from goalmix.oracles import TabularEnv, coordination_chain, finite_diff_grad, slow_mix, slow_q_seq
@@ -316,6 +317,71 @@ def test_trainer_on_round_tripped_params_trains_bitwise(tmp_path):
     assert src.episodes_collected > 3  # the blocks passed a target sync
 
 
+def assert_same_params(a, b):
+    for (name, x), (_, y) in zip(a.params.named_all(), b.params.named_all(), strict=True):
+        np.testing.assert_array_equal(x, y, err_msg=name)
+
+
+def test_parameters_put_in_place_between_blocks_are_trained(tmp_path):
+    """A ParamSet, a group or one array assigned to a trainer between
+    blocks is what the next block steps: the trainer packs it afresh
+    instead of stepping the vectors it packed before."""
+    twin = make_trainer(seed=22, batch_size=4, target_interval=3)
+    tr = make_trainer(seed=22, batch_size=4, target_interval=3)
+
+    def zero_mixer(trainer):
+        for v in trainer.params.mixer.values():
+            v[...] = 0.0
+
+    def round_trip(trainer):
+        save_checkpoint(tmp_path / "ck.npz", trainer.params)
+        trainer.params = load_checkpoint(tmp_path / "ck.npz")[0]
+
+    swaps = [
+        round_trip,
+        lambda t: setattr(t.params, "repr", {k: v.copy() for k, v in t.params.repr.items()}),
+        lambda t: t.params.agent.update({"out.w": t.params.agent["out.w"].copy()}),
+        lambda t: setattr(t.params, "target_mixer",
+                          {k: v.copy() for k, v in t.params.target_mixer.items()}),
+        lambda t: setattr(t.params, "mixer", zero_params(t.params.mixer)),
+    ]
+    for swap in swaps:
+        assert tr.train_block() == twin.train_block()
+        before = dict(tr.params.named_online())
+        swap(tr)
+        if swap is swaps[-1]:
+            zero_mixer(twin)
+        assert tr.train_block() == twin.train_block()
+        assert_same_params(tr, twin)
+        assert any(not np.array_equal(before[n], a) for n, a in tr.params.named_online())
+    assert tr.episodes_collected > 3  # the blocks passed a target sync
+
+
+def test_non_finite_gradient_names_its_array_and_leaves_the_parameters(monkeypatch):
+    import goalmix.training as training
+    from goalmix.training import TrainingDiverged
+
+    tr = make_trainer(seed=6, batch_size=4)
+    tr.collect_episode()
+    before = [(name, arr.copy()) for name, arr in tr.params.named_all()]
+    real_gradient = training.gradient
+
+    def poisoned(loss, tensors):
+        grads = real_gradient(loss, tensors)
+        g = grads.agent["gru.hz.w"].copy()
+        g[1, 2, 3] = np.inf
+        grads.agent["gru.hz.w"] = g
+        return grads
+
+    monkeypatch.setattr(training, "gradient", poisoned)
+    with pytest.raises(TrainingDiverged, match=r"entries in agent\.1\.gru\.hz\.w$") as err:
+        tr.train_block()
+    assert err.value.report.block == 0
+    for (name, a), (_, b) in zip(before, tr.params.named_all(), strict=True):
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    assert tr.opt.sq is None
+
+
 def test_trainer_seeds_buffer_when_empty():
     tr = make_trainer(seed=1)
     assert len(tr.buffer) == 0
@@ -403,14 +469,21 @@ def chain_trainer(**cfg_kw):
     lambda: make_trainer(seed=13, batch_size=8, target_interval=5, share_params=True),
 ], ids=["skirmish", "chain", "share_params"])
 def test_cached_bootstrap_matches_a_full_batch_bootstrap(monkeypatch, build):
+    import goalmix.training as training
+
     tr = build()
     tr.collect_episode()
     calls = count_target_rows(monkeypatch, tr)
+    # a block's sync is a call of sync_targets (the first block's packing
+    # also gives the target groups new arrays, but is no sync)
+    synced = []
+    monkeypatch.setattr(training, "sync_targets",
+                        lambda ps, sync=training.sync_targets: synced.append(ps) or sync(ps))
     syncs = []
     for _ in range(18):
-        before = tr.params.target_mixer
+        before = len(synced)
         tr.train_block()
-        syncs.append(tr.params.target_mixer is not before)
+        syncs.append(len(synced) > before)
     assert sum(syncs) >= 3
     for k, (ran, m, (tq, tot), (fresh_tq, fresh_tot)) in enumerate(calls):
         if k == 0 or syncs[k - 1]:
@@ -490,6 +563,27 @@ def test_no_stale_bootstrap_after_the_target_nets_change(tmp_path, monkeypatch):
     bootstrap_all_rows()
     tr.params.target_agent = make_q_params(np.random.default_rng(17), tr.qnet, tr.mixer)[0]
     bootstrap_all_rows()
+
+
+@pytest.mark.parametrize("packed", [False, True])
+def test_sync_targets_starts_a_new_bootstrap_generation(monkeypatch, packed):
+    """sync_targets gives the target groups new arrays, packed or not, so
+    the next bootstrap recomputes every row, even outside train_block."""
+    tr = make_trainer(seed=23, batch_size=6)
+    for _ in range(3):
+        tr.collect_episode()
+    if packed:
+        tr.params.packed()
+    batch = buffer_batch(tr, 6)
+    calls = count_target_rows(monkeypatch, tr)
+    tr.batch_bootstrap(batch)
+    tr.batch_bootstrap(batch)
+    old = [*tr.params.target_agent.values(), *tr.params.target_mixer.values()]
+    sync_targets(tr.params)
+    new = [*tr.params.target_agent.values(), *tr.params.target_mixer.values()]
+    assert all(a is not b for a, b in zip(old, new, strict=True))
+    tr.batch_bootstrap(batch)
+    assert [ran for ran, m, _, _ in calls] == [6, 0, 6]
 
 
 def test_trainers_sharing_episodes_never_read_each_others_entries():
