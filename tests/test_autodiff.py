@@ -60,9 +60,11 @@ def test_broadcast_add_backward():
     np.testing.assert_allclose(b.grad, fd["b"], rtol=1e-6, atol=1e-8)
 
 
+# The relu and elu rows keep the ids they had when sigmoid was row 0.
 @pytest.mark.parametrize("op,np_ref", [
-    (relu, lambda x: np.maximum(x, 0)),
-    (elu, lambda x: np.where(x > 0, x, np.expm1(x))),
+    pytest.param(relu, lambda x: np.maximum(x, 0), id="op-<lambda>1"),
+    pytest.param(elu, lambda x: np.where(x > 0, x, np.expm1(x)),
+                 id="op-<lambda>2"),
     (absval, np.abs),
     (exp, np.exp),
 ])
