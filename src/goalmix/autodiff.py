@@ -285,14 +285,16 @@ def _wrap_unary(fn_val, fn_grad):
     return op
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+def _sigmoid_(a):
+    """a <- 1 / (1 + exp(-a)) in place, in the operand order of that expression."""
+    np.negative(a, out=a)
+    np.exp(a, out=a)
+    np.add(1.0, a, out=a)
+    return np.divide(1.0, a, out=a)
 
 
-relu = _wrap_unary(
-    lambda x: np.maximum(x, 0.0),
-    lambda x, y: (x > 0).astype(np.float64),
-)
+# the boolean mask multiplies as 0.0/1.0, bitwise as a float64 mask would
+relu = _wrap_unary(lambda x: np.maximum(x, 0.0), lambda x, y: x > 0)
 
 elu = _wrap_unary(
     lambda x: np.where(x > 0, x, np.expm1(x)),
@@ -374,17 +376,28 @@ def logsumexp_last(x):
     return np.log(np.exp(xd - c).sum(axis=-1)) + c[..., 0]
 
 
-def gru_cell(xz, xr, xn, h, w_hz, w_hr, w_hn):
+def gru_cell(xz, xr, xn, h, w_hz, w_hr, w_hn, out=None):
     """One GRU step on arrays: the update, reset and candidate gates from
     their input projections xz, xr, xn and the previous state h. ``h @ w``
     broadcasts over a leading slot axis of slot-stacked weights (S, H, H).
     Returns (h', z, r, r * h, n): the next state and the intermediates
-    that :func:`gru_sequence`'s backward pass reuses."""
-    z = _sigmoid(xz + h @ w_hz)
-    r = _sigmoid(xr + h @ w_hr)
-    rh = r * h
-    n = np.tanh(xn + rh @ w_hn)
-    return (1.0 - z) * n + z * h, z, r, rh, n
+    that :func:`gru_sequence`'s backward pass reuses.
+
+    ``out`` is six arrays of xz's shape: the results are written into the
+    first five and the sixth is scratch. Without it the step allocates
+    them. Every op runs in place in the operand order of
+    ``z = 1 / (1 + exp(-(xz + h @ w_hz)))``, ``n = tanh(xn + (r * h) @ w_hn)``
+    and ``h' = (1 - z) * n + z * h``, so both ways give the same bits."""
+    if out is None:
+        out = [np.empty(xz.shape) for _ in range(6)]
+    h_next, z, r, rh, n, work = out
+    _sigmoid_(np.add(xz, np.matmul(h, w_hz, out=z), out=z))
+    _sigmoid_(np.add(xr, np.matmul(h, w_hr, out=r), out=r))
+    np.multiply(r, h, out=rh)
+    np.tanh(np.add(xn, np.matmul(rh, w_hn, out=n), out=n), out=n)
+    np.multiply(np.subtract(1.0, z, out=h_next), n, out=h_next)
+    np.add(h_next, np.multiply(z, h, out=work), out=h_next)
+    return h_next, z, r, rh, n
 
 
 def gru_sequence(xz, xr, xn, w_hz, w_hr, w_hn):
@@ -392,55 +405,72 @@ def gru_sequence(xz, xr, xn, w_hz, w_hr, w_hn):
     time axis (second to last) of the input projections xz, xr, xn, each
     (..., T, H), with recurrent weights (H, H) or slot-stacked (S, H, H).
 
-    Plain arrays give an array. If any operand is a Tensor, the whole
-    recurrence is one graph node: the forward caches each step's
-    h_{t-1}, z, r, r * h and n, and the backward runs once in reverse
-    over T, then forms each recurrent-weight gradient as one
-    (H, rows) @ (rows, H) product per slot.
+    The recurrence runs time-major: the inputs are copied once into
+    contiguous (T, ..., H) arrays and every step is one :func:`gru_cell`
+    writing into preallocated buffers, so a step reads and writes only
+    contiguous (..., H) blocks and allocates nothing. Plain arrays give an
+    array; the gates go to one scratch set that every step reuses. If any
+    operand is a Tensor, the whole recurrence is one graph node: the gates
+    go to time-major (T, ..., H) caches, h_{t-1} being the previous row of
+    the hidden states. The backward runs once in reverse over T, forming
+    each step's gate coefficients in preallocated scratch and writing the
+    input gradients into (..., T, H) arrays; each recurrent-weight gradient
+    is one (H, rows) @ (rows, H) product per slot over (..., T, H) copies
+    of h_{t-1} and r * h. Neither pass writes into its operands.
     """
     operands = (xz, xr, xn, w_hz, w_hr, w_hn)
     xz_d, xr_d, xn_d, hz, hr, hn = (o.data if isinstance(o, Tensor) else o for o in operands)
     *lead, t_len, hd = xz_d.shape
+    step = (*lead, hd)
     graph = any(isinstance(o, Tensor) for o in operands)
-    hs = np.empty(xz_d.shape)
-    cache = [np.empty(xz_d.shape) for _ in range(5)] if graph else ()
-    h = np.zeros((*lead, hd))
+    xs = [np.ascontiguousarray(np.moveaxis(x, -2, 0)) for x in (xz_d, xr_d, xn_d)]
+    hs = np.empty((t_len, *step))
+    gates = [np.empty(hs.shape if graph else step) for _ in range(4)]  # z, r, r * h, n
+    work = np.empty(step)
+    h = h0 = np.zeros(step)
     for t in range(t_len):
-        h_prev = h
-        h, *gates = gru_cell(xz_d[..., t, :], xr_d[..., t, :], xn_d[..., t, :], h, hz, hr, hn)
-        hs[..., t, :] = h
-        for arr, value in zip(cache, (h_prev, *gates)):
-            arr[..., t, :] = value
+        bufs = [g[t] for g in gates] if graph else gates
+        h = gru_cell(xs[0][t], xs[1][t], xs[2][t], h, hz, hr, hn, out=(hs[t], *bufs, work))[0]
+    hs_out = np.ascontiguousarray(np.moveaxis(hs, 0, -2))
     if not graph:
-        return hs
+        return hs_out
 
-    h_prev, z, r, rh, n = cache
-    out = Tensor(hs, tuple(o for o in operands if isinstance(o, Tensor)))
+    z, r, rh, n = gates
+    out = Tensor(hs_out, tuple(o for o in operands if isinstance(o, Tensor)))
 
     def back(g):
-        # per-step factors, for all steps at once: the gradient w.r.t. the
-        # pre-activation of n and z is dh times these, and w.r.t. that of r
-        # it is d(r * h) times c_r
-        one_minus_z = 1.0 - z
-        c_n = one_minus_z * (1.0 - n * n)
-        c_z = (h_prev - n) * z * one_minus_z
-        c_r = h_prev * r * (1.0 - r)
+        # per step, dL/d(pre-activation) of n and z is dh times c_n and c_z,
+        # and that of r is d(r * h) times c_r:
+        # c_n = (1 - z)(1 - n^2), c_z = (h_{t-1} - n) z (1 - z), c_r = h_{t-1} r (1 - r)
         hz_t, hr_t, hn_t = (np.ascontiguousarray(np.swapaxes(w, -1, -2)) for w in (hz, hr, hn))
-        dxz, dxr, dxn = np.empty(hs.shape), np.empty(hs.shape), np.empty(hs.shape)
-        dh = np.zeros((*lead, hd))
+        dxz, dxr, dxn = np.empty(hs_out.shape), np.empty(hs_out.shape), np.empty(hs_out.shape)
+        c_n, c_z, c_r, d = (np.empty(step) for _ in range(4))
+        dh = np.zeros(step)
         for t in range(t_len - 1, -1, -1):
-            dh = dh + g[..., t, :]  # dL/dh_t: its own output plus step t + 1
-            d_an = np.multiply(dh, c_n[..., t, :], out=dxn[..., t, :])
-            d_az = np.multiply(dh, c_z[..., t, :], out=dxz[..., t, :])
-            d_rh = d_an @ hn_t
-            d_ar = np.multiply(d_rh, c_r[..., t, :], out=dxr[..., t, :])
-            dh = dh * z[..., t, :] + d_rh * r[..., t, :] + d_az @ hz_t + d_ar @ hr_t
-        rows = (*lead[:-1], -1, hd)
+            h_prev, z_t, r_t, n_t = hs[t - 1] if t else h0, z[t], r[t], n[t]
+            np.subtract(1.0, z_t, out=d)
+            np.multiply(d, np.subtract(1.0, np.multiply(n_t, n_t, out=c_n), out=c_n), out=c_n)
+            np.multiply(np.multiply(np.subtract(h_prev, n_t, out=c_z), z_t, out=c_z), d, out=c_z)
+            np.multiply(np.multiply(h_prev, r_t, out=c_r), np.subtract(1.0, r_t, out=d), out=c_r)
+            np.add(dh, g[..., t, :], out=dh)  # dL/dh_t: its own output plus step t + 1
+            d_an = np.multiply(dh, c_n, out=dxn[..., t, :])
+            d_az = np.multiply(dh, c_z, out=dxz[..., t, :])
+            d_rh = np.matmul(d_an, hn_t, out=d)
+            d_ar = np.multiply(d_rh, c_r, out=dxr[..., t, :])
+            # dh <- dh * z + d_rh * r + d_az @ hz^T + d_ar @ hr^T, summed left to right
+            np.multiply(dh, z_t, out=dh)
+            np.add(dh, np.multiply(d_rh, r_t, out=d), out=dh)
+            np.add(dh, np.matmul(d_az, hz_t, out=d), out=dh)
+            np.add(dh, np.matmul(d_ar, hr_t, out=d), out=dh)
         grads = (dxz, dxr, dxn)
         for operand, grad in zip(operands, grads):
             if isinstance(operand, Tensor):
                 operand._accum(grad)
-        for operand, left, right in zip(operands[3:], (h_prev, h_prev, rh), grads):
+        h_prev = np.zeros(hs_out.shape)
+        h_prev[..., 1:, :] = hs_out[..., :-1, :]
+        lefts = (h_prev, h_prev, np.ascontiguousarray(np.moveaxis(rh, 0, -2)))
+        rows = (*lead[:-1], -1, hd)
+        for operand, left, right in zip(operands[3:], lefts, grads):
             if isinstance(operand, Tensor):
                 w_grad = np.swapaxes(left.reshape(rows), -1, -2) @ right.reshape(rows)
                 operand._accum(_unbroadcast(w_grad, operand.data.shape))

@@ -3,7 +3,9 @@
 Nothing here is used on a training hot path. The forward passes are
 re-derived with explicit per-step loops (no code shared with the fast
 modules beyond the parameter layout and the domain dataclasses), so
-they double as cross-checks of the fast kernels.
+they double as cross-checks of the fast kernels. The one exception is
+:func:`strided_gru_sequence`, a reference for the memory layout of the
+GRU recurrence rather than for its step, which it shares.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .autodiff import gru_cell
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +54,54 @@ def slow_mix(params, q_locals, state):
     v_hid = np.where(v_pre > 0, v_pre, np.expm1(v_pre))
     v = v_hid @ params["v2.w"] + params["v2.b"]
     return float(hidden @ w2 + v[0])
+
+
+def strided_gru_sequence(xz, xr, xn, w_hz, w_hr, w_hn, g):
+    """The GRU recurrence of :func:`goalmix.autodiff.gru_sequence` on
+    arrays, laid out as it was before the kernel went time-major: the
+    forward reads and writes (..., T, H) arrays one strided step at a time
+    through :func:`goalmix.autodiff.gru_cell` (the one GRU step, shared on
+    purpose), caches full (..., T, H) arrays of h_{t-1} and the gates, and
+    backpropagates the upstream gradient ``g`` (..., T, H) through time
+    with coefficients built for all steps up front. Returns the hidden
+    states and the gradients of the six operands, each of its operand's
+    shape."""
+    *lead, t_len, hd = xz.shape
+    hs = np.empty(xz.shape)
+    cache = [np.empty(xz.shape) for _ in range(5)]
+    h = np.zeros((*lead, hd))
+    for t in range(t_len):
+        h_prev = h
+        h, *gates = gru_cell(xz[..., t, :], xr[..., t, :], xn[..., t, :], h, w_hz, w_hr, w_hn)
+        hs[..., t, :] = h
+        for arr, value in zip(cache, (h_prev, *gates)):
+            arr[..., t, :] = value
+
+    h_prev, z, r, rh, n = cache
+    one_minus_z = 1.0 - z
+    c_n = one_minus_z * (1.0 - n * n)
+    c_z = (h_prev - n) * z * one_minus_z
+    c_r = h_prev * r * (1.0 - r)
+    hz_t, hr_t, hn_t = (np.ascontiguousarray(np.swapaxes(w, -1, -2)) for w in (w_hz, w_hr, w_hn))
+    dxz, dxr, dxn = np.empty(hs.shape), np.empty(hs.shape), np.empty(hs.shape)
+    dh = np.zeros((*lead, hd))
+    for t in range(t_len - 1, -1, -1):
+        dh = dh + g[..., t, :]
+        d_an = np.multiply(dh, c_n[..., t, :], out=dxn[..., t, :])
+        d_az = np.multiply(dh, c_z[..., t, :], out=dxz[..., t, :])
+        d_rh = d_an @ hn_t
+        d_ar = np.multiply(d_rh, c_r[..., t, :], out=dxr[..., t, :])
+        dh = dh * z[..., t, :] + d_rh * r[..., t, :] + d_az @ hz_t + d_ar @ hr_t
+    rows = (*lead[:-1], -1, hd)
+    w_grads = []
+    for w, left, right in zip((w_hz, w_hr, w_hn), (h_prev, h_prev, rh), (dxz, dxr, dxn)):
+        w_grad = np.swapaxes(left.reshape(rows), -1, -2) @ right.reshape(rows)
+        if w_grad.ndim > w.ndim:  # a 2-D weight under slot-stacked inputs
+            w_grad = w_grad.sum(axis=tuple(range(w_grad.ndim - w.ndim)))
+        if w_grad.shape != w.shape:  # one slot shared by every agent
+            w_grad = w_grad.sum(axis=0, keepdims=True)
+        w_grads.append(w_grad)
+    return hs, (dxz, dxr, dxn, *w_grads)
 
 
 # ---------------------------------------------------------------------------

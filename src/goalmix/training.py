@@ -213,40 +213,44 @@ class Trainer:
         return ep
 
     def _rollout(self, env, rng, greedy):
+        """Run one episode -> (episode, won). Only an epsilon-greedy
+        rollout, which collects, records its histories into an
+        :class:`Episode`; a greedy one returns None for it."""
         n, t_max = env.n_agents, env.episode_limit
-        obs_hist = np.zeros((n, t_max, env.obs_dim))
-        act_hist = np.zeros((n, t_max), dtype=np.int64)
-        avail_hist = np.zeros((n, t_max, env.n_actions), dtype=bool)
-        state_hist = np.zeros((t_max, env.state_dim))
-        rew_hist = np.zeros(t_max)
-        done_hist = np.zeros(t_max, dtype=bool)
+        if not greedy:
+            obs_hist = np.zeros((n, t_max, env.obs_dim))
+            act_hist = np.zeros((n, t_max), dtype=np.int64)
+            avail_hist = np.zeros((n, t_max, env.n_actions), dtype=bool)
+            state_hist = np.zeros((t_max, env.state_dim))
+            rew_hist = np.zeros(t_max)
+            done_hist = np.zeros(t_max, dtype=bool)
 
         obs, state = env.reset(rng)
         hidden = self.qnet.initial_hidden(n, 1)
-        won = False
         t = 0
         while True:
             avail = env.avail_actions()
-            obs_hist[:, t] = obs
-            state_hist[t] = state
-            avail_hist[:, t] = avail
-            eps = 0.0 if greedy else self.schedule.value(self.env_steps)
+            if not greedy:
+                obs_hist[:, t] = obs
+                state_hist[t] = state
+                avail_hist[:, t] = avail
             q, hidden = self.qnet.step(self.params.agent, obs[:, None], hidden)
             if greedy:
                 actions = masked_argmax(q[:, 0], avail)
             else:
-                actions = act_epsilon_greedy(q[:, 0], eps, rng, avail)
+                actions = act_epsilon_greedy(q[:, 0], self.schedule.value(self.env_steps), rng, avail)
             result = env.step(actions)
-            act_hist[:, t] = actions
-            rew_hist[t] = result.reward
-            done_hist[t] = result.done
-            obs, state = result.obs, result.state
             if not greedy:
+                act_hist[:, t] = actions
+                rew_hist[t] = result.reward
+                done_hist[t] = result.done
                 self.env_steps += 1
+            obs, state = result.obs, result.state
             t += 1
             if result.done:
-                won = result.won
                 break
+        if greedy:
+            return None, result.won
         valid = np.zeros(t_max, dtype=bool)
         valid[:t] = True
         avail_hist[:, t:, 0] = True  # padded steps: no-op only, keeps maxes finite
@@ -255,7 +259,7 @@ class Trainer:
             rewards=rew_hist, dones=done_hist, valid=valid, length=t,
             uid=self.episodes_collected,
         )
-        return ep, won
+        return ep, result.won
 
     def evaluate(self, n_episodes=None):
         """Greedy decentralised execution; returns the win fraction."""
@@ -305,8 +309,7 @@ class Trainer:
         else:
             t_star = select_subgoals(q_max, q_tot, valid, cfg.alpha)     # (N, M)
 
-        out = {"t_star": t_star, "goal_obs": at_subgoal(batch["obs"], t_star),
-               "q_max_snapshot": q_max}
+        out = {"t_star": t_star, "q_max_snapshot": q_max}
 
         intr = None
         if cfg.lam > 0:

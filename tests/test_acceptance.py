@@ -412,7 +412,7 @@ def _representative_fingerprint():
     params = dict(trainer.params.named_online())
     return (
         prep["t_star"].tobytes(),
-        prep["goal_obs"].tobytes(),
+        batch["obs"].tobytes(),
         r1.loss_total, r1.loss_td, r2.loss_total, r2.mean_proxy_reward,
         {k: v.tobytes() for k, v in params.items()},
         {k: v.tobytes() for k, v in prep.items()},

@@ -127,11 +127,12 @@ def test_per_agent_argmax_can_differ_at_alpha_one(rng):
 def test_subgoal_observation_is_bitwise_stored_observation(setup):
     trainer, episodes, batch = setup
     prep = prepare(trainer, batch)
+    goal_obs = at_subgoal(batch["obs"], prep["t_star"])
     for i in range(2):
         for m, episode in enumerate(episodes):
             t = prep["t_star"][i, m]
             assert 0 <= t < episode.length
-            np.testing.assert_array_equal(prep["goal_obs"][i, m], episode.obs[i, t])
+            np.testing.assert_array_equal(goal_obs[i, m], episode.obs[i, t])
 
 
 def test_prepare_block_matches_train_block_prep():

@@ -745,6 +745,14 @@ def test_evaluate_episode_count():
     assert len(calls) == 2
 
 
+def test_greedy_rollout_records_nothing():
+    tr = make_trainer(seed=8, eval_episodes=2)
+    ep, won = tr._rollout(tr.eval_env, np.random.default_rng(0), greedy=True)
+    assert ep is None and isinstance(won, bool)
+    tr.evaluate()
+    assert (tr.env_steps, tr.episodes_collected, len(tr.buffer)) == (0, 0, 0)
+
+
 def test_share_params_trains_single_network():
     tr = make_trainer(seed=9, share_params=True)
     assert all(len(v) == 1 for v in tr.params.agent.values())
