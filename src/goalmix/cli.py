@@ -20,7 +20,7 @@ from . import __version__
 from .config import (CORRECTION_MODES, REWARD_MODES, SUBGOAL_MODES, ConfigError, TrainConfig,
                      parse_config)
 from .env import EnvConfig, SkirmishEnv, preset
-from .nn import load_checkpoint, save_checkpoint
+from .nn import load_checkpoint, malformed_checkpoint, save_checkpoint
 from .training import Trainer, TrainingDiverged
 
 ABLATION_VARIANTS = {
@@ -31,13 +31,13 @@ ABLATION_VARIANTS = {
     "no_li": {"lam_i": 0.0},
     "no_correction": {"lam_e": 0.0},
     "over_correction": {"correction": "over"},
-    "no_repr": {"disable_repr": True},
+    "no_repr": {"lam_d": 0.0},     # identity representation, no L_D
     "qmix": {"lam": 0.0, "lam_i": 0.0, "lam_e": 0.0, "lam_d": 0.0},
 }
 
 # the fields that shape the nets and the env: no other changes greedy evaluation
 EVAL_KEYS = ("hidden_dim", "mixer_embed_dim", "repr_hidden_dim", "share_params",
-             "disable_repr", "env", "reward_mode")
+             "env", "reward_mode")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,12 +114,18 @@ def run_eval(checkpoint_path, episodes, seed=0, env_name=None) -> float:
     if episodes < 1:
         raise ConfigError(f"episodes must be at least 1, got {episodes}")
     ps, meta = load_checkpoint(checkpoint_path)
-    cfg = TrainConfig(**{k: meta["config"][k] for k in EVAL_KEYS}).validate()
+    try:
+        cfg = TrainConfig(**{k: meta["config"][k] for k in EVAL_KEYS})
+        env_cfg = EnvConfig.from_dict(meta["env_config"]).validate() if env_name is None else None
+    except KeyError as err:
+        raise malformed_checkpoint(checkpoint_path, f"its meta has no {err}") from None
+    except (TypeError, ValueError) as err:
+        raise malformed_checkpoint(checkpoint_path, f"its meta: {err}") from None
+    # repr slots exactly where the checkpoint holds them: lam_d = 0 builds none
+    cfg = cfg.replace(lam_d=cfg.lam_d if ps.repr else 0.0)
     if env_name is not None:
         cfg = cfg.replace(env=env_name)
         env_cfg = resolve_env_config(cfg)
-    else:
-        env_cfg = EnvConfig.from_dict(meta["env_config"])
     trainer = Trainer(cfg, lambda: SkirmishEnv(env_cfg), rng=np.random.default_rng(seed))
     need = {name: arr.shape for name, arr in trainer.params.named_all()}
     have = {name: arr.shape for name, arr in ps.named_all()}
@@ -217,7 +223,6 @@ def _add_override_flags(p):
     p.add_argument("--lambda-d", type=float, dest="lam_d")
     p.add_argument("--subgoal-mode", choices=SUBGOAL_MODES)
     p.add_argument("--correction", choices=CORRECTION_MODES)
-    p.add_argument("--disable-repr", action="store_const", const=True, dest="disable_repr")
     p.add_argument("--reward-mode", choices=REWARD_MODES, dest="reward_mode")
     p.add_argument("--env")
     p.add_argument("--steps", type=int, dest="max_env_steps")

@@ -46,7 +46,6 @@ class TrainConfig:
     lam_d: float = 0.001
     subgoal_mode: str = "value"
     correction: str = "normal"
-    disable_repr: bool = False
     # TD learning
     gamma: float = 0.99
     lr: float = 0.0005

@@ -191,7 +191,7 @@ def n_slots(params):
 @dataclass
 class ParamSet:
     """All learnable arrays: the utility nets (``agent``), the mixer, the
-    representation nets (``repr``, empty when disabled), plus target copies
+    representation nets (``repr``, empty when λ_d = 0), plus target copies
     of the utility nets and the mixer.
 
     ``agent``, ``repr`` and ``target_agent`` are slot-stacked: each array
@@ -379,7 +379,7 @@ def save_checkpoint(path, ps: ParamSet, meta=None):
             os.remove(tmp)
 
 
-def _malformed(path, problem):
+def malformed_checkpoint(path, problem):
     return ConfigurationError(f"malformed checkpoint {os.fspath(path)}: {problem}")
 
 
@@ -389,17 +389,17 @@ def _unpack(path, layout, params):
     try:
         sizes = [int(np.prod(shape, dtype=np.int64)) for _, _, shape in layout]
     except (TypeError, ValueError):
-        raise _malformed(path, "layout is not a list of [group, key, shape]") from None
+        raise malformed_checkpoint(path, "layout is not a list of [group, key, shape]") from None
     if params.ndim != 1 or params.dtype != np.float64 or params.size != sum(sizes):
-        raise _malformed(path, f"params is {params.dtype} of shape {params.shape}, "
-                               f"the layout needs float64 of shape ({sum(sizes)},)")
+        raise malformed_checkpoint(path, f"params is {params.dtype} of shape {params.shape}, "
+                                         f"the layout needs float64 of shape ({sum(sizes)},)")
     groups = {g: {} for g in GROUPS}
     offset = 0
     for (group, key, shape), size in zip(layout, sizes):
         if group not in groups:
-            raise _malformed(path, f"unknown group {group!r}")
+            raise malformed_checkpoint(path, f"unknown group {group!r}")
         if key in groups[group]:
-            raise _malformed(path, f"{group}.{key} occurs twice")
+            raise malformed_checkpoint(path, f"{group}.{key} occurs twice")
         groups[group][key] = params[offset:offset + size].reshape(shape)
         offset += size
     return ParamSet(**groups)
@@ -414,11 +414,11 @@ def _check_slot_counts(path, header, ps):
         for group in groups:
             for key, arr in getattr(ps, group).items():
                 if arr.shape[:1] != (n,):
-                    raise _malformed(path, f"the header says {count} {n!r}, "
-                                           f"but {group}.{key} has shape {arr.shape}")
+                    raise malformed_checkpoint(path, f"the header says {count} {n!r}, "
+                                                     f"but {group}.{key} has shape {arr.shape}")
         if n != n_slots(getattr(ps, groups[0])):
-            raise _malformed(path, f"the header says {count} {n!r}, "
-                                   f"but the {groups[0]} group is empty")
+            raise malformed_checkpoint(path, f"the header says {count} {n!r}, "
+                                             f"but the {groups[0]} group is empty")
 
 
 def load_checkpoint(path):
@@ -426,23 +426,25 @@ def load_checkpoint(path):
     Version 1 files (one ``param/<name>`` array per slot) still load."""
     with np.load(path) as data:
         if "header" not in data.files:
-            raise _malformed(path, "no 'header' entry")
+            raise malformed_checkpoint(path, "no 'header' entry")
         try:
             header = json.loads(bytes(data["header"]).decode())
         except ValueError:
-            raise _malformed(path, "the header is not JSON") from None
+            raise malformed_checkpoint(path, "the header is not JSON") from None
         if not isinstance(header, dict) or "version" not in header:
-            raise _malformed(path, "the header has no 'version'")
+            raise malformed_checkpoint(path, "the header has no 'version'")
+        if "meta" not in header:
+            raise malformed_checkpoint(path, "the header has no 'meta'")
         if header["version"] == 1:
             named = [(key[len("param/"):], data[key])
                      for key in data.files if key.startswith("param/")]
             unknown = [name for name, _ in named if name.split(".", 1)[0] not in GROUPS]
             if unknown:
-                raise _malformed(path, f"unknown group in {unknown[0]!r}")
+                raise malformed_checkpoint(path, f"unknown group in {unknown[0]!r}")
             ps = ParamSet.from_named(named)
         elif header["version"] == CHECKPOINT_VERSION:
             if "params" not in data.files:
-                raise _malformed(path, "no 'params' entry")
+                raise malformed_checkpoint(path, "no 'params' entry")
             ps = _unpack(path, header.get("layout"), data["params"])
             _check_slot_counts(path, header, ps)
         else:

@@ -42,20 +42,6 @@ class ReprNet:
         return affine(params, "out", relu(affine(params, "h", obs)))
 
 
-class IdentityRepr:
-    """Ablation stand-in: the embedding is the raw observation."""
-
-    def __init__(self, obs_dim):
-        self.obs_dim = obs_dim
-        self.n_actions = obs_dim
-
-    def init_params(self, rng):
-        return {}
-
-    def forward(self, params, obs):
-        return obs
-
-
 # ---------------------------------------------------------------------------
 # actionable distance
 # ---------------------------------------------------------------------------

@@ -54,7 +54,6 @@ from .nn import (
 )
 from .replay import Episode, ReplayBuffer
 from .rewards import (
-    IdentityRepr,
     ReprNet,
     actionable_distance,
     individual_rewards,
@@ -176,17 +175,16 @@ class Trainer:
         self.n_agents = n
         self.qnet = RecurrentQNet(self.env.obs_dim, self.env.n_actions, config.hidden_dim)
         self.mixer = MonotonicMixer(n, self.env.state_dim, config.mixer_embed_dim)
-        if config.disable_repr:
-            self.repr_net = IdentityRepr(self.env.obs_dim)
-        else:
-            self.repr_net = ReprNet(self.env.obs_dim, self.env.n_actions, config.repr_hidden_dim)
+        # representation nets exist only where L_D trains them
+        self.repr_net = (ReprNet(self.env.obs_dim, self.env.n_actions, config.repr_hidden_dim)
+                         if config.lam_d > 0 else None)
 
         # one slot per agent, or one slot that broadcasting shares
         slots = 1 if config.share_params else n
         self.params = ParamSet(
             agent=stack_slots([self.qnet.init_params(self.rng) for _ in range(slots)]),
             mixer=self.mixer.init_params(self.rng),
-            repr=stack_slots([] if config.disable_repr
+            repr=stack_slots([] if self.repr_net is None
                              else [self.repr_net.init_params(self.rng) for _ in range(slots)]),
         )
         sync_targets(self.params)
@@ -276,22 +274,22 @@ class Trainer:
 
     # -- the online forward (block-start values and graph nodes alike) -------
 
-    def _trains_repr(self):
-        return self.cfg.lam_d > 0 and not self.cfg.disable_repr
-
     def forward(self, params, batch):
         """One evaluation of the online nets (a ParamSet) on a batch: ``q``
         (N, M, T, U), ``q_taken`` (N, M, T), ``q_tot`` (M, T) and, when a block
-        needs it, ``emb`` (N, M, T, E). Arrays in give arrays out; Tensors in
-        give graph nodes, whose data are the block-start values."""
+        needs it, ``emb`` (N, M, T, E), phi of the observations (the
+        observations themselves when lam_d = 0). Arrays in give arrays out;
+        Tensors in give graph nodes, whose data are the block-start values."""
         n, m, t_len, d = batch["obs"].shape
         q = self.qnet.unroll(params.agent, batch["obs"])
         q_taken = take_along_last(q, batch["actions"])
         out = {"q": q, "q_taken": q_taken,
                "q_tot": self.mixer.forward(params.mixer, q_taken, batch["states"])}
-        if self.cfg.lam > 0 or self._trains_repr():  # the intrinsic reward or L_D
+        if self.repr_net is not None:  # L_D, and the intrinsic reward if lam > 0
             emb = self.repr_net.forward(params.repr, batch["obs"].reshape(n, m * t_len, d))
             out["emb"] = emb.reshape(n, m, t_len, -1)
+        elif self.cfg.lam > 0:  # the intrinsic reward under phi = identity
+            out["emb"] = batch["obs"]
         return out
 
     # -- block preparation (block-start side, no gradients) ------------------
@@ -322,7 +320,7 @@ class Trainer:
         if cfg.lam_i > 0:
             out["r_individual"] = individual_rewards(q_max, out["proxy"], intr, cfg.lam)
 
-        if self._trains_repr():
+        if cfg.lam_d > 0:
             out["dq_targets"] = actionable_distance(q_seq, at_subgoal(q_seq, t_star))
 
         if cfg.lam_e > 0:
@@ -363,7 +361,7 @@ class Trainer:
             total = total + cfg.lam_e * loss_e
             parts["sum_LE"] = loss_e.item()
 
-        if self._trains_repr():
+        if cfg.lam_d > 0:
             loss_d = repr_loss(online["emb"], prep["t_star"], prep["dq_targets"], w_ep)
             total = total + cfg.lam_d * loss_d
             parts["sum_LD"] = loss_d.item()

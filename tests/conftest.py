@@ -163,6 +163,9 @@ def _malform(case, arrays, header):
     elif case == "header without version":
         del header["version"]
         arrays["header"] = header_bytes(header)
+    elif case == "header without meta":
+        del header["meta"]
+        arrays["header"] = header_bytes(header)
     elif case == "no params":
         del arrays["params"]
     elif case == "no layout":
@@ -195,6 +198,7 @@ MALFORMED_CHECKPOINTS = {
     "no header": "no 'header' entry",
     "header not JSON": "not JSON",
     "header without version": "no 'version'",
+    "header without meta": "no 'meta'",
     "no params": "no 'params' entry",
     "no layout": "layout is not a list of \\[group, key, shape\\]",
     "params not 1-D": "params is float64 of shape",

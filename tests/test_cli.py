@@ -86,9 +86,19 @@ def test_unknown_flag_is_config_error_exit_1(tmp_path):
 
 
 @pytest.mark.parametrize("flags", [["--disable-li"], ["--subgoal-mode", "local_only"],
-                                   ["--subgoal-mode", "total_only"], ["--correction", "none"]])
+                                   ["--subgoal-mode", "total_only"], ["--correction", "none"],
+                                   ["--disable-repr"]])
 def test_retired_flag_or_value_exit_1(tmp_path, flags):
     assert run_cli(["train", "--out", tmp_path / "x", *flags, *FAST]) == 1
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("retired", [{"disable_repr": True}, {"disable_li": True}])
+def test_retired_config_key_exit_1_before_any_directory(tmp_path, retired, capsys):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(retired))
+    assert run_cli(["train", "--config", path, "--out", tmp_path / "x", *FAST]) == 1
+    assert f"unknown config keys {list(retired)}" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
@@ -142,6 +152,34 @@ def test_malformed_checkpoint_is_runtime_failure_exit_2(tmp_path, case, capsys):
     assert run_cli(["eval", "--checkpoint", path]) == 2
     err = capsys.readouterr().err
     assert f"runtime failure: ConfigurationError: malformed checkpoint {path}" in err
+
+
+# checkpoint metas that goalmix eval cannot run: how each is made from a
+# good meta's config and env config, and the problem it reports
+MALFORMED_METAS = {
+    "no config": (lambda c, e: {"env_config": e}, "its meta has no 'config'"),
+    "config without hidden_dim": (
+        lambda c, e: {"config": {k: v for k, v in c.items() if k != "hidden_dim"},
+                      "env_config": e},
+        "its meta has no 'hidden_dim'"),
+    "no env_config": (lambda c, e: {"config": c}, "its meta has no 'env_config'"),
+    "zero episode_limit": (lambda c, e: {"config": c, "env_config": {"episode_limit": 0}},
+                           "its meta: episode_limit must be"),
+    "misspelt env key": (lambda c, e: {"config": c, "env_config": {"widht": 3}},
+                         "its meta: unknown environment keys: ['widht']"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_METAS))
+def test_malformed_checkpoint_meta_is_runtime_failure_exit_2(tmp_path, case, capsys):
+    make_meta, problem = MALFORMED_METAS[case]
+    cfg = TrainConfig()
+    path = tmp_path / "bad.npz"
+    save_checkpoint(path, make_trainer(cfg).params,
+                    meta=make_meta(cfg.to_dict(), resolve_env_config(cfg).to_dict()))
+    assert run_cli(["eval", "--checkpoint", path, "--episodes", 1]) == 2
+    err = capsys.readouterr().err
+    assert f"runtime failure: ConfigurationError: malformed checkpoint {path}: {problem}" in err
 
 
 def test_eval_same_on_version_1_and_2_checkpoints(tmp_path, fast_cfg_file, capsys):
@@ -203,6 +241,34 @@ def test_eval_checkpoint_with_retired_config_keys(tmp_path, capsys):
     assert printed[0] == printed[1]
     wins = [run_eval(path, episodes=8, seed=2) for path in paths]
     assert wins[0] == wins[1] > 0
+
+
+# checkpoints as they were written while ``disable_repr`` was a config field
+# and lam_d = 0 still built repr slots: the parameters' config, the meta keys
+# the old file had, and what ``goalmix eval --episodes 16 --seed 2`` printed
+# for them then
+OLD_REPR_CHECKPOINTS = {
+    "disable_repr": (dict(lam_d=0.0), {"disable_repr": True, "lam_d": 0.001}, "0.1250"),
+    "qmix_with_repr_slots": (dict(lam=0.0, lam_i=0.0, lam_e=0.0),
+                             {"disable_repr": False, "lam_d": 0.0}, "0.0625"),
+}
+
+
+@pytest.mark.parametrize("case", list(OLD_REPR_CHECKPOINTS))
+def test_eval_checkpoint_from_before_lam_d_set_the_repr_nets(tmp_path, case, capsys):
+    """A checkpoint without repr slots whose meta says ``disable_repr``, and a
+    QMIX-reduction checkpoint with repr slots and lam_d 0, evaluate as the same
+    parameters under today's meta, and as they did when they were written."""
+    cfg_kw, old_keys, printed_then = OLD_REPR_CHECKPOINTS[case]
+    cfg = TrainConfig(seed=2, hidden_dim=16, **cfg_kw).validate()
+    paths = [save_fresh_checkpoint(tmp_path / "old.npz", cfg, {**cfg.to_dict(), **old_keys}),
+             save_fresh_checkpoint(tmp_path / "new.npz", cfg)]
+    assert n_slots(load_checkpoint(paths[0])[0].repr) == (0 if case == "disable_repr" else 2)
+    printed = []
+    for path in paths:
+        assert run_cli(["eval", "--checkpoint", path, "--episodes", 16, "--seed", 2]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] == f"win rate over 16 episodes: {printed_then}\n"
 
 
 BAD_ENVS = {

@@ -386,11 +386,11 @@ def test_checkpoint_array_rebuilt_with_numpy_load(tmp_path, rng):
     np.testing.assert_array_equal(arr, ps.mixer["hw1.w"])
 
 
-@pytest.mark.parametrize("share_params, disable_repr, slots",
+@pytest.mark.parametrize("share_params, without_repr, slots",
                          [(True, False, (1, 1)), (False, True, (2, 0))])
 def test_checkpoint_roundtrip_bitwise_shared_and_without_repr(tmp_path, share_params,
-                                                              disable_repr, slots):
-    tr = make_stub_trainer(share_params=share_params, disable_repr=disable_repr)
+                                                              without_repr, slots):
+    tr = make_stub_trainer(share_params=share_params, lam_d=0.0 if without_repr else 0.001)
     path = tmp_path / "ck.npz"
     save_checkpoint(path, tr.params)
     loaded, _ = load_checkpoint(path)

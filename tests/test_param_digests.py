@@ -7,6 +7,14 @@ every parameter array of ``named_all()`` (online and target) after every
 block, and every block's ``BlockReport``, so a digest that moves means a
 parameter or a loss changed in some bit. Every config but criterion 6's
 own runs past at least one target sync.
+
+``no_repr`` (lam_d = 0) keeps the digest it was recorded with as the
+``disable_repr`` switch, which λ_d = 0 replaced. The QMIX reduction has
+built no repr nets since then, so its construction draws fewer numbers:
+``qmix`` was recorded anew, and ``qmix_same_stream`` pins that nothing else
+moved. It was recorded on the trainer that still built the repr nets,
+skipping their arrays, and is checked after drawing their init into a
+throwaway.
 """
 
 import dataclasses
@@ -16,6 +24,7 @@ import pytest
 
 from goalmix.config import TrainConfig
 from goalmix.oracles import TabularEnv, coordination_chain
+from goalmix.rewards import ReprNet
 from goalmix.training import Trainer
 from tests.conftest import make_trainer
 from tests.test_rollout_digests import Digest
@@ -26,7 +35,7 @@ SYNC = dict(target_interval=3)
 SKIRMISH_CONFIGS = {
     "default": dict(**SYNC),
     "share_params": dict(share_params=True, **SYNC),
-    "disable_repr": dict(disable_repr=True, **SYNC),
+    "no_repr": dict(lam_d=0.0, **SYNC),
     "qmix": dict(lam=0.0, lam_i=0.0, lam_e=0.0, lam_d=0.0, **SYNC),
     "correction_over": dict(correction="over", **SYNC),
 }
@@ -60,10 +69,12 @@ PARAM_DIGESTS = {
         "2e4cf35c24df7d3279b40e34364fd23a5e3548ab051aaf5fc4128dc9176a3be9",
     "share_params":
         "39eca3475917c875b3e7aeb2dd8606555299fcd240571304357f29b32b38c058",
-    "disable_repr":
+    "no_repr":
         "43ecc3e1bc8e04ab31010a5fc4388d28f71bafe1bd64176ccb0b2fb76c664f55",
     "qmix":
-        "24016731c2cc869da1a29a31fa2cc7560aa9e770e51811d437e55f76b27a0b27",
+        "bcb052fb84a601584ce7a0795ae52112451deb1d22821986e38b862fbddca7f1",
+    "qmix_same_stream":
+        "0f0310a25d1cfdb952365127cb07e3ada75f660afe428a20e0d2c2b628398165",
     "correction_over":
         "15acbb7b40811350f85906cd50b728ebad7c25cd23c4916b12221cd7c0389ec4",
     "chain":
@@ -77,6 +88,17 @@ PARAM_DIGESTS = {
 def test_skirmish_training_is_pinned(name):
     trainer = make_trainer(seed=4, **SKIRMISH_CONFIGS[name])
     assert training_digest(trainer) == PARAM_DIGESTS[name]
+    assert synced(trainer)
+
+
+def test_qmix_training_on_the_old_stream_is_pinned():
+    trainer = make_trainer(seed=4, **SKIRMISH_CONFIGS["qmix"])
+    assert trainer.params.repr == {}
+    # the repr init the trainer drew when the QMIX reduction still built them
+    net = ReprNet(trainer.env.obs_dim, trainer.env.n_actions, trainer.cfg.repr_hidden_dim)
+    for _ in range(trainer.n_agents):
+        net.init_params(trainer.rng)
+    assert training_digest(trainer) == PARAM_DIGESTS["qmix_same_stream"]
     assert synced(trainer)
 
 

@@ -1,5 +1,6 @@
 """Loss terms against hand arithmetic, the training loop, and reductions."""
 
+import json
 import math
 
 import numpy as np
@@ -217,13 +218,18 @@ def test_composite_weighted_sum_hand_value(rng):
 
 
 def test_composite_all_zero(rng):
-    # zero nets and zero rewards: every TD error vanishes and Q is uniform
-    tr = zero_trainer(lam_d=0.0)
+    # zero nets and zero rewards: every TD error vanishes and Q is uniform;
+    # the zero repr nets embed every observation at the same point, so the
+    # intrinsic reward is zero too, and only L_D (distance 0 against D_Q = 1
+    # of the zero Q-vectors) is left
+    tr = zero_trainer()
     _, batch = make_batch(rng, 3, reward_scale=0.0)
     total, parts = block_losses(tr, batch)
     assert parts["L_TD"] == 0.0
     assert parts["sum_Li"] == 0.0
-    assert total.item() == pytest.approx(0.0, abs=1e-12)
+    assert parts["sum_LE"] == pytest.approx(0.0, abs=1e-12)
+    assert parts["sum_LD"] == pytest.approx(6.0, rel=1e-12)  # 1 per agent and episode
+    assert total.item() == pytest.approx(tr.cfg.lam_d * parts["sum_LD"], abs=1e-12)
 
 
 def test_composite_zero_weights_is_plain_td(rng):
@@ -634,13 +640,30 @@ def test_ablation_variant_is_a_coefficient_setting(name, rng):
     assert ("intrinsics" in prep) == (cfg.lam > 0)
     assert ("r_individual" in prep) == (cfg.lam_i > 0)
     assert ("correction_window" in prep) == (cfg.lam_e > 0)
-    assert ("dq_targets" in prep) == (cfg.lam_d > 0 and not cfg.disable_repr)
+    assert ("dq_targets" in prep) == (cfg.lam_d > 0)
+    # repr nets exist exactly where L_D trains them
+    assert (tr.repr_net is not None) == bool(tr.params.repr) == (cfg.lam_d > 0)
     if cfg.subgoal_mode == "value":
         q_seq = tr.qnet.unroll(tr.params.agent, batch["obs"])
         taken = np.take_along_axis(q_seq, batch["actions"][..., None], axis=-1)[..., 0]
         q_tot = tr.mixer.forward(tr.params.mixer, taken, batch["states"])
         expect = select_subgoals(prep["q_max_snapshot"], q_tot, batch["valid"], cfg.alpha)
         np.testing.assert_array_equal(prep["t_star"], expect)
+
+
+def test_qmix_reduction_holds_no_repr_nets(tmp_path):
+    tr = make_trainer(seed=4, **ABLATION_VARIANTS["qmix"])
+    assert tr.repr_net is None and tr.params.repr == {}
+    # skirmish-2v2: 2 utility-net slots and the mixer, no repr entries
+    assert tr.params.packed().online.size == 56_557
+    tr.collect_episode()
+    tr.train_block()
+    path = tmp_path / "qmix.npz"
+    save_checkpoint(path, tr.params)
+    with np.load(path) as data:
+        header = json.loads(bytes(data["header"]).decode())
+    assert (header["n_agents"], header["n_reprs"]) == (2, 0)
+    assert all(group != "repr" for group, _, _ in header["layout"])
 
 
 def test_one_online_forward_per_block(monkeypatch):
