@@ -33,22 +33,31 @@ def main():
     while trainer.env_steps < cfg.max_env_steps:
         trainer.train_block()
 
+    print("\ngreedy rollout of the trained decentralised policy:")
+    greedy_rollout(trainer, game, optimal)
+
+
+def greedy_rollout(trainer, game, optimal):
+    """Play one greedy chain episode with the trainer's agents, printing
+    each state's joint action; returns the (state, joint action) pairs."""
     env = TabularEnv(game, episode_limit=10)
     obs, _ = env.reset(np.random.default_rng(0))
-    hidden = trainer.qnet.initial_hidden(2, 1)  # (agents, batch, hidden)
-    print("\ngreedy rollout of the trained decentralised policy:")
+    # every agent's net in one step on the slot-stacked parameters, from a
+    # policy prepared once for the episode (agents, batch of 1)
+    policy = trainer.qnet.policy(trainer.params.agent, env.n_agents, 1)
+    visited = []
     while True:
         s = env.s
-        # every agent's net in one call on the slot-stacked parameters, and
+        q = trainer.qnet.step(policy, obs[:, None])
         # every agent's greedy action in one masked argmax over (agents, actions)
-        q, hidden = trainer.qnet.step(trainer.params.agent, obs[:, None], hidden)
-        acts = masked_argmax(q[:, 0], env.avail_actions())
-        mark = "optimal" if tuple(acts) in optimal[s] else "SUBOPTIMAL"
-        result = env.step(acts)
-        print(f"  state {s} -> joint action {tuple(acts)} [{mark}], reward {result.reward:+.2f}")
+        acts = tuple(masked_argmax(q[:, 0], env.avail_actions()))
+        mark = "optimal" if acts in optimal[s] else "SUBOPTIMAL"
+        result = env.step(list(acts))
+        print(f"  state {s} -> joint action {acts} [{mark}], reward {result.reward:+.2f}")
+        visited.append((s, acts))
         obs = result.obs
         if result.done:
-            break
+            return visited
 
 
 if __name__ == "__main__":

@@ -34,20 +34,48 @@ class RecurrentQNet:
         p.update(linear_params(rng, hd, self.n_actions, "out"))
         return p
 
-    def initial_hidden(self, *lead):
-        """Zero hidden state of shape (*lead, hidden)."""
-        return np.zeros((*lead, self.hidden_dim))
+    def policy(self, params, *lead):
+        """One episode's :class:`Policy` for :meth:`step` on observations
+        (*lead, obs_dim) from a zero state: lead is (N, B) for slot-stacked
+        params, (B,) for a single net. It copies the weights, each bias as
+        (S, 1, n_out), the three input-gate weights and biases side by side
+        as one (S, H, 3H) projection, so it keeps acting on the parameters
+        it was prepared from: a rollout prepares one per episode."""
+        hd = self.hidden_dim
+        stacked = params["in.w"].ndim == 3
 
-    def step(self, params, obs, h):
-        """One recurrent step on arrays -> (q, h'), for the rollout.
-        Slot-stacked params take every agent at once: obs (N, B, obs_dim),
-        h (N, B, hidden); a single net takes obs (B, obs_dim), h (B, hidden).
-        It runs the same GRU step, :func:`~goalmix.autodiff.gru_cell`, as
-        every step of :meth:`unroll`."""
-        x = relu(affine(params, "in", obs))
-        h2 = gru_cell(*(affine(params, f"gru.x{g}", x) for g in GATES), h,
-                      *(params[f"gru.h{g}.w"] for g in GATES))[0]
-        return affine(params, "out", h2), h2
+        def bias(b):  # (S, 1, n_out) for slot-stacked params
+            return b[:, None] if stacked else b
+
+        def fused(kind):
+            return np.concatenate([params[f"gru.x{g}.{kind}"] for g in GATES], axis=-1)
+
+        return Policy(
+            w_in=params["in.w"].copy(), b_in=bias(params["in.b"]).copy(),
+            w_x=fused("w"), b_x=bias(fused("b")),
+            w_h=[params[f"gru.h{g}.w"].copy() for g in GATES],
+            w_out=params["out.w"].copy(), b_out=bias(params["out.b"]).copy(),
+            x=np.empty((*lead, hd)), xg=np.empty((*lead, 3 * hd)),
+            h=np.zeros((*lead, hd)), cell=[np.empty((*lead, hd)) for _ in range(6)],
+        )
+
+    def step(self, policy, obs):
+        """One step of a prepared policy: obs (*lead, obs_dim) -> Q values
+        (*lead, n_actions), advancing ``policy.h``. The input affine and
+        relu, one matmul for all three input gates, the GRU step of every
+        :meth:`unroll` (:func:`~goalmix.autodiff.gru_cell`) on column views
+        of its result, and the output affine all write into the policy's
+        buffers; only the returned Q is allocated. Each fused column is its
+        own gate's product, so the bits are those of one affine per gate."""
+        p, hd = policy, self.hidden_dim
+        x = np.maximum(np.add(np.matmul(obs, p.w_in, out=p.x), p.b_in, out=p.x), 0.0, out=p.x)
+        xg = np.add(np.matmul(x, p.w_x, out=p.xg), p.b_x, out=p.xg)
+        h_next, *gates = p.cell
+        gru_cell(xg[..., :hd], xg[..., hd:2 * hd], xg[..., 2 * hd:], p.h, *p.w_h,
+                 out=(h_next, *gates))
+        p.cell[0], p.h = p.h, h_next  # the old state is the next step's output buffer
+        q = np.matmul(h_next, p.w_out)
+        return np.add(q, p.b_out, out=q)
 
     def unroll(self, params, obs_seq):
         """Run every sequence from a zero hidden state.
@@ -69,6 +97,24 @@ class RecurrentQNet:
             *(params[f"gru.h{g}.w"] for g in GATES),
         ).reshape(*rows, hd)
         return affine(params, "out", hidden).reshape(*lead, t_len, self.n_actions)
+
+
+@dataclass(eq=False)
+class Policy:
+    """One episode's acting state of a :class:`RecurrentQNet`: weights in the
+    step's layout, the hidden state ``h`` and the step's buffers."""
+
+    w_in: np.ndarray
+    b_in: np.ndarray
+    w_x: np.ndarray  # the z | r | n input-gate weights side by side
+    b_x: np.ndarray
+    w_h: list  # the recurrent weights of the z, r and n gates
+    w_out: np.ndarray
+    b_out: np.ndarray
+    x: np.ndarray  # the step's buffers
+    xg: np.ndarray
+    h: np.ndarray
+    cell: list  # gru_cell's six outputs; the first becomes the next h
 
 
 def local_q(qnet, params, obs_history):

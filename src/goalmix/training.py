@@ -224,7 +224,8 @@ class Trainer:
             done_hist = np.zeros(t_max, dtype=bool)
 
         obs, state = env.reset(rng)
-        hidden = self.qnet.initial_hidden(n, 1)
+        # prepared after any gradient step, so it acts on the current parameters
+        policy = self.qnet.policy(self.params.agent, n, 1)
         t = 0
         while True:
             avail = env.avail_actions()
@@ -232,7 +233,7 @@ class Trainer:
                 obs_hist[:, t] = obs
                 state_hist[t] = state
                 avail_hist[:, t] = avail
-            q, hidden = self.qnet.step(self.params.agent, obs[:, None], hidden)
+            q = self.qnet.step(policy, obs[:, None])
             if greedy:
                 actions = masked_argmax(q[:, 0], avail)
             else:

@@ -359,11 +359,11 @@ def test_criterion_5_qmix_reduction_bitwise():
 def _greedy_visits(trainer, game):
     env = TabularEnv(game, episode_limit=10)
     obs, _ = env.reset(np.random.default_rng(0))
-    hidden = trainer.qnet.initial_hidden(2, 1)
+    policy = trainer.qnet.policy(trainer.params.agent, 2, 1)
     visits = {}
     while True:
         s = env.s
-        q, hidden = trainer.qnet.step(trainer.params.agent, obs[:, None], hidden)
+        q = trainer.qnet.step(policy, obs[:, None])
         acts = [masked_argmax(q[i, 0], env.avail_actions()[i]) for i in range(2)]
         visits.setdefault(s, tuple(acts))
         result = env.step(acts)

@@ -10,9 +10,10 @@ from goalmix.agents import (
     local_q,
     masked_argmax,
 )
-from goalmix.autodiff import Tensor, gru_sequence
+from goalmix.autodiff import Tensor, gru_cell, gru_sequence, relu
+from goalmix.env import SkirmishEnv, preset
 from goalmix.nn import affine, as_tensors, gradient, stack_slots
-from goalmix.oracles import finite_diff_grad
+from goalmix.oracles import TabularEnv, coordination_chain, finite_diff_grad
 from tests.conftest import zero_params
 
 # frozen on the first correct run (seed 99, the 3-step history below)
@@ -66,9 +67,9 @@ def _check_unroll_against_steps(n_slots):
         params = stack_slots([qnet.init_params(rng) for _ in range(n_slots)])
         obs = rng.normal(size=(3, 2, 6, 4))
     q_seq = qnet.unroll(params, obs)
-    h = qnet.initial_hidden(*obs.shape[:-2])
+    policy = qnet.policy(params, *obs.shape[:-2])
     for t in range(6):
-        q, h = qnet.step(params, obs[..., t, :], h)
+        q = qnet.step(policy, obs[..., t, :])
         np.testing.assert_allclose(q, q_seq[..., t, :], rtol=0, atol=1e-12)
 
 
@@ -124,10 +125,43 @@ def test_graph_unroll_and_steps_equal_numpy_unroll(n_slots):
     graph = qnet.unroll(as_tensors(params), obs)
     assert isinstance(graph, Tensor)
     np.testing.assert_array_equal(graph.data, q_seq)
-    h = qnet.initial_hidden(*obs.shape[:-2])
+    policy = qnet.policy(params, *obs.shape[:-2])
     for t in range(obs.shape[-2]):
-        q, h = qnet.step(params, obs[..., t, :], h)
-        np.testing.assert_array_equal(q, q_seq[..., t, :])
+        np.testing.assert_array_equal(qnet.step(policy, obs[..., t, :]), q_seq[..., t, :])
+
+
+@pytest.mark.parametrize("env_name, n_slots, hidden, batch", [
+    ("skirmish-2v2", 2, 64, 1),
+    ("skirmish-3v3", 3, 64, 1),
+    ("skirmish-3v3", 1, 64, 1),  # every agent on one shared slot
+    ("chain", 2, 32, 1),
+    ("skirmish-2v2", 2, 64, 4),
+])
+def test_policy_steps_at_production_shapes(env_name, n_slots, hidden, batch):
+    env = TabularEnv(coordination_chain()) if env_name == "chain" else SkirmishEnv(preset(env_name))
+    n, t_len = env.n_agents, 12
+    rng = np.random.default_rng(23)
+    qnet = RecurrentQNet(env.obs_dim, env.n_actions, hidden)
+    params = stack_slots([qnet.init_params(rng) for _ in range(n_slots)])
+    obs = rng.normal(size=(n, batch, t_len, env.obs_dim))
+    q_seq = qnet.unroll(params, obs)
+    policy = qnet.policy(params, n, batch)
+    h = np.zeros((n, batch, hidden))
+    for t in range(t_len):
+        q = qnet.step(policy, obs[..., t, :])
+        # the same step with one affine per input gate: each fused column is
+        # the same product, so the bits agree
+        x = relu(affine(params, "in", obs[..., t, :]))
+        h = gru_cell(*(affine(params, f"gru.x{g}", x) for g in "zrn"), h,
+                     *(params[f"gru.h{g}.w"] for g in "zrn"))[0]
+        np.testing.assert_array_equal(policy.h, h)
+        np.testing.assert_array_equal(q, affine(params, "out", h))
+        if batch > 1:
+            np.testing.assert_array_equal(q, q_seq[..., t, :])
+        else:
+            # a 1-row product takes BLAS's matrix-vector kernel, the unroll's
+            # B * T rows the matrix-matrix one: they can differ in the last bit
+            np.testing.assert_allclose(q, q_seq[..., t, :], rtol=0, atol=1e-12)
 
 
 # -- action selection ------------------------------------------------------------

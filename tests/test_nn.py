@@ -51,8 +51,9 @@ def test_affine_dimension_mismatch_is_configuration_error():
 def test_gru_zero_params_zero_hidden_gives_zero():
     qnet = RecurrentQNet(3, 2, 3)
     params = zero_params(qnet.init_params(np.random.default_rng(0)))
-    q, h = qnet.step(params, np.random.default_rng(1).normal(size=(2, 3)), np.zeros((2, 3)))
-    np.testing.assert_array_equal(h, np.zeros((2, 3)))
+    policy = qnet.policy(params, 2)
+    q = qnet.step(policy, np.random.default_rng(1).normal(size=(2, 3)))
+    np.testing.assert_array_equal(policy.h, np.zeros((2, 3)))
     np.testing.assert_array_equal(q, np.zeros((2, 2)))
 
 

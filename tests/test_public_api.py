@@ -6,10 +6,14 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import goalmix
 from goalmix.cli import ABLATION_VARIANTS, build_parser
+from goalmix.config import TrainConfig
+from goalmix.oracles import TabularEnv, coordination_chain, optimal_joint_actions
+from goalmix.training import Trainer
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -43,6 +47,20 @@ def test_demo_imports_cleanly(path):
 def test_demo_runs_end_to_end(path, capsys):
     load_demo(path).main()
     assert capsys.readouterr().out.strip()
+
+
+def test_demo_06_greedy_rollout_runs(capsys):
+    """Demo 06's training is too long for tier-1; its greedy rollout runs
+    here on an untrained chain trainer."""
+    game = coordination_chain()
+    trainer = Trainer(TrainConfig(seed=0, hidden_dim=32).validate(),
+                      lambda: TabularEnv(game, episode_limit=10), rng=np.random.default_rng(0))
+    demo = load_demo(ROOT / "demos" / "06_tabular_sanity.py")
+    visited = demo.greedy_rollout(trainer, game, optimal_joint_actions(game, 0.99))
+    assert len(visited) == 10
+    assert all(len(acts) == 2 and 0 <= min(acts) and max(acts) < game.n_actions
+               for _, acts in visited)
+    assert len(capsys.readouterr().out.strip().splitlines()) == 10
 
 
 def test_readme_ablation_variants_are_the_cli_variants():

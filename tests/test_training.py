@@ -776,6 +776,46 @@ def test_greedy_rollout_records_nothing():
     assert (tr.env_steps, tr.episodes_collected, len(tr.buffer)) == (0, 0, 0)
 
 
+def test_policy_acts_on_its_parameters_and_each_episode_reads_the_update(monkeypatch):
+    """A policy copies the parameters it is prepared from, so one prepared
+    before a gradient step still gives the pre-step Q values; the block's
+    collection prepares its own after the step and acts on the new ones."""
+    tr = make_trainer(seed=3, batch_size=4)
+    tr.collect_episode()
+    tr.train_block()  # from here on the parameters are views of one packed vector
+    ep = tr.buffer.episodes()[-1]
+    n, t_len = ep.obs.shape[0], ep.length
+    seq = ep.obs[:, None, :t_len]  # (agents, batch of 1, T, obs)
+    before = {k: v.copy() for k, v in tr.params.agent.items()}
+    kept = tr.qnet.policy(tr.params.agent, n, 1)
+
+    seen_obs, seen_q = [], []
+    step = tr.qnet.step
+
+    def spy(policy, obs):
+        q = step(policy, obs)
+        seen_obs.append(obs.copy())
+        seen_q.append(q)
+        return q
+
+    monkeypatch.setattr(tr.qnet, "step", spy)
+    tr.train_block()  # the gradient step, then one collected episode
+    monkeypatch.undo()
+    assert not all(np.array_equal(before[k], v) for k, v in tr.params.agent.items())
+
+    fresh = tr.qnet.policy(before, n, 1)
+    for t in range(t_len):
+        np.testing.assert_array_equal(tr.qnet.step(kept, seq[..., t, :]),
+                                      tr.qnet.step(fresh, seq[..., t, :]))
+
+    collected = np.stack(seen_obs, axis=-2)  # (agents, 1, T', obs)
+    q_new = tr.qnet.unroll(tr.params.agent, collected)
+    q_old = tr.qnet.unroll(before, collected)
+    # 1-row steps and the unroll's T-row products may differ in the last bit
+    np.testing.assert_allclose(np.stack(seen_q, axis=-2), q_new, rtol=0, atol=1e-12)
+    assert np.abs(q_new - q_old).max() > 1e-9
+
+
 def test_share_params_trains_single_network():
     tr = make_trainer(seed=9, share_params=True)
     assert all(len(v) == 1 for v in tr.params.agent.values())
