@@ -38,23 +38,20 @@ class RecurrentQNet:
         """One episode's :class:`Policy` for :meth:`step` on observations
         (*lead, obs_dim) from a zero state: lead is (N, B) for slot-stacked
         params, (B,) for a single net. It copies the weights, each bias as
-        (S, 1, n_out), the three input-gate weights and biases side by side
-        as one (S, H, 3H) projection, so it keeps acting on the parameters
-        it was prepared from: a rollout prepares one per episode."""
+        b[..., None, :] ((S, 1, n_out), or (1, n_out) for a single net), the
+        three input-gate weights and biases side by side as one (S, H, 3H)
+        projection, so it keeps acting on the parameters it was prepared
+        from: a rollout prepares one per episode."""
         hd = self.hidden_dim
-        stacked = params["in.w"].ndim == 3
-
-        def bias(b):  # (S, 1, n_out) for slot-stacked params
-            return b[:, None] if stacked else b
 
         def fused(kind):
             return np.concatenate([params[f"gru.x{g}.{kind}"] for g in GATES], axis=-1)
 
         return Policy(
-            w_in=params["in.w"].copy(), b_in=bias(params["in.b"]).copy(),
-            w_x=fused("w"), b_x=bias(fused("b")),
+            w_in=params["in.w"].copy(), b_in=params["in.b"][..., None, :].copy(),
+            w_x=fused("w"), b_x=fused("b")[..., None, :],
             w_h=[params[f"gru.h{g}.w"].copy() for g in GATES],
-            w_out=params["out.w"].copy(), b_out=bias(params["out.b"]).copy(),
+            w_out=params["out.w"].copy(), b_out=params["out.b"][..., None, :].copy(),
             x=np.empty((*lead, hd)), xg=np.empty((*lead, 3 * hd)),
             h=np.zeros((*lead, hd)), cell=[np.empty((*lead, hd)) for _ in range(6)],
         )

@@ -13,6 +13,8 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields, asdict
 
+from .env import REWARD_MODES
+
 
 class ConfigError(ValueError):
     pass
@@ -20,7 +22,6 @@ class ConfigError(ValueError):
 
 SUBGOAL_MODES = ("value", "random")
 CORRECTION_MODES = ("normal", "over")
-REWARD_MODES = ("sparse", "dense")
 
 # config-file spellings that differ from the field names
 KEY_ALIASES = {"lambda": "lam"}

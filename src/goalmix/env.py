@@ -26,6 +26,7 @@ NOOP, MOVE_N, MOVE_S, MOVE_E, MOVE_W, ATTACK = range(6)
 MOVE_DELTAS = {MOVE_N: (0, -1), MOVE_S: (0, 1), MOVE_E: (1, 0), MOVE_W: (-1, 0)}
 MOVES = tuple(MOVE_DELTAS)  # N, S, E, W: the order of every per-move table
 
+REWARD_MODES = ("sparse", "dense")  # events only; events plus health deltas
 REWARD_WIN = 200.0
 REWARD_ENEMY_KILL = 10.0
 REWARD_ALLY_DEATH = -5.0
@@ -53,6 +54,7 @@ FIELD_RULES = (
     (("ally_health", "enemy_health"), lambda v: _is_number(v) and v > 0, "a positive number"),
     (("ally_damage", "enemy_damage", "health_scale"),
      lambda v: _is_number(v) and v >= 0, "a non-negative number"),
+    (("reward_mode",), lambda v: v in REWARD_MODES, f"one of {REWARD_MODES}"),
 )
 
 
@@ -87,11 +89,11 @@ class EnvConfig:
     def validate(self):
         """Raise ValueError unless the env can run and every reset can place
         every unit: integer sizes and ranges, positive healths, non-negative
-        damages, cliff cells inside the grid, and spawn rectangles
-        (x0, y0, x1, y1) with enough free cells. Allies are placed first,
-        anywhere in their rectangle, so the enemies' rectangle must hold
-        their team even after the allies took the most of it they can.
-        Returns self."""
+        damages, a known reward mode, cliff cells inside the grid, and spawn
+        rectangles (x0, y0, x1, y1) with enough free cells. Allies are
+        placed first, anywhere in their rectangle, so the enemies' rectangle
+        must hold their team even after the allies took the most of it they
+        can. Returns self."""
         for keys, ok, kind in FIELD_RULES:
             for key in keys:
                 value = getattr(self, key)
@@ -250,9 +252,6 @@ class SkirmishEnv:
     def _in_bounds(self, cell):
         x, y = cell
         return 0 <= x < self.cfg.width and 0 <= y < self.cfg.height
-
-    def _blocked(self, cell):
-        return not self._in_bounds(cell) or cell in self._cliff
 
     @staticmethod
     def _dist(a, b):

@@ -32,8 +32,8 @@ class Episode:
 
     ``bootstrap`` is the trainer's cache slot for this episode's target
     bootstrap: ``(token, tq_next (n_agents, T), tot_next (T,))``, valid only
-    while ``token`` is the token of the trainer's current target nets (see
-    ``Trainer.batch_bootstrap``). It lives and dies with the episode, so a
+    while ``token`` is the ``generation`` of the trainer's packed parameters
+    (see ``Trainer.batch_bootstrap``). It lives and dies with the episode, so a
     FIFO eviction drops it. The arrays above are read-only once the episode
     is in a buffer.
     """

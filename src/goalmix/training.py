@@ -98,7 +98,9 @@ class BlockReport:
 
 
 def stack_episodes(episodes):
-    """Stack M equally padded episodes into contiguous batch arrays."""
+    """Stack M equally padded episodes into contiguous batch arrays; the
+    batch also carries the list itself, whose episodes hold the cached
+    target bootstraps (:meth:`Trainer.batch_bootstrap`)."""
     return {
         "obs": np.stack([e.obs for e in episodes], axis=1),        # (N, M, T, D)
         "actions": np.stack([e.actions for e in episodes], axis=1),
@@ -107,7 +109,7 @@ def stack_episodes(episodes):
         "rewards": np.stack([e.rewards for e in episodes]),        # (M, T)
         "dones": np.stack([e.dones for e in episodes]).astype(np.float64),
         "valid": np.stack([e.valid for e in episodes]).astype(np.float64),
-        "uids": np.array([e.uid for e in episodes], dtype=np.int64),
+        "episodes": episodes,
     }
 
 
@@ -198,7 +200,6 @@ class Trainer:
         self.episodes_collected = 0
         self.block = 0
         self._next_sync = config.target_interval
-        self._target_key = None  # (token, the target arrays it stands for)
         self._subgoal_log_fh = None
 
     # -- data collection ----------------------------------------------------
@@ -384,29 +385,14 @@ class Trainer:
         states_next[:, :-1] = states[:, 1:]
         return tq_next, self.mixer.forward(self.params.target_mixer, tq_next, states_next)
 
-    def _target_token(self):
-        """The token of the current target generation: the same object for
-        as long as the target groups hold the same arrays, a new one once any
-        of them is replaced (a new ``params``, a reassigned target group).
-        Holding the arrays keeps the identity test sound. Writing into target
-        arrays in place is not detected and is unsupported."""
-        arrays = (*self.params.target_agent.values(), *self.params.target_mixer.values())
-        key = self._target_key
-        if key is None or len(key[1]) != len(arrays) or any(
-                a is not b for a, b in zip(arrays, key[1])):
-            key = self._target_key = (object(), arrays)
-        return key[0]
-
     def batch_bootstrap(self, batch):
-        """:meth:`target_bootstrap` of a batch. A batch that carries its
-        ``episodes`` (as in :meth:`train_block`) reuses each episode's entry
-        from the current target generation and runs the target nets once, in
-        batch order, on the rows without one, storing their entries; a batch
-        without episodes is bootstrapped whole."""
-        episodes = batch.get("episodes")
-        if episodes is None:
-            return self.target_bootstrap(batch["obs"], batch["avail"], batch["states"])
-        token = self._target_token()
+        """:meth:`target_bootstrap` of a :func:`stack_episodes` batch. Each
+        episode's entry from the current target generation
+        (``params.packed().generation``, so an unpacked set is packed here)
+        is reused; the target nets run once, in batch order, on the rows
+        without one, and store their entries."""
+        episodes = batch["episodes"]
+        token = self.params.packed().generation
         tq_next = np.empty(batch["obs"].shape[:3])                      # (N, M, T)
         tot_next = np.empty(batch["states"].shape[:2])                   # (M, T)
         miss = []
@@ -440,7 +426,6 @@ class Trainer:
 
         episodes = self.buffer.sample(cfg.batch_size, self.rng)
         batch = stack_episodes(episodes)
-        batch["episodes"] = episodes  # their cached target bootstraps
         tensors = self._wrap_online()
         # one online forward: its data are the block-start values the prep
         # needs (parameters change only after the gradient step below), its
@@ -477,7 +462,8 @@ class Trainer:
 
         if self.episodes_collected >= self._next_sync:
             sync_targets(self.params)
-            self._target_key = None  # a new target generation
+            # a new target generation, however the sync wrote the targets
+            self.params.packed().generation = object()
             self._next_sync += cfg.target_interval
 
         self._log_subgoals(batch, prep)
@@ -489,7 +475,7 @@ class Trainer:
         if self._subgoal_log_fh is None:
             return
         for (i, m_idx), t_star in np.ndenumerate(prep["t_star"]):
-            row = {"block": self.block, "episode_uid": int(batch["uids"][m_idx]),
+            row = {"block": self.block, "episode_uid": int(batch["episodes"][m_idx].uid),
                    "agent": i, "t_star": int(t_star)}
             self._subgoal_log_fh.write(json.dumps(row) + "\n")
 

@@ -290,6 +290,7 @@ BAD_ENVS = {
     "zero-health": {"enemy_health": 0},
     "text-damage": {"ally_damage": "2"},
     "cliff-outside-grid": {"cliff_cells": [[9, 9]]},
+    "unknown-reward-mode": {"reward_mode": "sprase"},
 }
 
 

@@ -357,8 +357,7 @@ def hand_policy(env):
     if not targets:
         return actions
     tx, ty = env.pos[targets[0]]
-    flanks = [(tx + dx, ty + dy) for dx, dy in MOVE_DELTAS.values()
-              if not env._blocked((tx + dx, ty + dy))]
+    flanks = [c for c in env._moves[tx, ty] if c is not None]  # N, S, E, W
     assigned, taken = {}, set()
     for i in allies:
         best = None
@@ -413,6 +412,12 @@ def test_env_config_roundtrip(tmp_path):
 def test_env_config_unknown_key_rejected():
     with pytest.raises(ValueError, match="unknown environment keys"):
         EnvConfig.from_dict({"widht": 5})
+
+
+@pytest.mark.parametrize("mode", ["sprase", "Sparse", "", None, 0])
+def test_unknown_reward_mode_rejected(mode):
+    with pytest.raises(ValueError, match="reward_mode must be one of"):
+        SkirmishEnv(EnvConfig(reward_mode=mode))
 
 
 def test_unknown_preset_rejected():

@@ -274,6 +274,24 @@ def test_targets_follow_online_after_step_then_sync(rng):
     np.testing.assert_array_equal(ps.agent["in.w"], ps.target_agent["in.w"])
 
 
+def test_packed_generation_is_new_at_each_packing_and_sync(rng):
+    qnet, mixer, repr_net = make_nets()
+    ps = make_paramset(rng, qnet, mixer, repr_net)
+    first = ps.packed().generation
+    assert ps.packed().generation is first
+    ps.agent["in.w"][0] += 1.0  # writing into a view is no new packing
+    assert ps.packed().generation is first
+    sync_targets(ps)
+    synced = ps.packed().generation
+    assert synced is not first
+    assert ps.packed().generation is synced
+    ps.target_mixer = {k: v.copy() for k, v in ps.target_mixer.items()}
+    repacked = ps.packed().generation
+    assert repacked is not synced and repacked is not first
+    ps.agent = {k: v.copy() for k, v in ps.agent.items()}
+    assert ps.packed().generation is not repacked
+
+
 @pytest.mark.parametrize("n_agents", [1, 2])
 def test_packing_keeps_values_and_makes_every_array_a_view(rng, n_agents):
     qnet, mixer, repr_net = make_nets()

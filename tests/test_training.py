@@ -436,7 +436,6 @@ def buffer_batch(tr, m):
     as train_block builds it."""
     episodes = tr.buffer.sample(m, tr.rng)
     batch = stack_episodes(episodes)
-    batch["episodes"] = episodes
     return batch
 
 
@@ -590,6 +589,23 @@ def test_sync_targets_starts_a_new_bootstrap_generation(monkeypatch, packed):
     assert all(a is not b for a, b in zip(old, new, strict=True))
     tr.batch_bootstrap(batch)
     assert [ran for ran, m, _, _ in calls] == [6, 0, 6]
+
+
+def test_block_losses_on_a_plain_stacked_batch_caches_its_bootstrap(monkeypatch):
+    """block_losses on a stack_episodes batch, as the tests and criteria
+    build it, runs the target nets on all M rows once and on none the next
+    time, and both bootstraps are bitwise the whole batch's."""
+    tr = make_trainer(seed=24, batch_size=6)
+    for _ in range(3):
+        tr.collect_episode()
+    batch = stack_episodes(tr.buffer.sample(6, tr.rng))
+    calls = count_target_rows(monkeypatch, tr)
+    block_losses(tr, batch)
+    block_losses(tr, batch)
+    assert [(ran, m) for ran, m, _, _ in calls] == [(6, 6), (0, 6)]
+    for _, _, got, fresh in calls:
+        for g, f in zip(got, fresh, strict=True):
+            np.testing.assert_array_equal(g, f)
 
 
 def test_trainers_sharing_episodes_never_read_each_others_entries():

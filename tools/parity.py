@@ -1,0 +1,121 @@
+"""Bitwise training parity between this tree and another checkout.
+
+Runs the same seeded training in each tree's ``src`` (one subprocess per
+tree, so each imports its own ``goalmix``) and compares, after every block,
+the ``BlockReport`` field by field and every ``named_all()`` array (online
+and target) by SHA-256 of its bytes. Twelve configurations, all seed 0:
+default skirmish-2v2, the tabular coordination chain at H = 32 (the
+train-chain benchmark config), ``share_params`` and the nine ablation
+variants. Every run syncs its targets every 5 collected episodes, so the
+25 blocks cross several target generations.
+
+    python tools/parity.py OTHER_TREE
+
+Prints one line per configuration and exits 0 when every block of every
+configuration matches bit for bit, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+BLOCKS = 25
+SEED = 0
+SYNC = dict(target_interval=5)
+
+
+def configs():
+    """(name, trainer factory) of each configuration, from the imported goalmix."""
+    import numpy as np
+    from goalmix.cli import ABLATION_VARIANTS, make_trainer
+    from goalmix.config import TrainConfig
+    from goalmix.oracles import TabularEnv, coordination_chain
+    from goalmix.training import Trainer
+
+    def skirmish(**kw):
+        return lambda: make_trainer(TrainConfig(seed=SEED, **SYNC, **kw).validate())
+
+    def chain():
+        cfg = TrainConfig(seed=SEED, hidden_dim=32, eps_anneal_steps=6000, **SYNC).validate()
+        game = coordination_chain()
+        return Trainer(cfg, lambda: TabularEnv(game, episode_limit=10),
+                       rng=np.random.default_rng(SEED))
+
+    yield "default", skirmish()
+    yield "chain", chain
+    yield "share_params", skirmish(share_params=True)
+    for name, setting in ABLATION_VARIANTS.items():
+        yield f"ablation:{name}", skirmish(**setting)
+
+
+def dump():
+    """Print one JSON line per block and configuration: the report fields
+    (floats as exact reprs) and the digest of every named array."""
+    import goalmix
+
+    print(json.dumps({"goalmix": goalmix.__file__}), flush=True)
+    for name, build in configs():
+        trainer = build()
+        trainer.collect_episode()
+        for block in range(BLOCKS):
+            report = {k: repr(v) for k, v in dataclasses.asdict(trainer.train_block()).items()}
+            arrays = {k: hashlib.sha256(v.tobytes()).hexdigest()
+                      for k, v in trainer.params.named_all()}
+            print(json.dumps({"config": name, "block": block, "report": report,
+                              "arrays": arrays}), flush=True)
+
+
+def run(tree):
+    env = dict(os.environ, PYTHONPATH=str(Path(tree, "src").resolve()))
+    out = subprocess.run([sys.executable, __file__, "--dump"], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    source = json.loads(out[0])["goalmix"]
+    rows = {}
+    for line in out[1:]:
+        row = json.loads(line)
+        rows.setdefault(row["config"], []).append(row)
+    return source, rows
+
+
+def differences(a, b):
+    """Names of the report fields and arrays that differ between two rows,
+    in report and ``named_all()`` order."""
+    return [f"report.{k}" for k in a["report"] if a["report"][k] != b["report"].get(k)] + [
+        k for k in dict.fromkeys([*a["arrays"], *b["arrays"]])
+        if a["arrays"].get(k) != b["arrays"].get(k)]
+
+
+def main(argv):
+    if argv == ["--dump"]:
+        dump()
+        return 0
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    here = Path(__file__).resolve().parent.parent
+    (src_a, ours), (src_b, theirs) = run(here), run(argv[0])
+    print(f"this tree:  {src_a}\nother tree: {src_b}")
+    ok = ours.keys() == theirs.keys()
+    for name, rows in ours.items():
+        other = theirs.get(name, [])
+        first = next(((r["block"], differences(r, o)) for r, o in zip(rows, other)
+                      if differences(r, o)), None)
+        if first is None:
+            print(f"{name:28s} bitwise over {len(rows)} blocks "
+                  f"({len(rows[-1]['arrays'])} arrays each)")
+        else:
+            ok = False
+            block, names = first
+            print(f"{name:28s} differs from block {block}: {', '.join(names[:6])}"
+                  f"{' ...' if len(names) > 6 else ''}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
