@@ -32,6 +32,7 @@ REWARD_ENEMY_KILL = 10.0
 REWARD_ALLY_DEATH = -5.0
 
 
+_FLOAT64, _BOOL = np.dtype(np.float64), np.dtype(bool)  # the dtypes a step leaves
 _NOOP_ONLY = (True,) + (False,) * (N_ACTIONS - 1)
 _NO_ENTITY = (0.0,) * 4
 # last-action one-hots; index -1 (no action yet) is the all-zero row
@@ -44,6 +45,19 @@ def _is_int(value):
 
 def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def checked_actions(actions, n_agents, n_actions):
+    """``actions`` as a list of Python ints, one per agent; a wrong count,
+    or any value that is not an integer (Python or numpy) in
+    ``range(n_actions)``, raises ValueError."""
+    actions = list(actions)
+    if len(actions) != n_agents:
+        raise ValueError(f"expected {n_agents} actions, got {len(actions)}")
+    for i, a in enumerate(actions):
+        if not (_is_int(a) or isinstance(a, np.integer)) or not 0 <= a < n_actions:
+            raise ValueError(f"agent {i}: action {a!r} is not an integer in range({n_actions})")
+    return [int(a) for a in actions]
 
 
 # scalar EnvConfig fields: (names, test of a value, what the test asks for)
@@ -219,9 +233,13 @@ class SkirmishEnv:
 
     ``pos`` (a list of (x, y) tuples), ``health``, ``alive``, ``t`` and
     ``last_action`` are the whole game state and may be read or assigned
-    between calls. Each call measures the ally-to-unit distances it needs
-    from the current ``pos`` (a step does so once before and once after the
-    moves), so nothing derived from positions outlives the call that made it.
+    between calls. The ally-to-unit distance table is a pure function of
+    ``pos`` and is reused only for the same positions tuple: a step's
+    pre-move table is the previous step's post-move one, and
+    ``avail_actions`` after a step reads the step's, while assigning to
+    ``pos`` (the list or one entry) measures a new table. A step where no
+    attack lands skips the health update when ``health`` and ``alive`` are
+    as a step leaves them, where it would change nothing.
     """
 
     def __init__(self, config: EnvConfig):
@@ -246,6 +264,7 @@ class SkirmishEnv:
         self._side = [1.0 if self._is_ally(u) else -1.0 for u in units]
         self._moves, self._cell_obs, self._cell_mask = _grid_tables(
             config.width, config.height, frozenset(self._cliff))
+        self._dist_key = self._dist_table = None  # see _distances
 
     # -- geometry -------------------------------------------------------
 
@@ -258,11 +277,15 @@ class SkirmishEnv:
         return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
     def _distances(self):
-        """Manhattan distance from each ally (rows) to every unit (columns),
-        measured from the current ``pos``."""
-        pos = self.pos
-        return [[abs(x - ux) + abs(y - uy) for ux, uy in pos]
-                for x, y in pos[:self.cfg.n_allies]]
+        """Manhattan distance from each ally (rows) to every unit (columns)
+        at the current ``pos``: a read-only table, kept for as long as
+        ``tuple(pos)`` stays equal to the positions it was measured at."""
+        key = tuple(self.pos)
+        if key != self._dist_key:
+            self._dist_key = key
+            self._dist_table = [[abs(x - ux) + abs(y - uy) for ux, uy in key]
+                                for x, y in key[:self.cfg.n_allies]]
+        return self._dist_table
 
     def _nearest_foe(self, u, dist, alive):
         """(nearest alive opposing unit, its distance), ties -> lower index;
@@ -352,16 +375,10 @@ class SkirmishEnv:
         ``range(N_ACTIONS)``; any other value raises ValueError."""
         if not self._live:
             raise RuntimeError("step() called on a terminated episode; call reset() first")
-        actions = list(actions)
         n_allies, n_units = self.cfg.n_allies, self.n_units
-        if len(actions) != n_allies:
-            raise ValueError(f"expected {n_allies} actions, got {len(actions)}")
-        for i, a in enumerate(actions):
-            if not (_is_int(a) or isinstance(a, np.integer)) or not 0 <= a < N_ACTIONS:
-                raise ValueError(f"agent {i}: action {a!r} is not an integer "
-                                 f"in range({N_ACTIONS})")
+        actions = checked_actions(actions, n_allies, N_ACTIONS)
         alive = self.alive.tolist()
-        all_actions = [int(a) for a in actions] + self._enemy_actions(self._distances(), alive)
+        all_actions = actions + self._enemy_actions(self._distances(), alive)
         # dead units cannot act
         all_actions = [a if live else NOOP for a, live in zip(all_actions, alive)]
 
@@ -381,19 +398,25 @@ class SkirmishEnv:
         # attacks: all computed on post-move positions, applied simultaneously
         dist = self._distances()
         damage = [0.0] * n_units
+        landed = False
         for u, act in enumerate(all_actions):
             if act == ATTACK:
                 target, d = self._nearest_foe(u, dist, alive)
                 if d <= self.cfg.attack_range:
                     damage[target] += self._damage[u]
+                    landed = True
 
-        dealt = np.minimum(damage, self.health)  # actual health reduction
-        self.health = self.health - dealt
-        self.alive = self.alive & (self.health > 0)
-        # numpy's sums: their summation order sets the totals' rounding
-        dmg_to_allies = float(dealt[:n_allies].sum())
-        dmg_to_enemies = float(dealt[n_allies:].sum())
-        survived = self.alive.tolist()
+        if landed or not self._settled(alive):
+            dealt = np.minimum(damage, self.health)  # actual health reduction
+            self.health = self.health - dealt
+            self.alive = self.alive & (self.health > 0)
+            # numpy's sums: their summation order sets the totals' rounding
+            dmg_to_allies = float(dealt[:n_allies].sum())
+            dmg_to_enemies = float(dealt[n_allies:].sum())
+            survived = self.alive.tolist()
+        else:  # the update above would deal 0.0 and leave health and alive as they are
+            dmg_to_allies = dmg_to_enemies = 0.0
+            survived = alive
         died = [was and not now for was, now in zip(alive, survived)]
         ally_deaths, enemy_deaths = sum(died[:n_allies]), sum(died[n_allies:])
 
@@ -423,6 +446,21 @@ class SkirmishEnv:
             "reward_dense": reward_dense,
         }
         return StepResult(*self._observe(dist), reward, done, won, info)
+
+    def _settled(self, alive):
+        """Whether ``health`` and ``alive`` are in a state that a step leaves:
+        float64 and bool arrays of one entry per unit, every live unit's
+        health above 0 and every dead unit's above 0 or +0.0. From such a
+        state, a step where no attack lands deals 0.0 and changes neither.
+        ``alive`` is ``self.alive`` as a list."""
+        health, shape = self.health, (self.n_units,)
+        if not (type(health) is np.ndarray and health.dtype is _FLOAT64 and health.shape == shape
+                and self.alive.dtype is _BOOL and self.alive.shape == shape):
+            return False
+        for h, live in zip(health.tolist(), alive):
+            if not (h > 0.0 or (h == 0.0 and not live and math.copysign(1.0, h) > 0.0)):
+                return False
+        return True
 
     # -- action masks -------------------------------------------------------
 

@@ -279,11 +279,13 @@ class TabularEnv:
         return np.ones((self.n_agents, self.n_actions), dtype=bool)
 
     def step(self, actions):
-        from .env import StepResult
+        """Advance on both agents' actions, integers in ``range(n_actions)``;
+        any other value, or a wrong count, raises ValueError."""
+        from .env import StepResult, checked_actions
 
         if not self._live:
             raise RuntimeError("step() called on a terminated episode; call reset() first")
-        u1, u2 = int(actions[0]), int(actions[1])
+        u1, u2 = checked_actions(actions, self.n_agents, self.n_actions)
         reward = float(self.game.rewards[self.s, u1, u2])
         self.s = int(self.game.transitions[self.s, u1, u2])
         self.last_action = [u1, u2]

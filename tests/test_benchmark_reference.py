@@ -30,8 +30,15 @@ def workload():
     return module
 
 
-@pytest.mark.parametrize("seed", [0, REFERENCE["heldout_seed"]])
-@pytest.mark.parametrize("name", sorted(REFERENCE["workloads"]))
+# eval rows are checked on seeds 0-9 (about half a second each); train rows
+# on seed 0 only, since some recorded train rows no longer reproduce within
+# the check's loss tolerance (seed 17)
+FIRST_SEEDS = {"eval-skirmish-3v3": range(10)}
+CASES = [(name, seed) for name in sorted(REFERENCE["workloads"])
+         for seed in [*FIRST_SEEDS.get(name, [0]), REFERENCE["heldout_seed"]]]
+
+
+@pytest.mark.parametrize("name, seed", CASES, ids=[f"{name}-{seed}" for name, seed in CASES])
 def test_outputs_pass_the_benchmark_check(workload, name, seed):
     reference = REFERENCE["workloads"][name][str(seed)]
     assert workload.check(name, workload.reference_outputs(name, seed), reference) == []

@@ -1,6 +1,7 @@
 """Skirmish gridworld: placement, stepping, rewards, masks, invariants."""
 
 import json
+import math
 import re
 
 import numpy as np
@@ -342,6 +343,98 @@ def test_assigned_positions_are_read_fresh_by_every_call():
         0.0, -1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0, 2 / 20,
     ])
     np.testing.assert_array_equal(env.avail_actions()[0], [True, False, True, True, True, True])
+
+
+def fresh_twin(env):
+    """A newly built env of ``env``'s config, reset and then put into
+    ``env``'s game state (positions, health, alive flags, last actions, t)."""
+    twin = SkirmishEnv(env.cfg)
+    twin.reset(np.random.default_rng(0))
+    twin.pos = list(env.pos)
+    twin.health, twin.alive = env.health.copy(), env.alive.copy()
+    twin.last_action, twin.t = env.last_action.copy(), env.t
+    return twin
+
+
+def assert_same_step(got, want):
+    """Two StepResults are bit for bit the same."""
+    assert got.obs.tobytes() == want.obs.tobytes()
+    assert got.state.tobytes() == want.state.tobytes()
+    assert (got.reward, got.done, got.won, got.info) == (want.reward, want.done, want.won, want.info)
+
+
+@pytest.mark.parametrize("whole_list", [True, False], ids=["new-list", "one-entry"])
+def test_reused_distances_match_a_fresh_env_after_assignments(whole_list):
+    """Masks, the enemy script and the step after an assignment to ``pos``
+    (a new list, or one entry in place) and after unassigned steps, which
+    reuse the previous step's distances, equal a fresh env's in that state."""
+    cfg = preset("skirmish-3v3")
+    env = SkirmishEnv(cfg)
+    rng = np.random.default_rng(4)
+    cells = [(x, y) for x in range(cfg.width) for y in range(cfg.height)]
+    assigned = 0
+    for _ in range(8):
+        env.reset(rng)
+        done = False
+        while not done:
+            env.avail_actions()  # distances of the positions before any assignment
+            if rng.random() < 0.5:
+                assigned += 1
+                if whole_list:
+                    env.pos = [cells[k] for k in rng.choice(len(cells), env.n_units, replace=False)]
+                else:
+                    free = [c for c in cells if c not in env.pos]
+                    env.pos[int(rng.integers(env.n_units))] = free[int(rng.integers(len(free)))]
+            twin = fresh_twin(env)
+            masks = env.avail_actions()
+            np.testing.assert_array_equal(masks, twin.avail_actions())
+            assert env.scripted_enemy_actions() == twin.scripted_enemy_actions()
+            actions = [int(rng.choice(np.flatnonzero(m))) for m in masks]
+            result = env.step(actions)
+            assert_same_step(result, twin.step(actions))
+            assert env.pos == twin.pos
+            np.testing.assert_array_equal(env.avail_actions(), twin.avail_actions())
+            done = result.done
+    assert assigned > 50
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("unit, live, value", [
+    (0, True, 0.0), (1, True, -2.0), (2, False, -2.0), (0, True, -0.0), (3, False, -0.0),
+    (1, True, NAN), (2, False, NAN),                  # states no step leaves
+    (3, False, 0.0), (2, False, 4.0), (0, True, INF),  # states a step may leave
+])
+def test_step_without_damage_gives_the_numpy_health_update(unit, live, value):
+    """Whatever health and alive flags were assigned, a step where no attack
+    lands gives the bits of the numpy update: health - minimum(0, health),
+    alive & (health > 0), and numpy sums of what was dealt."""
+    env = SkirmishEnv(fixed_duel_config())
+    canonical_duel(env)
+    env.pos = [(0, 0), (0, 4), (4, 0), (4, 4)]  # nobody within sight 3: all hold
+    health, alive = env.health.copy(), env.alive.copy()
+    health[unit], alive[unit] = value, live
+    env.health, env.alive = health, alive
+    dealt = np.minimum([0.0] * env.n_units, health)
+    want_health = health - dealt
+    want_alive = alive & (want_health > 0)
+    result = env.step([NOOP, NOOP])
+    assert env.health.tobytes() == want_health.tobytes()
+    assert env.alive.tolist() == want_alive.tolist()
+    died = alive & ~want_alive
+    assert (result.info["ally_deaths"], result.info["enemy_deaths"]) == (died[:2].sum(), died[2:].sum())
+    for key, part in (("damage_to_allies", dealt[:2]), ("damage_to_enemies", dealt[2:])):
+        assert np.float64(result.info[key]).tobytes() == part.sum().tobytes()
+
+
+def test_damage_free_step_reports_python_float_zeros():
+    env = SkirmishEnv(fixed_duel_config(reward_mode="dense"))
+    canonical_duel(env)
+    env.pos = [(0, 0), (0, 4), (4, 0), (4, 4)]
+    info = env.step([NOOP, NOOP]).info
+    for key in ("damage_to_allies", "damage_to_enemies", "reward_dense"):
+        assert type(info[key]) is float and info[key] == 0.0 and math.copysign(1.0, info[key]) == 1.0
 
 
 # -- hand policy: the default skirmish is solvable -------------------------------

@@ -1,5 +1,7 @@
 """The slow reference implementations and the tabular game."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -172,3 +174,25 @@ def test_tabular_env_rewards_follow_table(rng):
     r = env.step([1, 1])
     assert r.reward == pytest.approx(0.1)
     assert env.s == 1
+
+
+@pytest.mark.parametrize("actions, message", [
+    ([-1, 1], "agent 0: action -1 is not an integer in range(2)"),
+    ([0, 1, 5], "expected 2 actions, got 3"),
+    ([1], "expected 2 actions, got 1"),
+    ([1.9, 0], "agent 0: action 1.9 is not an integer in range(2)"),
+    ([7, 0], "agent 0: action 7 is not an integer in range(2)"),
+    ([1, True], "agent 1: action True is not an integer in range(2)"),
+    ([1, "1"], "agent 1: action '1' is not an integer in range(2)"),
+])
+def test_tabular_env_rejects_bad_actions(rng, actions, message):
+    """The same checks and messages as SkirmishEnv.step; a rejected step
+    leaves the episode as it was."""
+    env = TabularEnv(coordination_chain(), episode_limit=4)
+    obs, _ = env.reset(rng)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        env.step(actions)
+    assert (env.s, env.t, env.last_action) == (0, 0, [-1, -1])
+    r = env.step(np.array([1, 1]))  # numpy integers are integers
+    assert (env.s, env.t, env.last_action) == (1, 1, [1, 1])
+    assert r.obs[:, 3:].tolist() == [[0.0, 1.0], [0.0, 1.0]]

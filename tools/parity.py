@@ -3,16 +3,19 @@
 Runs the same seeded training in each tree's ``src`` (one subprocess per
 tree, so each imports its own ``goalmix``) and compares, after every block,
 the ``BlockReport`` field by field and every ``named_all()`` array (online
-and target) by SHA-256 of its bytes. Twelve configurations, all seed 0:
-default skirmish-2v2, the tabular coordination chain at H = 32 (the
-train-chain benchmark config), ``share_params`` and the nine ablation
-variants. Every run syncs its targets every 5 collected episodes, so the
+and target) by SHA-256 of its bytes. After the last block it compares 16
+greedy ``evaluate(1)`` calls by the win, the episode's length
+(``eval_env.t``) and its final game state (the units' positions and
+health), so rollout changes are checked too. Fourteen configurations, all
+seed 0: default skirmish-2v2, skirmish-3v3 (the eval benchmark's env),
+cliff-2v2, the tabular coordination chain at H = 32 (the train-chain
+benchmark config), ``share_params`` and the nine ablation variants. Every run syncs its targets every 5 collected episodes, so the
 25 blocks cross several target generations.
 
     python tools/parity.py OTHER_TREE
 
-Prints one line per configuration and exits 0 when every block of every
-configuration matches bit for bit, 1 otherwise.
+Prints one line per configuration and exits 0 when every block and every
+evaluation of every configuration matches, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import sys
 from pathlib import Path
 
 BLOCKS = 25
+EVALS = 16
 SEED = 0
 SYNC = dict(target_interval=5)
 
@@ -48,15 +52,27 @@ def configs():
                        rng=np.random.default_rng(SEED))
 
     yield "default", skirmish()
+    yield "skirmish-3v3", skirmish(env="skirmish-3v3")
+    yield "cliff-2v2", skirmish(env="cliff-2v2")
     yield "chain", chain
     yield "share_params", skirmish(share_params=True)
     for name, setting in ABLATION_VARIANTS.items():
         yield f"ablation:{name}", skirmish(**setting)
 
 
+def episode_end(env):
+    """[length, final game state] of the env's last episode: the units'
+    positions and health on a skirmish, the state index on the chain."""
+    if hasattr(env, "pos"):
+        return [env.t, env.pos, env.health.tolist()]
+    return [env.t, env.s]
+
+
 def dump():
     """Print one JSON line per block and configuration: the report fields
-    (floats as exact reprs) and the digest of every named array."""
+    (floats as exact reprs) and the digest of every named array; then one
+    line per configuration with the win and :func:`episode_end` of each
+    evaluation."""
     import goalmix
 
     print(json.dumps({"goalmix": goalmix.__file__}), flush=True)
@@ -69,6 +85,11 @@ def dump():
                       for k, v in trainer.params.named_all()}
             print(json.dumps({"config": name, "block": block, "report": report,
                               "arrays": arrays}), flush=True)
+        evals = []
+        for _ in range(EVALS):
+            won = trainer.evaluate(1)
+            evals.append([won, *episode_end(trainer.eval_env)])
+        print(json.dumps({"config": name, "evals": evals}), flush=True)
 
 
 def run(tree):
@@ -76,11 +97,14 @@ def run(tree):
     out = subprocess.run([sys.executable, __file__, "--dump"], env=env, check=True,
                          capture_output=True, text=True).stdout.splitlines()
     source = json.loads(out[0])["goalmix"]
-    rows = {}
+    rows, evals = {}, {}
     for line in out[1:]:
         row = json.loads(line)
-        rows.setdefault(row["config"], []).append(row)
-    return source, rows
+        if "evals" in row:
+            evals[row["config"]] = row["evals"]
+        else:
+            rows.setdefault(row["config"], []).append(row)
+    return source, rows, evals
 
 
 def differences(a, b):
@@ -99,21 +123,29 @@ def main(argv):
         print(__doc__, file=sys.stderr)
         return 2
     here = Path(__file__).resolve().parent.parent
-    (src_a, ours), (src_b, theirs) = run(here), run(argv[0])
+    (src_a, ours, our_evals), (src_b, theirs, their_evals) = run(here), run(argv[0])
     print(f"this tree:  {src_a}\nother tree: {src_b}")
     ok = ours.keys() == theirs.keys()
     for name, rows in ours.items():
         other = theirs.get(name, [])
         first = next(((r["block"], differences(r, o)) for r, o in zip(rows, other)
                       if differences(r, o)), None)
-        if first is None:
-            print(f"{name:28s} bitwise over {len(rows)} blocks "
-                  f"({len(rows[-1]['arrays'])} arrays each)")
-        else:
+        evals, other_evals = our_evals[name], their_evals.get(name, [])
+        if first is not None:
             ok = False
             block, names = first
             print(f"{name:28s} differs from block {block}: {', '.join(names[:6])}"
                   f"{' ...' if len(names) > 6 else ''}")
+        elif evals != other_evals:
+            ok = False
+            k = next((k for k, (a, b) in enumerate(zip(evals, other_evals)) if a != b),
+                     len(other_evals))
+            theirs_k = other_evals[k] if k < len(other_evals) else "nothing"
+            print(f"{name:28s} bitwise over {len(rows)} blocks; evaluation {k} differs "
+                  f"([win, length, final state]): {evals[k]} vs {theirs_k}")
+        else:
+            print(f"{name:28s} bitwise over {len(rows)} blocks "
+                  f"({len(rows[-1]['arrays'])} arrays each), {len(evals)} evaluations equal")
     return 0 if ok else 1
 
 
