@@ -1,18 +1,19 @@
 """Minimal reverse-mode differentiation over numpy arrays.
 
 Deliberately restricted to the operations the training losses need:
-elementwise arithmetic and activations, matmul, reshape, sum, stack,
-gathers (``take_along_last``), ``moveaxis``, ``logsumexp_last``, and
-``gru_sequence``, a whole GRU recurrence as one node whose backward is
-hand-written backpropagation through time. Everything is float64. A :class:`Tensor` wraps an ndarray
-and records a backward closure; ``Tensor.backward()`` walks the graph
-in reverse topological order and accumulates gradients into ``.grad``.
+``+``, ``*`` and ``@`` (a constant may stand on either side), ``-`` (a
+Tensor on the left), the activations, ``exp``, ``log``, ``sqrt``,
+reshape, sum, stack, gathers (``take_along_last``), ``moveaxis``,
+``logsumexp_last``, and ``gru_sequence``, a whole GRU recurrence as one
+node whose backward is hand-written backpropagation through time; no
+negation or division. Everything is float64. A :class:`Tensor` wraps an
+ndarray and records a backward closure; ``Tensor.backward()`` walks the
+graph in reverse topological order and accumulates gradients into ``.grad``.
 
-Plain ndarrays and Python floats mix freely with Tensors in
-expressions and are treated as constants (no graph nodes are created
-for them). The same network code therefore runs in "graph mode" when
-the parameters are Tensors and as plain numpy when they are arrays;
-see :mod:`goalmix.nn`.
+Plain ndarrays and Python floats are constants in these expressions (no
+graph nodes are created for them). The same network code therefore runs
+in "graph mode" when the parameters are Tensors and as plain numpy when
+they are arrays; see :mod:`goalmix.nn`.
 """
 
 from __future__ import annotations
@@ -130,15 +131,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        out = Tensor(-self.data, (self,))
-
-        def back(g):
-            self._accum(-g)
-
-        out._backward = back
-        return out
-
     def __sub__(self, other):
         if isinstance(other, Tensor):
             out = Tensor(self.data - other.data, (self, other))
@@ -153,16 +145,6 @@ class Tensor:
 
             def back(g):
                 self._accum(_unbroadcast(g, self.data.shape))
-
-        out._backward = back
-        return out
-
-    def __rsub__(self, other):
-        const = np.asarray(other, dtype=np.float64)
-        out = Tensor(const - self.data, (self,))
-
-        def back(g):
-            self._accum(_unbroadcast(-g, self.data.shape))
 
         out._backward = back
         return out
@@ -186,11 +168,6 @@ class Tensor:
         return out
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("Tensor/Tensor division is not supported; multiply by a reciprocal constant")
-        return self * (1.0 / np.asarray(other, dtype=np.float64))
 
     def __matmul__(self, other):
         other_data = other.data if isinstance(other, Tensor) else np.asarray(other, dtype=np.float64)
@@ -258,11 +235,6 @@ def _matmul_grad_left(g, a, b):
 
 
 def _matmul_grad_right(g, a, b):
-    if b.ndim == 2 and a.ndim > 2:
-        # batched input against a shared 2-D parameter: fold the batch
-        k = a.shape[-1]
-        m = g.shape[-1]
-        return a.reshape(-1, k).T @ g.reshape(-1, m)
     gb = np.swapaxes(a, -1, -2) @ g
     return _unbroadcast(gb, b.shape)
 

@@ -16,6 +16,7 @@ whole-vector operations.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -249,9 +250,6 @@ class ParamSet:
         """A ParamSet of ``fn`` applied to each group's dict."""
         return ParamSet(*(fn(getattr(self, g)) for g in GROUPS))
 
-    def copy(self):
-        return self.map(_copy_params)
-
     def packed(self):
         """The :class:`FlatParams` whose vectors hold every array of this set.
         Packs afresh, copying the arrays into new vectors and replacing each
@@ -393,9 +391,14 @@ def _unpack(path, layout, params):
     """The ParamSet of a version-2 layout: each array a reshaped slice of
     ``params``, which is read once."""
     try:
-        sizes = [int(np.prod(shape, dtype=np.int64)) for _, _, shape in layout]
+        if not all(isinstance(group, str) and isinstance(key, str)
+                   and all(type(n) is int and n >= 0 for n in shape)
+                   for group, key, shape in layout):
+            raise TypeError
+        sizes = [math.prod(shape) for _, _, shape in layout]
     except (TypeError, ValueError):
-        raise malformed_checkpoint(path, "layout is not a list of [group, key, shape]") from None
+        raise malformed_checkpoint(path, "layout is not a list of [group, key, shape] of two "
+                                         "strings and a list of non-negative integers") from None
     if params.ndim != 1 or params.dtype != np.float64 or params.size != sum(sizes):
         raise malformed_checkpoint(path, f"params is {params.dtype} of shape {params.shape}, "
                                          f"the layout needs float64 of shape ({sum(sizes)},)")
@@ -447,7 +450,13 @@ def load_checkpoint(path):
             unknown = [name for name, _ in named if name.split(".", 1)[0] not in GROUPS]
             if unknown:
                 raise malformed_checkpoint(path, f"unknown group in {unknown[0]!r}")
-            ps = ParamSet.from_named(named)
+            try:
+                ps = ParamSet.from_named(named)
+            except (KeyError, ValueError) as err:  # names or slots named_all() never gives
+                raise malformed_checkpoint(
+                    path, "param/ names are not <group>.<key> and <group>.<slot>.<key> with "
+                          f"slots 0 to S - 1 of one shape ({err!r})") from None
+            _check_slot_counts(path, header, ps)
         elif header["version"] == CHECKPOINT_VERSION:
             if "params" not in data.files:
                 raise malformed_checkpoint(path, "no 'params' entry")

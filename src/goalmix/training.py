@@ -205,52 +205,37 @@ class Trainer:
     # -- data collection ----------------------------------------------------
 
     def collect_episode(self):
-        """Roll out one epsilon-greedy episode and push it to the buffer."""
-        ep, _ = self._rollout(self.env, self.rng, greedy=False)
-        self.buffer.push(ep)
-        self.episodes_collected += 1
-        return ep
-
-    def _rollout(self, env, rng, greedy):
-        """Run one episode -> (episode, won). Only an epsilon-greedy
-        rollout, which collects, records its histories into an
-        :class:`Episode`; a greedy one returns None for it."""
+        """Roll out one epsilon-greedy episode, record its histories into an
+        :class:`Episode` and push it to the buffer."""
+        env = self.env
         n, t_max = env.n_agents, env.episode_limit
-        if not greedy:
-            obs_hist = np.zeros((n, t_max, env.obs_dim))
-            act_hist = np.zeros((n, t_max), dtype=np.int64)
-            avail_hist = np.zeros((n, t_max, env.n_actions), dtype=bool)
-            state_hist = np.zeros((t_max, env.state_dim))
-            rew_hist = np.zeros(t_max)
-            done_hist = np.zeros(t_max, dtype=bool)
+        obs_hist = np.zeros((n, t_max, env.obs_dim))
+        act_hist = np.zeros((n, t_max), dtype=np.int64)
+        avail_hist = np.zeros((n, t_max, env.n_actions), dtype=bool)
+        state_hist = np.zeros((t_max, env.state_dim))
+        rew_hist = np.zeros(t_max)
+        done_hist = np.zeros(t_max, dtype=bool)
 
-        obs, state = env.reset(rng)
+        obs, state = env.reset(self.rng)
         # prepared after any gradient step, so it acts on the current parameters
         policy = self.qnet.policy(self.params.agent, n, 1)
         t = 0
         while True:
             avail = env.avail_actions()
-            if not greedy:
-                obs_hist[:, t] = obs
-                state_hist[t] = state
-                avail_hist[:, t] = avail
+            obs_hist[:, t] = obs
+            state_hist[t] = state
+            avail_hist[:, t] = avail
             q = self.qnet.step(policy, obs[:, None])
-            if greedy:
-                actions = masked_argmax(q[:, 0], avail)
-            else:
-                actions = act_epsilon_greedy(q[:, 0], self.schedule.value(self.env_steps), rng, avail)
+            actions = act_epsilon_greedy(q[:, 0], self.schedule.value(self.env_steps), self.rng, avail)
             result = env.step(actions)
-            if not greedy:
-                act_hist[:, t] = actions
-                rew_hist[t] = result.reward
-                done_hist[t] = result.done
-                self.env_steps += 1
+            act_hist[:, t] = actions
+            rew_hist[t] = result.reward
+            done_hist[t] = result.done
+            self.env_steps += 1
             obs, state = result.obs, result.state
             t += 1
             if result.done:
                 break
-        if greedy:
-            return None, result.won
         valid = np.zeros(t_max, dtype=bool)
         valid[:t] = True
         avail_hist[:, t:, 0] = True  # padded steps: no-op only, keeps maxes finite
@@ -259,19 +244,30 @@ class Trainer:
             rewards=rew_hist, dones=done_hist, valid=valid, length=t,
             uid=self.episodes_collected,
         )
-        return ep, result.won
+        self.buffer.push(ep)
+        self.episodes_collected += 1
+        return ep
 
     def evaluate(self, n_episodes=None):
-        """Greedy decentralised execution; returns the win fraction."""
+        """Greedy decentralised execution on ``eval_env``, which records
+        nothing; returns the win fraction."""
         if n_episodes is None:
             n_episodes = self.cfg.eval_episodes
         if n_episodes < 1:
             raise ValueError(f"n_episodes must be at least 1, got {n_episodes}")
         eval_rng = np.random.default_rng(int(self.rng.integers(2**63)))
+        env = self.eval_env
         wins = 0
         for _ in range(n_episodes):
-            _, won = self._rollout(self.eval_env, eval_rng, greedy=True)
-            wins += int(won)
+            obs, _ = env.reset(eval_rng)
+            policy = self.qnet.policy(self.params.agent, env.n_agents, 1)
+            done = False
+            while not done:
+                avail = env.avail_actions()
+                q = self.qnet.step(policy, obs[:, None])
+                result = env.step(masked_argmax(q[:, 0], avail))
+                obs, done = result.obs, result.done
+            wins += int(result.won)
         return wins / n_episodes
 
     # -- the online forward (block-start values and graph nodes alike) -------

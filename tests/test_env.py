@@ -9,7 +9,6 @@ import pytest
 
 from goalmix.env import (
     ATTACK,
-    MOVE_DELTAS,
     MOVE_E,
     MOVE_N,
     MOVE_W,
@@ -236,7 +235,6 @@ def test_enemy_targets_lower_indexed_of_equidistant_allies():
                                         enemy_spawn=(3, 1, 3, 2),
                                         enemy_damage=1.0))
     env.reset(np.random.default_rng(0))
-    env.pos = [(1, 1), (3, 0), (2, 1), (4, 4)]  # enemy0 equidistant to both allies? no:
     env.pos = [(2, 0), (2, 2), (2, 1), (4, 4)]  # both allies at distance 1 of enemy0
     before = env.health.copy()
     env.step([NOOP, NOOP])
@@ -249,10 +247,9 @@ def test_enemy_moves_toward_nearest_visible_ally():
     env = SkirmishEnv(fixed_duel_config(ally_spawn=(0, 2, 0, 3),
                                         enemy_spawn=(3, 2, 3, 3)))
     env.reset(np.random.default_rng(0))
-    acts = env.scripted_enemy_actions()
-    assert all(a == MOVE_DELTAS and False or a in (1, 2, 3, 4) for a in acts)
-    r = env.step([NOOP, NOOP])
-    assert env.pos[2][0] < 3 or env.pos[3][0] < 3  # at least one closed in (W move)
+    assert env.scripted_enemy_actions() == [MOVE_W, MOVE_W]
+    env.step([NOOP, NOOP])
+    assert env.pos[2:] == [(2, 3), (2, 2)]  # both closed in by one column
 
 
 # -- observations and masks ------------------------------------------------------

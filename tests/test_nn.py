@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -473,6 +474,53 @@ def test_version_1_checkpoint_with_unknown_group_is_configuration_error(tmp_path
         load_checkpoint(path)
 
 
+# version-1 member sets the writer never made, each next to a valid mixer,
+# and a pattern of the error load_checkpoint raises for it
+W, B = np.ones((3, 4)), np.zeros(4)
+MALFORMED_V1 = {
+    "slot gap": ({"agent.0.in.w": W, "agent.2.in.w": W}, "KeyError\\(1\\)"),
+    "no key": ({"agent": W}, "not enough values to unpack"),
+    "slot not a number": ({"agent.x.in.w": W}, "invalid literal for int"),
+    "ragged slots": ({"agent.0.in.w": W, "agent.1.in.w": W[:2]}, "same shape"),
+    "slot counts differ": ({"agent.0.in.w": W, "agent.1.in.w": W, "agent.0.in.b": B},
+                           "n_agents 2, but agent.in.b has shape \\(1, 4\\)"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_V1))
+def test_malformed_version_1_checkpoint_is_configuration_error(tmp_path, case):
+    members, pattern = MALFORMED_V1[case]
+    header = {"version": 1, "n_agents": 2, "n_reprs": 0, "meta": {}}
+    path = tmp_path / "old.npz"
+    with open(path, "wb") as fh:
+        np.savez(fh, header=header_bytes(header), **{"param/mixer.v2.b": np.zeros(1)},
+                 **{f"param/{name}": arr for name, arr in members.items()})
+    with pytest.raises(ConfigurationError, match="malformed checkpoint") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+    assert re.search(pattern, str(err.value))
+
+
+@pytest.mark.parametrize("field, value", [(2, [2.5]), (2, [True]), (2, [-1]), (2, [-2, -3]),
+                                          (2, "ab"), (2, None), (0, ["agent"]), (1, ["in.w"]),
+                                          (1, 5)])
+def test_version_2_layout_entry_of_wrong_type_is_configuration_error(tmp_path, rng, field,
+                                                                     value):
+    qnet, mixer, repr_net = make_nets()
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, make_paramset(rng, qnet, mixer, repr_net))
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    header = json.loads(bytes(arrays["header"]).decode())
+    header["layout"][0][field] = value
+    arrays["header"] = header_bytes(header)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(ConfigurationError, match="malformed checkpoint .*two strings and a list "
+                                                 "of non-negative integers"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_in_per_agent_layout_loads_bitwise(tmp_path, rng):
     # a file written one array per agent slot, straight from per-agent dicts
     qnet, mixer, repr_net = make_nets()
@@ -520,11 +568,3 @@ def test_checkpoint_version_guard(tmp_path, rng):
         np.savez(fh, **arrays)
     with pytest.raises(ConfigurationError):
         load_checkpoint(path)
-
-
-def test_paramset_copy_is_deep(rng):
-    qnet, mixer, repr_net = make_nets()
-    ps = make_paramset(rng, qnet, mixer, repr_net)
-    cp = ps.copy()
-    cp.agent["in.w"][0] += 5.0
-    assert not np.array_equal(cp.agent["in.w"], ps.agent["in.w"])

@@ -774,22 +774,38 @@ def test_always_noop_policy_never_wins():
 def test_evaluate_episode_count():
     tr = make_trainer(seed=8, eval_episodes=2)
     calls = []
-    rollout = tr._rollout
-    tr._rollout = lambda *a, **k: calls.append(1) or rollout(*a, **k)
+    reset = tr.eval_env.reset
+    tr.eval_env.reset = lambda *a, **k: calls.append(1) or reset(*a, **k)
     tr.evaluate()
     assert len(calls) == 2
+    tr.evaluate(3)
+    assert len(calls) == 5
     for bad in (0, -3):
         with pytest.raises(ValueError):
             tr.evaluate(bad)
-    assert len(calls) == 2
+    assert len(calls) == 5
 
 
 def test_greedy_rollout_records_nothing():
     tr = make_trainer(seed=8, eval_episodes=2)
-    ep, won = tr._rollout(tr.eval_env, np.random.default_rng(0), greedy=True)
-    assert ep is None and isinstance(won, bool)
-    tr.evaluate()
-    assert (tr.env_steps, tr.episodes_collected, len(tr.buffer)) == (0, 0, 0)
+    ep = tr.collect_episode()
+    counts = (tr.env_steps, tr.episodes_collected)
+    tr.evaluate(2)
+    assert (tr.env_steps, tr.episodes_collected) == counts == (ep.length, 1)
+    assert len(tr.buffer) == 1 and tr.buffer.episodes()[0] is ep
+
+
+def test_evaluate_draws_one_value_from_the_training_rng():
+    """However many episodes one call runs, evaluation seeds its episodes
+    from a single draw of ``self.rng``. Giving evaluation a seed stream of
+    its own changes this on purpose."""
+    one, five = make_trainer(seed=8), make_trainer(seed=8)
+    one.evaluate(1)
+    five.evaluate(5)
+    assert one.rng.bit_generator.state == five.rng.bit_generator.state
+    fresh = make_trainer(seed=8)
+    fresh.rng.integers(2**63)
+    assert one.rng.bit_generator.state == fresh.rng.bit_generator.state
 
 
 def test_policy_acts_on_its_parameters_and_each_episode_reads_the_update(monkeypatch):
