@@ -6,8 +6,13 @@ Tensor on the left), the activations, ``exp``, ``log``, ``sqrt``,
 reshape, sum, stack, gathers (``take_along_last``), ``moveaxis``,
 ``logsumexp_last``, and ``gru_sequence``, a whole GRU recurrence as one
 node whose backward is hand-written backpropagation through time; no
-negation or division. Everything is float64. A :class:`Tensor` wraps an
-ndarray and records a backward closure; ``Tensor.backward()`` walks the
+negation or division. Everything is float64.
+
+A :class:`Tensor` wraps an ndarray. Every op builds its node with one
+call, ``Tensor(value, parents, back)``: the op's value, its Tensor
+operands, and a closure ``back(g)`` that hands each of them its
+vector-Jacobian product of the upstream gradient ``g``. A constant operand
+is not a parent and gets no gradient. ``Tensor.backward()`` walks the
 graph in reverse topological order and accumulates gradients into ``.grad``.
 
 Plain ndarrays and Python floats are constants in these expressions (no
@@ -112,89 +117,52 @@ class Tensor:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Tensor):
-            out = Tensor(self.data + other.data, (self, other))
+        a, b = self.data, _value(other)
 
-            def back(g):
-                self._accum(_unbroadcast(g, self.data.shape))
-                other._accum(_unbroadcast(g, other.data.shape))
-
-        else:
-            const = np.asarray(other, dtype=np.float64)
-            out = Tensor(self.data + const, (self,))
-
-            def back(g):
-                self._accum(_unbroadcast(g, self.data.shape))
-
-        out._backward = back
-        return out
+        def back(g):
+            self._accum(_unbroadcast(g, a.shape))
+            if isinstance(other, Tensor):
+                other._accum(_unbroadcast(g, b.shape))
+        return Tensor(a + b, _parents(self, other), back)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Tensor):
-            out = Tensor(self.data - other.data, (self, other))
+        a, b = self.data, _value(other)
 
-            def back(g):
-                self._accum(_unbroadcast(g, self.data.shape))
-                other._accum(_unbroadcast(-g, other.data.shape))
-
-        else:
-            const = np.asarray(other, dtype=np.float64)
-            out = Tensor(self.data - const, (self,))
-
-            def back(g):
-                self._accum(_unbroadcast(g, self.data.shape))
-
-        out._backward = back
-        return out
+        def back(g):
+            self._accum(_unbroadcast(g, a.shape))
+            if isinstance(other, Tensor):
+                other._accum(_unbroadcast(-g, b.shape))
+        return Tensor(a - b, _parents(self, other), back)
 
     def __mul__(self, other):
-        if isinstance(other, Tensor):
-            out = Tensor(self.data * other.data, (self, other))
+        a, b = self.data, _value(other)
 
-            def back(g):
-                self._accum(_unbroadcast(g * other.data, self.data.shape))
-                other._accum(_unbroadcast(g * self.data, other.data.shape))
-
-        else:
-            const = np.asarray(other, dtype=np.float64)
-            out = Tensor(self.data * const, (self,))
-
-            def back(g):
-                self._accum(_unbroadcast(g * const, self.data.shape))
-
-        out._backward = back
-        return out
+        def back(g):
+            self._accum(_unbroadcast(g * b, a.shape))
+            if isinstance(other, Tensor):
+                other._accum(_unbroadcast(g * a, b.shape))
+        return Tensor(a * b, _parents(self, other), back)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
-        other_data = other.data if isinstance(other, Tensor) else np.asarray(other, dtype=np.float64)
-        out_data = self.data @ other_data
-        parents = (self, other) if isinstance(other, Tensor) else (self,)
-        out = Tensor(out_data, parents)
-        a, b = self.data, other_data
+        a, b = self.data, _value(other)
 
         def back(g):
             self._accum(_matmul_grad_left(g, a, b))
             if isinstance(other, Tensor):
                 other._accum(_matmul_grad_right(g, a, b))
-
-        out._backward = back
-        return out
+        return Tensor(a @ b, _parents(self, other), back)
 
     def __rmatmul__(self, other):
         # constant @ Tensor
-        const = np.asarray(other, dtype=np.float64)
-        out = Tensor(const @ self.data, (self,))
-        a, b = const, self.data
+        a, b = _value(other), self.data
 
         def back(g):
             self._accum(_matmul_grad_right(g, a, b))
-
-        out._backward = back
-        return out
+        return Tensor(a @ b, (self,), back)
 
     # -- shape ops -----------------------------------------------------
 
@@ -202,29 +170,32 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         src = self.data.shape
-        out = Tensor(self.data.reshape(shape), (self,))
 
         def back(g):
             self._accum(g.reshape(src))
-
-        out._backward = back
-        return out
+        return Tensor(self.data.reshape(shape), (self,), back)
 
     def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,))
         src = self.data.shape
 
         def back(g):
-            gg = g
             if axis is not None and not keepdims:
-                gg = np.expand_dims(gg, axis)
-            self._accum(np.broadcast_to(gg, src))
-
-        out._backward = back
-        return out
+                g = np.expand_dims(g, axis)
+            self._accum(np.broadcast_to(g, src))
+        return Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,), back)
 
     def square(self):
         return self * self
+
+
+def _value(x):
+    """A Tensor's data, or a constant as a float64 array."""
+    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+
+
+def _parents(a, b):
+    """The Tensor operands of a binary op whose left operand ``a`` is a Tensor."""
+    return (a, b) if isinstance(b, Tensor) else (a,)
 
 
 def _matmul_grad_left(g, a, b):
@@ -243,16 +214,13 @@ def _wrap_unary(fn_val, fn_grad):
     """Build a dual-mode unary op: numpy in, numpy out; Tensor in, node out."""
 
     def op(x):
-        if isinstance(x, Tensor):
-            y = fn_val(x.data)
-            out = Tensor(y, (x,))
+        if not isinstance(x, Tensor):
+            return fn_val(np.asarray(x, dtype=np.float64))
+        y = fn_val(x.data)
 
-            def back(g):
-                x._accum(g * fn_grad(x.data, y))
-
-            out._backward = back
-            return out
-        return fn_val(np.asarray(x, dtype=np.float64))
+        def back(g):
+            x._accum(g * fn_grad(x.data, y))
+        return Tensor(y, (x,), back)
 
     return op
 
@@ -291,61 +259,45 @@ def stack(tensors, axis=0):
     """Stack Tensors (or constants) along a new axis."""
     if not any(isinstance(t, Tensor) for t in tensors):
         return np.stack(tensors, axis=axis)
-    datas = [t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64) for t in tensors]
-    parents = tuple(t for t in tensors if isinstance(t, Tensor))
-    out = Tensor(np.stack(datas, axis=axis), parents)
-    items = list(tensors)
 
     def back(g):
-        slices = np.moveaxis(g, axis, 0)
-        for t, gs in zip(items, slices):
+        for t, gs in zip(tensors, np.moveaxis(g, axis, 0)):
             if isinstance(t, Tensor):
                 t._accum(np.ascontiguousarray(gs))
-
-    out._backward = back
-    return out
+    return Tensor(np.stack([_value(t) for t in tensors], axis=axis),
+                  tuple(t for t in tensors if isinstance(t, Tensor)), back)
 
 
 def take_along_last(x, idx):
     """Select one entry per row along the last axis (differentiable gather)."""
     idx = np.asarray(idx)
-    if isinstance(x, Tensor):
-        picked = np.take_along_axis(x.data, idx[..., None], axis=-1)[..., 0]
-        out = Tensor(picked, (x,))
-        src = x.data.shape
+    if not isinstance(x, Tensor):
+        return np.take_along_axis(np.asarray(x), idx[..., None], axis=-1)[..., 0]
+    src = x.data.shape
 
-        def back(g):
-            full = np.zeros(src)
-            np.put_along_axis(full, idx[..., None], g[..., None], axis=-1)
-            x._accum(full)
-
-        out._backward = back
-        return out
-    return np.take_along_axis(np.asarray(x), idx[..., None], axis=-1)[..., 0]
+    def back(g):
+        full = np.zeros(src)
+        np.put_along_axis(full, idx[..., None], g[..., None], axis=-1)
+        x._accum(full)
+    return Tensor(np.take_along_axis(x.data, idx[..., None], axis=-1)[..., 0], (x,), back)
 
 
 def moveaxis(x, source, destination):
     """np.moveaxis with C-contiguous data (so a later matmul can use BLAS);
     a graph node when x is a Tensor."""
-    if isinstance(x, Tensor):
-        out = Tensor(np.ascontiguousarray(np.moveaxis(x.data, source, destination)), (x,))
+    if not isinstance(x, Tensor):
+        return np.ascontiguousarray(np.moveaxis(x, source, destination))
 
-        def back(g):
-            x._accum(np.ascontiguousarray(np.moveaxis(g, destination, source)))
-
-        out._backward = back
-        return out
-    return np.ascontiguousarray(np.moveaxis(x, source, destination))
+    def back(g):
+        x._accum(np.ascontiguousarray(np.moveaxis(g, destination, source)))
+    return Tensor(np.ascontiguousarray(np.moveaxis(x.data, source, destination)), (x,), back)
 
 
 def logsumexp_last(x):
-    """log(sum(exp(x), axis=-1)), stabilised by a constant max shift."""
-    xd = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    c = xd.max(axis=-1, keepdims=True)
-    if isinstance(x, Tensor):
-        shifted = x - c
-        return log(exp(shifted).sum(axis=-1)) + c[..., 0]
-    return np.log(np.exp(xd - c).sum(axis=-1)) + c[..., 0]
+    """log(sum(exp(x), axis=-1)), stabilised by a constant max shift;
+    numpy or graph mode, as ``log`` and ``exp`` are."""
+    c = _value(x).max(axis=-1, keepdims=True)
+    return log(exp(x - c).sum(axis=-1)) + c[..., 0]
 
 
 def gru_cell(xz, xr, xn, h, w_hz, w_hr, w_hn, out=None):
@@ -408,7 +360,6 @@ def gru_sequence(xz, xr, xn, w_hz, w_hr, w_hn):
         return hs_out
 
     z, r, rh, n = gates
-    out = Tensor(hs_out, tuple(o for o in operands if isinstance(o, Tensor)))
 
     def back(g):
         # per step, dL/d(pre-activation) of n and z is dh times c_n and c_z,
@@ -446,6 +397,4 @@ def gru_sequence(xz, xr, xn, w_hz, w_hr, w_hn):
             if isinstance(operand, Tensor):
                 w_grad = np.swapaxes(left.reshape(rows), -1, -2) @ right.reshape(rows)
                 operand._accum(_unbroadcast(w_grad, operand.data.shape))
-
-    out._backward = back
-    return out
+    return Tensor(hs_out, tuple(o for o in operands if isinstance(o, Tensor)), back)

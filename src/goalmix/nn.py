@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -433,7 +434,14 @@ def _check_slot_counts(path, header, ps):
 def load_checkpoint(path):
     """Read a checkpoint back into a ParamSet; returns (ParamSet, meta).
     Version 1 files (one ``param/<name>`` array per slot) still load."""
-    with np.load(path) as data:
+    try:
+        data = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile) as err:  # text, empty, truncated
+        raise malformed_checkpoint(path, f"not an .npz archive ({err!r})") from None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise malformed_checkpoint(path, f"not an .npz archive (an .npy array of shape "
+                                         f"{data.shape})")
+    with data:
         if "header" not in data.files:
             raise malformed_checkpoint(path, "no 'header' entry")
         try:
@@ -457,6 +465,10 @@ def load_checkpoint(path):
                     path, "param/ names are not <group>.<key> and <group>.<slot>.<key> with "
                           f"slots 0 to S - 1 of one shape ({err!r})") from None
             _check_slot_counts(path, header, ps)
+            stray = sorted({name for name, _ in named} - {name for name, _ in ps.named_all()})
+            if stray:  # a slot written as 01, +1 or " 1" loads as slot 1
+                raise malformed_checkpoint(path, f"param/{stray[0]} is not the name of the "
+                                                 "array it loads as")
         elif header["version"] == CHECKPOINT_VERSION:
             if "params" not in data.files:
                 raise malformed_checkpoint(path, "no 'params' entry")

@@ -1,5 +1,6 @@
 """Shared fixtures and factories for synthetic episodes and small nets."""
 
+import io
 import json
 
 import numpy as np
@@ -208,12 +209,35 @@ MALFORMED_CHECKPOINTS = {
     "repeated key": "agent.in.w occurs twice",
     "n_agents 7, n_reprs 9": "the header says n_agents 7, but agent.in.w has shape \\(2, ",
     "n_reprs 9": "the header says n_reprs 9, but repr\\.[a-z.]+ has shape \\(2, ",
+    "text file": "not an .npz archive \\(ValueError\\(",
+    "empty file": "not an .npz archive \\(EOFError\\(",
+    "truncated archive": "not an .npz archive \\(BadZipFile\\(",
+    "npy array": "not an .npz archive \\(an .npy array of shape \\(3,\\)\\)",
+}
+
+
+def _npy_bytes(arr):
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    return buf.getvalue()
+
+
+# the cases of MALFORMED_CHECKPOINTS that are no .npz archive: each file's
+# bytes, from those of the good checkpoint
+NOT_ARCHIVES = {
+    "text file": lambda raw: b"not a checkpoint\n",
+    "empty file": lambda raw: b"",
+    "truncated archive": lambda raw: raw[:len(raw) // 2],
+    "npy array": lambda raw: _npy_bytes(np.ones(3)),
 }
 
 
 def write_malformed_checkpoint(path, case, ps):
     """Save ``ps`` to ``path``, then rewrite the file broken as ``case`` says."""
     save_checkpoint(path, ps)
+    if case in NOT_ARCHIVES:
+        path.write_bytes(NOT_ARCHIVES[case](path.read_bytes()))
+        return
     with np.load(path) as data:
         arrays = {k: data[k] for k in data.files}
     header = json.loads(bytes(arrays["header"]).decode())

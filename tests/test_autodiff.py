@@ -1,10 +1,12 @@
 """Gradient engine checks against finite differences and hand derivatives."""
 
+import operator
+
 import numpy as np
 import pytest
 
 from goalmix.autodiff import (
-    Tensor, absval, elu, exp, gru_sequence, log, logsumexp_last, moveaxis, relu, sqrt,
+    Tensor, _unbroadcast, absval, elu, exp, gru_sequence, log, logsumexp_last, moveaxis, relu, sqrt,
     stack, take_along_last,
 )
 from goalmix.nn import gradient
@@ -171,6 +173,7 @@ def test_logsumexp_matches_reference_and_fd():
     t = Tensor(x0)
     out = logsumexp_last(t)
     np.testing.assert_allclose(out.data, ref, rtol=1e-12)
+    np.testing.assert_array_equal(logsumexp_last(x0), out.data)  # numpy mode, same bits
     out.sum().backward()
     fd = finite_diff_grad(
         lambda p: float(np.log(np.exp(p["x"]).sum(axis=-1)).sum()),
@@ -192,6 +195,92 @@ def test_gradient_accumulates_through_reuse():
     loss = p * p + p * 3.0
     loss.backward()
     assert p.grad == pytest.approx(7.0)
+
+
+# -- binary ops: each operand's gradient, bit for bit ------------------------------
+
+# each op: its numpy value, and the gradients of the left and right operands
+# from the upstream g, in the numpy expressions the backward forms
+BINARY = {
+    "+": (operator.add, lambda g, a, b: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))),
+    "-": (operator.sub, lambda g, a, b: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))),
+    "*": (operator.mul,
+          lambda g, a, b: (_unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape))),
+    "@": (operator.matmul,
+          lambda g, a, b: (_unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape),
+                           _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape))),
+}
+# operand shapes: equal, then broadcast on one side or both; () is a Python float
+ELEMENTWISE_SHAPES = [((4, 3), (4, 3)), ((2, 4, 3), (3,)), ((4, 1), (2, 1, 3)), ((4, 3), ())]
+MATMUL_SHAPES = [((4, 3), (3, 2)), ((2, 4, 3), (3, 2)), ((5, 3), (2, 3, 4)),
+                 ((1, 4, 3), (2, 3, 2))]
+# which operands are Tensors; a constant minus a Tensor is no op (no __rsub__)
+SIDES = {"tensor-tensor": (True, True), "tensor-constant": (True, False),
+         "constant-tensor": (False, True)}
+
+
+def shape_id(shapes):
+    return "x".join("float" if s == () else ".".join(map(str, s)) for s in shapes)
+
+
+BINARY_CASES = [
+    pytest.param(op, shapes, sides, id=f"{op}-{shape_id(shapes)}-{sides}")
+    for op in BINARY
+    for shapes in (MATMUL_SHAPES if op == "@" else ELEMENTWISE_SHAPES)
+    for sides in SIDES
+    if (op, sides) != ("-", "constant-tensor")
+]
+
+
+def operand(rng, shape, tensor):
+    value = rng.normal(size=shape)
+    value = float(value) if shape == () else value
+    return np.asarray(value, dtype=np.float64), (Tensor(value) if tensor else value)
+
+
+@pytest.mark.parametrize("op, shapes, sides", BINARY_CASES)
+def test_binary_op_gradients_are_bitwise_the_numpy_formulas(op, shapes, sides):
+    rng = np.random.default_rng(13)
+    fn, vjp = BINARY[op]
+    (a, left), (b, right) = (operand(rng, s, t) for s, t in zip(shapes, SIDES[sides]))
+    out = fn(left, right)
+    assert isinstance(out, Tensor)
+    np.testing.assert_array_equal(out.data, fn(a, b))
+    g = rng.normal(size=out.shape)
+    (out * g).sum().backward()  # hands the node exactly g
+    for arg, grad in zip((left, right), vjp(g, a, b)):
+        if isinstance(arg, Tensor):
+            assert arg.grad.shape == arg.shape
+            np.testing.assert_array_equal(arg.grad, grad)
+
+
+def test_constant_minus_tensor_is_rejected():
+    with pytest.raises(TypeError):
+        np.ones(3) - Tensor(np.ones(3))
+
+
+# the same Tensor as both operands: each op, and the sum of its two gradients
+SAME_OPERAND = {
+    "x-x": (lambda x: x - x, lambda g, x: g + -g),
+    "x+x": (lambda x: x + x, lambda g, x: g + g),
+    "x*x": (lambda x: x * x, lambda g, x: g * x + g * x),
+    "x@x": (lambda x: x @ x, lambda g, x: g @ x.T + x.T @ g),
+    "stack-x-x": (lambda x: stack([x, x]), lambda g, x: g[0] + g[1]),
+}
+
+
+@pytest.mark.parametrize("case", list(SAME_OPERAND))
+def test_same_tensor_on_both_sides_gets_both_gradients(case):
+    rng = np.random.default_rng(14)
+    fn, grad = SAME_OPERAND[case]
+    x0 = rng.normal(size=(3, 3))
+    x = Tensor(x0)
+    out = fn(x)
+    g = rng.normal(size=out.shape)
+    (out * g).sum().backward()
+    np.testing.assert_array_equal(x.grad, grad(g, x0))
+    if case == "x-x":
+        assert not x.grad.any()
 
 
 # -- the GRU recurrence against its strided reference -------------------------------

@@ -450,6 +450,11 @@ def test_malformed_checkpoint_is_configuration_error(tmp_path, rng, case):
     assert str(path) in str(err.value)
 
 
+def test_missing_checkpoint_is_file_not_found(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        load_checkpoint(tmp_path / "absent.npz")
+
+
 def test_checkpoint_with_repr_slots_but_no_repr_group_is_configuration_error(tmp_path, rng):
     qnet, mixer, _ = make_nets()
     path = tmp_path / "bad.npz"
@@ -484,6 +489,8 @@ MALFORMED_V1 = {
     "ragged slots": ({"agent.0.in.w": W, "agent.1.in.w": W[:2]}, "same shape"),
     "slot counts differ": ({"agent.0.in.w": W, "agent.1.in.w": W, "agent.0.in.b": B},
                            "n_agents 2, but agent.in.b has shape \\(1, 4\\)"),
+    "aliased slot": ({"agent.0.in.w": W, "agent.1.in.w": W, "agent.01.in.w": W},
+                     "param/agent.01.in.w is not the name of the array it loads as"),
 }
 
 

@@ -462,10 +462,11 @@ def count_target_rows(monkeypatch, tr):
     return calls
 
 
-def chain_trainer(**cfg_kw):
-    cfg = TrainConfig(seed=1, hidden_dim=32, eps_anneal_steps=6000, **cfg_kw).validate()
-    return Trainer(cfg, lambda: TabularEnv(coordination_chain(), episode_limit=10),
-                   rng=np.random.default_rng(1))
+def chain_trainer(seed=1, episode_limit=10, **cfg_kw):
+    """The coordination chain at H = 32; at seed 0, the train-chain benchmark's trainer."""
+    cfg = TrainConfig(seed=seed, hidden_dim=32, eps_anneal_steps=6000, **cfg_kw).validate()
+    return Trainer(cfg, lambda: TabularEnv(coordination_chain(), episode_limit=episode_limit),
+                   rng=np.random.default_rng(seed))
 
 
 @pytest.mark.parametrize("build", [
@@ -858,23 +859,44 @@ def test_share_params_trains_single_network():
     assert not any(n.startswith("agent.1.") for n in names)
 
 
+def tensors_per_block(monkeypatch, trainer):
+    """How many Tensors one ``train_block`` of ``trainer`` constructs."""
+    built = [0]
+    init = Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Tensor, "__init__", counting_init)
+        trainer.train_block()
+    return built[0]
+
+
 def test_graph_size_does_not_grow_with_episode_length(monkeypatch):
     """The GRU recurrence is one graph node, so a block builds as many
     Tensors on episodes of 10 steps as on episodes of 5."""
     built = []
-    init = Tensor.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built[-1] += 1
-        init(self, *args, **kwargs)
-
     for limit in (5, 10):
-        cfg = TrainConfig(seed=0, hidden_dim=32, eps_anneal_steps=6000).validate()
-        trainer = Trainer(cfg, lambda: TabularEnv(coordination_chain(), episode_limit=limit),
-                          rng=np.random.default_rng(0))
+        trainer = chain_trainer(seed=0, episode_limit=limit)
         trainer.collect_episode()
-        built.append(0)
-        with monkeypatch.context() as patch:
-            patch.setattr(Tensor, "__init__", counting_init)
-            trainer.train_block()
+        built.append(tensors_per_block(monkeypatch, trainer))
     assert built[0] == built[1] > 0
+
+
+# Tensors one train block builds: the size of its graph, which a change to
+# how the autodiff ops build their nodes must keep
+GRAPH_SIZES = {
+    "skirmish-2v2": (lambda: make_trainer(seed=0), 121),
+    "qmix": (lambda: make_trainer(seed=0, lam=0.0, lam_i=0.0, lam_e=0.0, lam_d=0.0), 75),
+    "train-chain": (lambda: chain_trainer(seed=0), 121),
+}
+
+
+@pytest.mark.parametrize("config", list(GRAPH_SIZES))
+def test_tensors_per_block_are_pinned(monkeypatch, config):
+    factory, expected = GRAPH_SIZES[config]
+    trainer = factory()
+    trainer.collect_episode()
+    assert tensors_per_block(monkeypatch, trainer) == expected

@@ -9,8 +9,9 @@ greedy ``evaluate(1)`` calls by the win, the episode's length
 health), so rollout changes are checked too. Fourteen configurations, all
 seed 0: default skirmish-2v2, skirmish-3v3 (the eval benchmark's env),
 cliff-2v2, the tabular coordination chain at H = 32 (the train-chain
-benchmark config), ``share_params`` and the nine ablation variants. Every run syncs its targets every 5 collected episodes, so the
-25 blocks cross several target generations.
+benchmark config), ``share_params`` and the nine ablation variants.
+Every run syncs its targets every 5 collected episodes, so the 25 blocks
+cross several target generations.
 
     python tools/parity.py OTHER_TREE
 
