@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, gru_cell, gru_sequence, relu
+from .autodiff import Tensor, gru_cell, gru_sequence
 from .nn import affine, linear_params, uniform_init
 
 GATES = ("z", "r", "n")  # the GRU's update, reset and candidate gates
@@ -88,7 +88,7 @@ class RecurrentQNet:
         *lead, t_len, d = obs_seq.shape
         rows = (*lead[:-1], lead[-1] * t_len)  # each slot's (B * T) rows
         hd = self.hidden_dim
-        x = relu(affine(params, "in", obs_seq.reshape(*rows, d)))
+        x = affine(params, "in", obs_seq.reshape(*rows, d), relu=True)
         hidden = gru_sequence(
             *(affine(params, f"gru.x{g}", x).reshape(*lead, t_len, hd) for g in GATES),
             *(params[f"gru.h{g}.w"] for g in GATES),

@@ -4,16 +4,20 @@ Deliberately restricted to the operations the training losses need:
 ``+``, ``*`` and ``@`` (a constant may stand on either side), ``-`` (a
 Tensor on the left), the activations, ``exp``, ``log``, ``sqrt``,
 reshape, sum, stack, gathers (``take_along_last``), ``moveaxis``,
-``logsumexp_last``, and ``gru_sequence``, a whole GRU recurrence as one
-node whose backward is hand-written backpropagation through time; no
-negation or division. Everything is float64.
+``logsumexp_last``, ``affine``, a whole affine layer ``x @ w + b`` (with
+an optional relu) as one node, and ``gru_sequence``, a whole GRU
+recurrence as one node whose backward is hand-written backpropagation
+through time; no negation or division. Everything is float64.
 
 A :class:`Tensor` wraps an ndarray. Every op builds its node with one
 call, ``Tensor(value, parents, back)``: the op's value, its Tensor
 operands, and a closure ``back(g)`` that hands each of them its
 vector-Jacobian product of the upstream gradient ``g``. A constant operand
 is not a parent and gets no gradient. ``Tensor.backward()`` walks the
-graph in reverse topological order and accumulates gradients into ``.grad``.
+graph in reverse topological order and accumulates gradients into
+``.grad``; an inner node's ``.grad`` is dropped as soon as its ``back``
+has run, so once ``backward()`` returns only leaves (Tensors built from a
+value alone, such as wrapped parameters) hold one.
 
 Plain ndarrays and Python floats are constants in these expressions (no
 graph nodes are created for them). The same network code therefore runs
@@ -36,6 +40,7 @@ __all__ = [
     "log",
     "sqrt",
     "logsumexp_last",
+    "affine",
     "gru_cell",
     "gru_sequence",
 ]
@@ -75,10 +80,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def item(self):
         return float(self.data)
 
@@ -89,7 +90,9 @@ class Tensor:
         self.grad = g if self.grad is None else self.grad + g
 
     def backward(self):
-        """Backpropagate from a scalar through the recorded graph."""
+        """Backpropagate from a scalar through the recorded graph. Every
+        inner node's ``.grad`` is None again once its ``back`` has run;
+        leaves keep the gradients they accumulated."""
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar, got shape {self.data.shape}")
         order = []
@@ -113,6 +116,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # -- arithmetic ----------------------------------------------------
 
@@ -298,6 +302,42 @@ def logsumexp_last(x):
     numpy or graph mode, as ``log`` and ``exp`` are."""
     c = _value(x).max(axis=-1, keepdims=True)
     return log(exp(x - c).sum(axis=-1)) + c[..., 0]
+
+
+def affine(x, w, b, relu=False):
+    """``x @ w + b``, or ``relu(x @ w + b)`` with ``relu``, as one op. Weights
+    (n_in, n_out) take a bias (n_out,); slot-stacked weights (S, n_in, n_out)
+    take a bias (S, n_out), added to every row of its slot as (S, 1, n_out).
+
+    The bias and the relu act in place on the product, so the value has the
+    bits of the composite while no pre-bias or pre-activation array is
+    kept. Plain operands give an array; if any is a Tensor the layer is one
+    graph node, and a relu layer keeps only its boolean mask for the
+    backward. That hands out the bias gradient, then x's and w's, each as
+    the add, reshape and matmul nodes of the composite would.
+    """
+    xd, wd, bd = _value(x), _value(w), _value(b)
+    b_shape = (bd.shape[0], 1, bd.shape[1]) if wd.ndim == 3 else bd.shape
+    y = xd @ wd
+    np.add(y, bd.reshape(b_shape), out=y)
+    if relu:
+        np.maximum(y, 0.0, out=y)
+    parents = tuple(o for o in (x, w, b) if isinstance(o, Tensor))
+    if not parents:
+        return y
+    # the boolean mask multiplies as 0.0/1.0, bitwise as a float64 mask would
+    mask = y > 0 if relu else None
+
+    def back(g):
+        if relu:
+            g = g * mask
+        if isinstance(b, Tensor):
+            b._accum(_unbroadcast(g, b_shape).reshape(bd.shape))
+        if isinstance(x, Tensor):
+            x._accum(_matmul_grad_left(g, xd, wd))
+        if isinstance(w, Tensor):
+            w._accum(_matmul_grad_right(g, xd, wd))
+    return Tensor(y, parents, back)
 
 
 def gru_cell(xz, xr, xn, h, w_hz, w_hr, w_hn, out=None):

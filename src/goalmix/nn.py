@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff
 from .autodiff import Tensor, stack
 
 Params = dict  # name -> np.ndarray (or Tensor in graph mode)
@@ -57,17 +58,17 @@ def linear_params(rng, n_in, n_out, prefix):
     }
 
 
-def affine(params, prefix, x):
-    """x @ w + b. Slot-stacked weights (S, n_in, n_out) take x (N, rows, n_in)
-    with N = S, or any N when S = 1; a single net's weights take x (..., n_in)."""
+def affine(params, prefix, x, relu=False):
+    """x @ w + b, and max(x @ w + b, 0) with ``relu``: one
+    :func:`~goalmix.autodiff.affine`. Slot-stacked weights (S, n_in, n_out)
+    take x (N, rows, n_in) with N = S, or any N when S = 1; a single net's
+    weights take x (..., n_in)."""
     w, b = params[f"{prefix}.w"], params[f"{prefix}.b"]
     if x.shape[-1] != w.shape[-2]:
         raise ConfigurationError(
             f"block '{prefix}' expects input dim {w.shape[-2]}, got {x.shape[-1]}"
         )
-    if w.ndim == 3:
-        b = b.reshape(b.shape[0], 1, b.shape[1])
-    return x @ w + b
+    return autodiff.affine(x, w, b, relu)
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +315,17 @@ class RMSProp:
             raise NonFiniteGradientError(f"non-finite gradient entries in {name}")
         s = self.sq
         if s is None or (views is not self.views and views != self.views):
-            s = np.zeros_like(params)
+            s = self.sq = np.zeros_like(params)
             self.views = views
-        s = self.decay * s + (1.0 - self.decay) * grads * grads
-        self.sq = s
-        params -= self.lr * grads / (np.sqrt(s) + self.eps)
+        # in place, in the operand order of s = decay*s + (1-decay)*g*g and
+        # p -= lr*g / (sqrt(s) + eps)
+        work = np.multiply(1.0 - self.decay, grads)
+        np.multiply(work, grads, out=work)
+        np.multiply(self.decay, s, out=s)
+        np.add(s, work, out=s)
+        step = np.multiply(self.lr, grads)
+        np.add(np.sqrt(s, out=work), self.eps, out=work)
+        params -= np.divide(step, work, out=step)
 
 
 def clip_grads_global(grads, max_norm, views):
@@ -431,6 +438,15 @@ def _check_slot_counts(path, header, ps):
                                              f"but the {groups[0]} group is empty")
 
 
+def _member(path, data, key):
+    """The array ``key`` of the open archive ``data``; a member whose bytes
+    fail their CRC or do not parse as an array is a malformed checkpoint."""
+    try:
+        return data[key]
+    except (ValueError, EOFError, zipfile.BadZipFile) as err:
+        raise malformed_checkpoint(path, f"the {key!r} entry is damaged ({err!r})") from None
+
+
 def load_checkpoint(path):
     """Read a checkpoint back into a ParamSet; returns (ParamSet, meta).
     Version 1 files (one ``param/<name>`` array per slot) still load."""
@@ -444,8 +460,9 @@ def load_checkpoint(path):
     with data:
         if "header" not in data.files:
             raise malformed_checkpoint(path, "no 'header' entry")
+        raw_header = bytes(_member(path, data, "header"))
         try:
-            header = json.loads(bytes(data["header"]).decode())
+            header = json.loads(raw_header.decode())
         except ValueError:
             raise malformed_checkpoint(path, "the header is not JSON") from None
         if not isinstance(header, dict) or "version" not in header:
@@ -453,7 +470,7 @@ def load_checkpoint(path):
         if "meta" not in header:
             raise malformed_checkpoint(path, "the header has no 'meta'")
         if header["version"] == 1:
-            named = [(key[len("param/"):], data[key])
+            named = [(key[len("param/"):], _member(path, data, key))
                      for key in data.files if key.startswith("param/")]
             unknown = [name for name, _ in named if name.split(".", 1)[0] not in GROUPS]
             if unknown:
@@ -472,7 +489,7 @@ def load_checkpoint(path):
         elif header["version"] == CHECKPOINT_VERSION:
             if "params" not in data.files:
                 raise malformed_checkpoint(path, "no 'params' entry")
-            ps = _unpack(path, header.get("layout"), data["params"])
+            ps = _unpack(path, header.get("layout"), _member(path, data, "params"))
             _check_slot_counts(path, header, ps)
         else:
             raise ConfigurationError(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import moveaxis, relu, sqrt, take_along_last
+from .autodiff import moveaxis, sqrt, take_along_last
 from .nn import affine, linear_params, weighted_sq_error
 
 
@@ -39,7 +39,7 @@ class ReprNet:
         return p
 
     def forward(self, params, obs):
-        return affine(params, "out", relu(affine(params, "h", obs)))
+        return affine(params, "out", affine(params, "h", obs, relu=True))
 
 
 # ---------------------------------------------------------------------------

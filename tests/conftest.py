@@ -213,6 +213,7 @@ MALFORMED_CHECKPOINTS = {
     "empty file": "not an .npz archive \\(EOFError\\(",
     "truncated archive": "not an .npz archive \\(BadZipFile\\(",
     "npy array": "not an .npz archive \\(an .npy array of shape \\(3,\\)\\)",
+    "damaged member": "the 'params' entry is damaged \\(BadZipFile\\(.Bad CRC-32",
 }
 
 
@@ -222,21 +223,28 @@ def _npy_bytes(arr):
     return buf.getvalue()
 
 
-# the cases of MALFORMED_CHECKPOINTS that are no .npz archive: each file's
-# bytes, from those of the good checkpoint
-NOT_ARCHIVES = {
+def _flip_middle_byte(raw):
+    middle = len(raw) // 2
+    return raw[:middle] + bytes([raw[middle] ^ 0xFF]) + raw[middle + 1:]
+
+
+# the cases of MALFORMED_CHECKPOINTS made from the good checkpoint's bytes: the
+# files that are no .npz archive, and one whose params member fails its CRC
+# (the middle of the file lies in the params vector)
+BYTE_EDITS = {
     "text file": lambda raw: b"not a checkpoint\n",
     "empty file": lambda raw: b"",
     "truncated archive": lambda raw: raw[:len(raw) // 2],
     "npy array": lambda raw: _npy_bytes(np.ones(3)),
+    "damaged member": _flip_middle_byte,
 }
 
 
 def write_malformed_checkpoint(path, case, ps):
     """Save ``ps`` to ``path``, then rewrite the file broken as ``case`` says."""
     save_checkpoint(path, ps)
-    if case in NOT_ARCHIVES:
-        path.write_bytes(NOT_ARCHIVES[case](path.read_bytes()))
+    if case in BYTE_EDITS:
+        path.write_bytes(BYTE_EDITS[case](path.read_bytes()))
         return
     with np.load(path) as data:
         arrays = {k: data[k] for k in data.files}

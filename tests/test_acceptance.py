@@ -7,6 +7,9 @@ README for the protocol and recorded results).
 """
 
 import math
+import multiprocessing as mp
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -372,24 +375,28 @@ def _greedy_visits(trainer, game):
             return visits
 
 
-def test_criterion_6_tabular_end_to_end():
+def _criterion_6_seed(seed):
+    """Whether the chain policy trained from ``seed`` for 16k env steps
+    visits every state and takes an optimal joint action in each."""
     game = coordination_chain()
     optimal = optimal_joint_actions(game, 0.99)
-    passed = 0
+    cfg = TrainConfig(seed=seed, hidden_dim=32, eps_anneal_steps=6000,
+                      max_env_steps=16000, eval_interval=10**9).validate()
+    trainer = Trainer(cfg, lambda: TabularEnv(game, episode_limit=10),
+                      rng=np.random.default_rng(seed))
+    trainer.collect_episode()
+    while trainer.env_steps < cfg.max_env_steps:
+        trainer.train_block()
+    visits = _greedy_visits(trainer, game)
+    return len(visits) == game.n_states and all(visits[s] in optimal[s] for s in visits)
+
+
+def test_criterion_6_tabular_end_to_end():
+    """The five seeds train in worker processes, at most two at a time."""
     seeds = range(5)
-    for seed in seeds:
-        cfg = TrainConfig(seed=seed, hidden_dim=32, eps_anneal_steps=6000,
-                          max_env_steps=16000, eval_interval=10**9).validate()
-        trainer = Trainer(cfg, lambda: TabularEnv(game, episode_limit=10),
-                          rng=np.random.default_rng(seed))
-        trainer.collect_episode()
-        while trainer.env_steps < cfg.max_env_steps:
-            trainer.train_block()
-        visits = _greedy_visits(trainer, game)
-        ok = len(visits) == game.n_states and all(
-            visits[s] in optimal[s] for s in visits
-        )
-        passed += ok
+    workers = min(2, len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(workers, mp_context=mp.get_context("spawn")) as pool:
+        passed = sum(pool.map(_criterion_6_seed, seeds))
     report(6, f"tabular policy match ({passed}/5 seeds within 16k steps)", passed == 5)
 
 

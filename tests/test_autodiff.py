@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from goalmix.autodiff import (
-    Tensor, _unbroadcast, absval, elu, exp, gru_sequence, log, logsumexp_last, moveaxis, relu, sqrt,
-    stack, take_along_last,
+    Tensor, _unbroadcast, absval, affine, elu, exp, gru_sequence, log, logsumexp_last, moveaxis,
+    relu, sqrt, stack, take_along_last,
 )
 from goalmix.nn import gradient
 from goalmix.oracles import finite_diff_grad, strided_gru_sequence
@@ -281,6 +281,92 @@ def test_same_tensor_on_both_sides_gets_both_gradients(case):
     np.testing.assert_array_equal(x.grad, grad(g, x0))
     if case == "x-x":
         assert not x.grad.any()
+
+
+# -- the affine node against the composite of @, reshape and + --------------------
+
+# (x, w) shapes, the bias being (n_out,) or (S, n_out): the mixer's 2-D weights,
+# slot-stacked weights with S = N, and one shared slot (S = 1) for N = 2
+AFFINE_SHAPES = {
+    "2-D": ((6, 4), (4, 3)),
+    "slots": ((2, 5, 4), (2, 4, 3)),
+    "shared-slot": ((2, 5, 4), (1, 4, 3)),
+}
+# which of x, w and b are Tensors: a constant x (observations, states), a
+# Tensor x (hidden layers), and array weights with a Tensor x (criterion 4)
+AFFINE_TENSORS = {"all": "xwb", "constant-x": "wb", "array-weights": "x", "none": ""}
+
+
+def composite_affine(x, w, b):
+    """x @ w + b as separate @, reshape and + ops, the bias of slot-stacked
+    weights reshaped to (S, 1, n_out)."""
+    if len(w.shape) == 3:
+        b = b.reshape(b.shape[0], 1, b.shape[1])
+    return x @ w + b
+
+
+def affine_operands(values, tensors):
+    return [Tensor(v) if name in tensors else v for name, v in zip("xwb", values)]
+
+
+def assert_affine_is_the_composite(values, tensors, relu_layer):
+    """``affine`` and the composite (under ``relu`` for a relu layer) on the
+    same values: equal outputs and, for each Tensor operand, equal gradients."""
+    fused = affine_operands(values, tensors)
+    split = affine_operands(values, tensors)
+    out = affine(*fused, relu=relu_layer)
+    ref = composite_affine(*split)
+    ref = relu(ref) if relu_layer else ref
+    assert isinstance(out, Tensor) == bool(tensors)
+    if not tensors:
+        np.testing.assert_array_equal(out, ref)
+        return
+    np.testing.assert_array_equal(out.data, ref.data)
+    g = np.random.default_rng(16).normal(size=out.shape)
+    (out * g).sum().backward()  # hands each node exactly g
+    (ref * g).sum().backward()
+    for mine, theirs in zip(fused, split):
+        if isinstance(mine, Tensor):
+            assert mine.grad.shape == mine.shape
+            np.testing.assert_array_equal(mine.grad, theirs.grad)
+
+
+@pytest.mark.parametrize("tensors", list(AFFINE_TENSORS))
+@pytest.mark.parametrize("shape", list(AFFINE_SHAPES))
+def test_affine_is_bitwise_the_composite(shape, tensors):
+    rng = np.random.default_rng(15)
+    x_shape, w_shape = AFFINE_SHAPES[shape]
+    values = [rng.normal(size=x_shape), rng.normal(size=w_shape),
+              rng.normal(size=(*w_shape[:-2], w_shape[-1]))]
+    assert_affine_is_the_composite(values, AFFINE_TENSORS[tensors], relu_layer=False)
+
+
+@pytest.mark.parametrize("tensors", list(AFFINE_TENSORS))
+@pytest.mark.parametrize("shape", list(AFFINE_SHAPES))
+def test_relu_affine_is_bitwise_relu_of_the_composite(shape, tensors):
+    """Small integers make many pre-activations exactly 0.0, where the relu's
+    mask and its value meet; x and b hold 0.0 and -0.0 entries (a matmul sums
+    from +0.0, so no pre-activation is -0.0 itself)."""
+    rng = np.random.default_rng(17)
+    x_shape, w_shape = AFFINE_SHAPES[shape]
+    x, w = (rng.integers(-2, 3, size=s).astype(np.float64) for s in (x_shape, w_shape))
+    b = rng.integers(-2, 3, size=(*w_shape[:-2], w_shape[-1])).astype(np.float64)
+    x.flat[::5], x.flat[1::5] = 0.0, -0.0
+    b.flat[::2] = -0.0
+    pre = composite_affine(x, w, b)
+    assert (pre == 0.0).sum() >= 2 and (pre > 0).any() and (pre < 0).any()
+    assert_affine_is_the_composite([x, w, b], AFFINE_TENSORS[tensors], relu_layer=True)
+
+
+def test_only_leaves_keep_their_gradient_after_backward():
+    rng = np.random.default_rng(18)
+    w, b, v = (Tensor(rng.normal(size=s)) for s in ((3, 4), (4,), (4, 2)))
+    hidden = affine(rng.normal(size=(5, 3)), w, b, relu=True)
+    out = hidden @ v
+    loss = (out * out).sum()
+    loss.backward()
+    assert all(leaf.grad is not None for leaf in (w, b, v))
+    assert all(node.grad is None for node in (hidden, out, loss))
 
 
 # -- the GRU recurrence against its strided reference -------------------------------
