@@ -523,10 +523,11 @@ class SkirmishEnv:
 def write_episode_log(fh, episode):
     """Append one episode to an open text file, one JSON object per step:
     {"t", "obs", "actions", "r_ex", "done"}."""
+    obs = episode.obs
     for t in range(episode.length):
         row = {
             "t": t,
-            "obs": [episode.obs[i, t].tolist() for i in range(episode.obs.shape[0])],
+            "obs": [obs[i, t].tolist() for i in range(obs.shape[0])],
             "actions": episode.actions[:, t].tolist(),
             "r_ex": float(episode.rewards[t]),
             "done": bool(episode.dones[t]),

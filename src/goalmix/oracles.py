@@ -117,7 +117,8 @@ def brute_force_subgoal(agent_params, mixer_params, episode, alpha):
     per agent. Returns t_star, (n_agents,) int.
     """
     n = episode.n_agents
-    q_seqs = [slow_q_seq({k: v[i] for k, v in agent_params.items()}, episode.obs[i])
+    obs, states = episode.obs, episode.states
+    q_seqs = [slow_q_seq({k: v[i] for k, v in agent_params.items()}, obs[i])
               for i in range(n)]
     t_star = np.zeros(n, dtype=np.int64)
     for i in range(n):
@@ -129,7 +130,7 @@ def brute_force_subgoal(agent_params, mixer_params, episode, alpha):
                 if episode.avail[i, t, u]
             )
             q_taken = [q_seqs[j][t][episode.actions[j, t]] for j in range(n)]
-            q_tot = slow_mix(mixer_params, q_taken, episode.states[t])
+            q_tot = slow_mix(mixer_params, q_taken, states[t])
             score = alpha * q_max + (1.0 - alpha) * q_tot / n
             if best is None or score > best:
                 best, best_t = score, t

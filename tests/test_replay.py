@@ -1,10 +1,23 @@
-"""FIFO episodic replay buffer: eviction, sampling, validation."""
+"""FIFO episodic replay buffer: eviction, sampling, validation, storage."""
+
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from goalmix.replay import MalformedEpisodeError, ReplayBuffer
-from tests.conftest import make_episode
+from goalmix import training
+from goalmix.replay import Episode, MalformedEpisodeError, ReplayBuffer
+from goalmix.training import stack_episodes
+from tests.conftest import make_episode, make_trainer
+
+FIELDS = ("obs", "actions", "avail", "states", "rewards", "dones", "valid")
+
+
+def rebuilt(ep, **changes):
+    """A new Episode from ``ep``'s arrays, with ``changes`` in place of some."""
+    arrays = {name: getattr(ep, name) for name in FIELDS}
+    return Episode(**{**arrays, **changes}, length=ep.length, uid=ep.uid)
 
 
 def small_episode(rng, uid=None):
@@ -105,7 +118,9 @@ def test_malformed_episodes_rejected_with_diagnostics(rng):
         buf.push(ep)
 
     ep = small_episode(rng)
-    ep.obs[0, 0, 0] = np.nan
+    obs = ep.obs
+    obs[0, 0, 0] = np.nan
+    ep = rebuilt(ep, obs=obs)
     with pytest.raises(MalformedEpisodeError, match="non-finite"):
         buf.push(ep)
 
@@ -129,3 +144,118 @@ def test_buffer_dump_uses_episode_log_format(tmp_path, rng):
     lines = [json.loads(l) for l in path.read_text().strip().split("\n")]
     assert len(lines) == 5
     assert all(set(r) == {"t", "obs", "actions", "r_ex", "done"} for r in lines)
+
+
+def collected_episode(env_name="skirmish-2v2"):
+    trainer = make_trainer(seed=0, env_name=env_name)
+    return trainer.collect_episode()
+
+
+def with_action(ep, value):
+    actions = ep.actions.copy()
+    actions[0, 0] = value
+    return rebuilt(ep, actions=actions)
+
+
+# a collected skirmish-2v2 episode broken in one way, and a pattern of the
+# error push raises for it
+MALFORMED_PUSHES = {
+    "action -1 at a valid step": (lambda ep: with_action(ep, -1), r"actions outside range\(6\)"),
+    "action 9 of 6": (lambda ep: with_action(ep, 9), r"actions outside range\(6\)"),
+    "float actions": (lambda ep: rebuilt(ep, actions=ep.actions.astype(np.float64)),
+                      "actions dtype float64 is not an integer type"),
+    "float avail": (lambda ep: rebuilt(ep, avail=ep.avail.astype(np.float64)),
+                    "avail dtype float64 is not bool"),
+    "dones of length 0": (lambda ep: rebuilt(ep, dones=np.zeros(0, dtype=bool)),
+                          r"dones shape \(0,\)"),
+    "3v3 after 2v2": (lambda ep: collected_episode("skirmish-3v3"),
+                      r"obs shape \(3, 40, \d+\) differs from the buffer's \(2, 30, \d+\)"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_PUSHES)
+def test_push_rejects_episodes_the_learner_cannot_use(case):
+    good = collected_episode()
+    buf = ReplayBuffer(4)
+    buf.push(good)
+    breaks, pattern = MALFORMED_PUSHES[case]
+    with pytest.raises(MalformedEpisodeError, match=pattern):
+        buf.push(breaks(good))
+    assert buf.episodes() == [good]
+
+
+def assert_exact(ep, obs, states):
+    """``ep`` reads back ``obs`` and ``states`` bit for bit, as float64."""
+    for got, want in ((ep.obs, obs), (ep.states, states)):
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("env_name", ["skirmish-2v2", "skirmish-3v3", "cliff-2v2"])
+def test_collected_episode_reads_back_bitwise(env_name, monkeypatch):
+    built = []
+
+    def recording_episode(**fields):
+        built.append({name: fields[name].copy() for name in ("obs", "states")})
+        return Episode(**fields)
+
+    monkeypatch.setattr(training, "Episode", recording_episode)
+    ep = collected_episode(env_name)
+    assert_exact(ep, built[0]["obs"], built[0]["states"])
+    assert ep.obs_codes.dtype == ep.state_codes.dtype == np.uint8
+
+
+def test_continuous_episode_reads_back_bitwise(rng):
+    ep = make_episode(rng, t_max=30, length=30, obs_dim=25, state_dim=17)
+    obs = rng.normal(size=ep.obs.shape)
+    states = rng.normal(size=ep.states.shape)
+    ep = rebuilt(ep, obs=obs, states=states)
+    assert_exact(ep, obs, states)
+    assert ep.obs_codes.dtype == np.uint16
+    assert len(ep.values) == obs.size + states.size
+
+
+def test_signed_zeros_stay_apart(rng):
+    ep = make_episode(rng, t_max=3, length=3, obs_dim=2, state_dim=2)
+    obs, states = np.zeros(ep.obs.shape), np.zeros(ep.states.shape)
+    obs[0, 0, 0] = states[1, 1] = -0.0
+    ep = rebuilt(ep, obs=obs, states=states)
+    assert_exact(ep, obs, states)
+    assert np.signbit(ep.obs[0, 0, 0]) and not np.signbit(ep.obs[0, 0, 1])
+    assert len(ep.values) == 2
+
+
+def test_more_than_256_values_take_uint16_codes(rng):
+    ep = make_episode(rng, t_max=6, length=6, obs_dim=25, state_dim=4)
+    obs = np.arange(ep.obs.size, dtype=np.float64).reshape(ep.obs.shape) / 7
+    ep = rebuilt(ep, obs=obs)
+    assert obs.size > 256
+    assert_exact(ep, obs, ep.states)
+    assert ep.obs_codes.dtype == ep.state_codes.dtype == np.uint16
+
+
+def test_decoded_arrays_are_fresh(rng):
+    ep = make_episode(rng)
+    obs = ep.obs
+    obs[:] = np.nan
+    assert np.isfinite(ep.obs).all()
+
+
+def test_stored_skirmish_episodes_take_at_most_7_kb_each():
+    """100 collected skirmish-2v2 episodes with their cached bootstraps:
+    the bytes freed when the buffer goes, per episode (19.3 KB as float64
+    arrays)."""
+    trainer = make_trainer(seed=0)
+    tracemalloc.start()
+    try:
+        for _ in range(100):
+            trainer.collect_episode()
+        trainer.batch_bootstrap(stack_episodes(trainer.buffer.episodes()))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        trainer.buffer = ReplayBuffer(trainer.cfg.buffer_capacity)
+        gc.collect()
+        per_episode = (held - tracemalloc.get_traced_memory()[0]) / 100
+    finally:
+        tracemalloc.stop()
+    assert per_episode <= 7_000, f"{per_episode:.0f} bytes per stored episode"

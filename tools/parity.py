@@ -6,7 +6,10 @@ the ``BlockReport`` field by field and every ``named_all()`` array (online
 and target) by SHA-256 of its bytes. After the last block it compares 16
 greedy ``evaluate(1)`` calls by the win, the episode's length
 (``eval_env.t``) and its final game state (the units' positions and
-health), so rollout changes are checked too. Fourteen configurations, all
+health), so rollout changes are checked too, and every episode the replay
+buffer then holds, in buffer order, by a SHA-256 of its arrays, length,
+uid and cached bootstrap, so the storage is checked directly and not only
+through the losses it feeds. Fourteen configurations, all
 seed 0: default skirmish-2v2, skirmish-3v3 (the eval benchmark's env),
 cliff-2v2, the tabular coordination chain at H = 32 (the train-chain
 benchmark config), ``share_params`` and the nine ablation variants.
@@ -15,8 +18,9 @@ cross several target generations.
 
     python tools/parity.py OTHER_TREE
 
-Prints one line per configuration and exits 0 when every block and every
-evaluation of every configuration matches, 1 otherwise.
+Prints one line per configuration and exits 0 when every block, every
+evaluation and every stored episode of every configuration matches, 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -69,11 +73,25 @@ def episode_end(env):
     return [env.t, env.s]
 
 
+def episode_digest(ep):
+    """SHA-256 of a stored episode: each array's dtype, shape and bytes,
+    its length and uid, and the arrays of its cached bootstrap (the token
+    is an identity, so only whether there is one)."""
+    h = hashlib.sha256()
+    bootstrap = () if ep.bootstrap is None else ep.bootstrap[1:]
+    for a in (ep.obs, ep.actions, ep.avail, ep.states, ep.rewards, ep.dones, ep.valid,
+              *bootstrap):
+        h.update(f"{a.dtype}{a.shape}".encode())
+        h.update(a.tobytes())
+    h.update(repr((ep.length, ep.uid, len(bootstrap))).encode())
+    return h.hexdigest()
+
+
 def dump():
     """Print one JSON line per block and configuration: the report fields
     (floats as exact reprs) and the digest of every named array; then one
     line per configuration with the win and :func:`episode_end` of each
-    evaluation."""
+    evaluation and the :func:`episode_digest` of each stored episode."""
     import goalmix
 
     print(json.dumps({"goalmix": goalmix.__file__}), flush=True)
@@ -86,11 +104,12 @@ def dump():
                       for k, v in trainer.params.named_all()}
             print(json.dumps({"config": name, "block": block, "report": report,
                               "arrays": arrays}), flush=True)
+        buffer = [episode_digest(ep) for ep in trainer.buffer.episodes()]
         evals = []
         for _ in range(EVALS):
             won = trainer.evaluate(1)
             evals.append([won, *episode_end(trainer.eval_env)])
-        print(json.dumps({"config": name, "evals": evals}), flush=True)
+        print(json.dumps({"config": name, "evals": evals, "buffer": buffer}), flush=True)
 
 
 def run(tree):
@@ -98,14 +117,14 @@ def run(tree):
     out = subprocess.run([sys.executable, __file__, "--dump"], env=env, check=True,
                          capture_output=True, text=True).stdout.splitlines()
     source = json.loads(out[0])["goalmix"]
-    rows, evals = {}, {}
+    rows, ends = {}, {}
     for line in out[1:]:
         row = json.loads(line)
         if "evals" in row:
-            evals[row["config"]] = row["evals"]
+            ends[row["config"]] = row
         else:
             rows.setdefault(row["config"], []).append(row)
-    return source, rows, evals
+    return source, rows, ends
 
 
 def differences(a, b):
@@ -124,14 +143,16 @@ def main(argv):
         print(__doc__, file=sys.stderr)
         return 2
     here = Path(__file__).resolve().parent.parent
-    (src_a, ours, our_evals), (src_b, theirs, their_evals) = run(here), run(argv[0])
+    (src_a, ours, our_ends), (src_b, theirs, their_ends) = run(here), run(argv[0])
     print(f"this tree:  {src_a}\nother tree: {src_b}")
     ok = ours.keys() == theirs.keys()
     for name, rows in ours.items():
         other = theirs.get(name, [])
         first = next(((r["block"], differences(r, o)) for r, o in zip(rows, other)
                       if differences(r, o)), None)
-        evals, other_evals = our_evals[name], their_evals.get(name, [])
+        end, other_end = our_ends[name], their_ends.get(name, {})
+        evals, other_evals = end["evals"], other_end.get("evals", [])
+        buffer, other_buffer = end["buffer"], other_end.get("buffer", [])
         if first is not None:
             ok = False
             block, names = first
@@ -144,9 +165,17 @@ def main(argv):
             theirs_k = other_evals[k] if k < len(other_evals) else "nothing"
             print(f"{name:28s} bitwise over {len(rows)} blocks; evaluation {k} differs "
                   f"([win, length, final state]): {evals[k]} vs {theirs_k}")
+        elif buffer != other_buffer:
+            ok = False
+            k = next((k for k, (a, b) in enumerate(zip(buffer, other_buffer)) if a != b),
+                     min(len(buffer), len(other_buffer)))
+            print(f"{name:28s} bitwise over {len(rows)} blocks, {len(evals)} evaluations "
+                  f"equal; stored episode {k} differs ({len(buffer)} vs "
+                  f"{len(other_buffer)} stored)")
         else:
             print(f"{name:28s} bitwise over {len(rows)} blocks "
-                  f"({len(rows[-1]['arrays'])} arrays each), {len(evals)} evaluations equal")
+                  f"({len(rows[-1]['arrays'])} arrays each), {len(evals)} evaluations equal, "
+                  f"{len(buffer)} stored episodes equal")
     return 0 if ok else 1
 
 
