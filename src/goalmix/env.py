@@ -523,13 +523,13 @@ class SkirmishEnv:
 def write_episode_log(fh, episode):
     """Append one episode to an open text file, one JSON object per step:
     {"t", "obs", "actions", "r_ex", "done"}."""
-    obs = episode.obs
+    obs, actions, rewards, dones = episode.obs, episode.actions, episode.rewards, episode.dones
     for t in range(episode.length):
         row = {
             "t": t,
             "obs": [obs[i, t].tolist() for i in range(obs.shape[0])],
-            "actions": episode.actions[:, t].tolist(),
-            "r_ex": float(episode.rewards[t]),
-            "done": bool(episode.dones[t]),
+            "actions": actions[:, t].tolist(),
+            "r_ex": float(rewards[t]),
+            "done": bool(dones[t]),
         }
         fh.write(json.dumps(row) + "\n")

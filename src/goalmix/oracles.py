@@ -105,6 +105,26 @@ def strided_gru_sequence(xz, xr, xn, w_hz, w_hr, w_hn, g):
 
 
 # ---------------------------------------------------------------------------
+# batch stacking (independent of the record format)
+# ---------------------------------------------------------------------------
+
+
+def slow_stack_episodes(episodes):
+    """The batch of :func:`goalmix.training.stack_episodes`, from each
+    episode's own field reads and one ``np.stack`` per field."""
+    return {
+        "obs": np.stack([e.obs for e in episodes], axis=1),        # (N, M, T, D)
+        "actions": np.stack([e.actions for e in episodes], axis=1),
+        "avail": np.stack([e.avail for e in episodes], axis=1),
+        "states": np.stack([e.states for e in episodes]),          # (M, T, S)
+        "rewards": np.stack([e.rewards for e in episodes]),        # (M, T)
+        "dones": np.stack([e.dones for e in episodes]).astype(np.float64),
+        "valid": np.stack([e.valid for e in episodes]).astype(np.float64),
+        "episodes": episodes,
+    }
+
+
+# ---------------------------------------------------------------------------
 # exhaustive subgoal search
 # ---------------------------------------------------------------------------
 
@@ -117,7 +137,7 @@ def brute_force_subgoal(agent_params, mixer_params, episode, alpha):
     per agent. Returns t_star, (n_agents,) int.
     """
     n = episode.n_agents
-    obs, states = episode.obs, episode.states
+    obs, states, avail, actions = episode.obs, episode.states, episode.avail, episode.actions
     q_seqs = [slow_q_seq({k: v[i] for k, v in agent_params.items()}, obs[i])
               for i in range(n)]
     t_star = np.zeros(n, dtype=np.int64)
@@ -127,9 +147,9 @@ def brute_force_subgoal(agent_params, mixer_params, episode, alpha):
             q_max = max(
                 q_seqs[i][t][u]
                 for u in range(q_seqs[i].shape[1])
-                if episode.avail[i, t, u]
+                if avail[i, t, u]
             )
-            q_taken = [q_seqs[j][t][episode.actions[j, t]] for j in range(n)]
+            q_taken = [q_seqs[j][t][actions[j, t]] for j in range(n)]
             q_tot = slow_mix(mixer_params, q_taken, states[t])
             score = alpha * q_max + (1.0 - alpha) * q_tot / n
             if best is None or score > best:

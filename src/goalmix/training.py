@@ -52,7 +52,7 @@ from .nn import (
     sync_targets,
     weighted_sq_error,
 )
-from .replay import Episode, ReplayBuffer
+from .replay import Episode, ReplayBuffer, stack_records
 from .rewards import (
     ReprNet,
     actionable_distance,
@@ -98,19 +98,13 @@ class BlockReport:
 
 
 def stack_episodes(episodes):
-    """Stack M equally padded episodes into contiguous batch arrays; the
-    batch also carries the list itself, whose episodes hold the cached
-    target bootstraps (:meth:`Trainer.batch_bootstrap`)."""
-    return {
-        "obs": np.stack([e.obs for e in episodes], axis=1),        # (N, M, T, D)
-        "actions": np.stack([e.actions for e in episodes], axis=1),
-        "avail": np.stack([e.avail for e in episodes], axis=1),
-        "states": np.stack([e.states for e in episodes]),          # (M, T, S)
-        "rewards": np.stack([e.rewards for e in episodes]),        # (M, T)
-        "dones": np.stack([e.dones for e in episodes]).astype(np.float64),
-        "valid": np.stack([e.valid for e in episodes]).astype(np.float64),
-        "episodes": episodes,
-    }
+    """Stack M equally padded episodes into contiguous batch arrays
+    (:func:`goalmix.replay.stack_records`): obs (N, M, T, D), actions
+    (N, M, T), avail (N, M, T, U), states (M, T, S), rewards (M, T), and
+    dones and valid (M, T) as float64. The batch also carries the list
+    itself, whose episodes hold the cached target bootstraps
+    (:meth:`Trainer.batch_bootstrap`)."""
+    return {**stack_records(episodes), "episodes": episodes}
 
 
 def _masked_max(q, avail):
@@ -391,12 +385,14 @@ class Trainer:
         token = self.params.packed().generation
         tq_next = np.empty(batch["obs"].shape[:3])                      # (N, M, T)
         tot_next = np.empty(batch["states"].shape[:2])                   # (M, T)
-        miss = []
-        for m, ep in enumerate(episodes):
-            if ep.bootstrap is not None and ep.bootstrap[0] is token:
-                tq_next[:, m], tot_next[m] = ep.bootstrap[1:]
-            else:
-                miss.append(m)
+        hit = [ep.token is token for ep in episodes]
+        rows = [m for m, h in enumerate(hit) if h]
+        miss = [m for m, h in enumerate(hit) if not h]
+        if rows:
+            cached = np.concatenate([episodes[m].bootstrap for m in rows]).reshape(
+                len(rows), -1, tq_next.shape[2])                       # (H, N + 1, T)
+            tq_next[:, rows] = cached[:, :-1].swapaxes(0, 1)
+            tot_next[rows] = cached[:, -1]
         if miss:
             # np.take keeps the sub-batch C-contiguous, like a stacked batch
             fresh_tq, fresh_tot = self.target_bootstrap(
@@ -404,7 +400,7 @@ class Trainer:
                 np.take(batch["states"], miss, axis=0))
             tq_next[:, miss], tot_next[miss] = fresh_tq, fresh_tot
             for j, m in enumerate(miss):
-                episodes[m].bootstrap = (token, fresh_tq[:, j].copy(), fresh_tot[j].copy())
+                episodes[m].keep_bootstrap(token, fresh_tq[:, j], fresh_tot[j])
         return tq_next, tot_next
 
     # -- one block ----------------------------------------------------------

@@ -11,6 +11,7 @@ from goalmix.config import TrainConfig
 from goalmix.env import SkirmishEnv, preset
 from goalmix.mixer import MonotonicMixer
 from goalmix.nn import ParamSet, save_checkpoint, stack_slots, sync_targets
+from goalmix.oracles import TabularEnv, coordination_chain
 from goalmix.replay import Episode
 from goalmix.rewards import ReprNet
 from goalmix.training import Trainer, stack_episodes
@@ -110,6 +111,13 @@ def make_trainer(seed=0, env_name="skirmish-2v2", **cfg_kw):
     env_cfg = preset(env_name)
     env_cfg.reward_mode = cfg.reward_mode
     return Trainer(cfg, lambda: SkirmishEnv(env_cfg), rng=np.random.default_rng(seed))
+
+
+def chain_trainer(seed=1, episode_limit=10, **cfg_kw):
+    """The coordination chain at H = 32; at seed 0, the train-chain benchmark's trainer."""
+    cfg = TrainConfig(seed=seed, hidden_dim=32, eps_anneal_steps=6000, **cfg_kw).validate()
+    return Trainer(cfg, lambda: TabularEnv(coordination_chain(), episode_limit=episode_limit),
+                   rng=np.random.default_rng(seed))
 
 
 def prepare(trainer, batch):

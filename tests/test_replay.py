@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from goalmix import training
-from goalmix.replay import Episode, MalformedEpisodeError, ReplayBuffer
+from goalmix.oracles import slow_stack_episodes
+from goalmix.replay import FIELDS, Episode, MalformedEpisodeError, ReplayBuffer
 from goalmix.training import stack_episodes
-from tests.conftest import make_episode, make_trainer
-
-FIELDS = ("obs", "actions", "avail", "states", "rewards", "dones", "valid")
+from tests.conftest import chain_trainer, make_episode, make_trainer
 
 
 def rebuilt(ep, **changes):
@@ -113,7 +112,7 @@ def test_malformed_episodes_rejected_with_diagnostics(rng):
         buf.push(ep)
 
     ep = small_episode(rng)
-    ep.dones[:] = False
+    ep = rebuilt(ep, dones=np.zeros_like(ep.dones))
     with pytest.raises(MalformedEpisodeError, match="done"):
         buf.push(ep)
 
@@ -125,7 +124,9 @@ def test_malformed_episodes_rejected_with_diagnostics(rng):
         buf.push(ep)
 
     ep = make_episode(rng, t_max=4, length=2)
-    ep.actions[0, 3] = 1  # padded step must be no-op
+    actions = ep.actions
+    actions[0, 3] = 1  # padded step must be no-op
+    ep = rebuilt(ep, actions=actions)
     with pytest.raises(MalformedEpisodeError, match="no-op"):
         buf.push(ep)
 
@@ -241,11 +242,94 @@ def test_decoded_arrays_are_fresh(rng):
     assert np.isfinite(ep.obs).all()
 
 
-def test_stored_skirmish_episodes_take_at_most_7_kb_each():
-    """100 collected skirmish-2v2 episodes with their cached bootstraps:
-    the bytes freed when the buffer goes, per episode (19.3 KB as float64
-    arrays)."""
+def test_writes_into_the_callers_arrays_do_not_reach_the_buffer():
+    good = collected_episode()
+    arrays = {name: getattr(good, name).copy() for name in FIELDS}
+    ep = Episode(**arrays, length=good.length, uid=good.uid)
+    buf = ReplayBuffer(4)
+    buf.push(ep)
+    want = {name: getattr(ep, name).tobytes() for name in FIELDS}
+    arrays["actions"][0, 0] = 99
+    arrays["avail"][:] = False
+    arrays["dones"][:] = False
+    for name in ("obs", "states", "rewards"):
+        arrays[name][:] = np.nan
+    assert {name: getattr(ep, name).tobytes() for name in FIELDS} == want
+    ep.validate()
+
+
+def test_reads_cannot_write_into_a_stored_episode():
+    """Every field reads back as a new array or a read-only view, and so
+    does the cached bootstrap."""
     trainer = make_trainer(seed=0)
+    ep = trainer.collect_episode()
+    trainer.batch_bootstrap(stack_episodes([ep]))
+    want = {name: getattr(ep, name).tobytes() for name in (*FIELDS, "tq_next", "tot_next")}
+    for name in want:
+        field = getattr(ep, name)
+        try:
+            field[...] = 99
+        except ValueError:
+            assert name in ("avail", "rewards", "dones", "valid", "tq_next", "tot_next")
+    assert {name: getattr(ep, name).tobytes() for name in want} == want
+    ep.validate()
+
+
+def mixed_code_widths(rng):
+    """Episodes of 2 agents, T = 6, D = 25, S = 4: two with continuous obs
+    (uint16 codes) between three with rounded ones (uint8 codes)."""
+    episodes = [make_episode(rng, t_max=6, obs_dim=25) for _ in range(5)]
+    for k, ep in enumerate(episodes):
+        obs = rng.normal(size=ep.obs.shape) if k % 2 else np.round(ep.obs)
+        episodes[k] = rebuilt(ep, obs=obs, states=np.round(ep.states))
+    assert [ep.obs_codes.dtype for ep in episodes] == [np.uint8, np.uint16] * 2 + [np.uint8]
+    return episodes
+
+
+def signed_zeros(rng):
+    episodes = [make_episode(rng, t_max=3, length=3, obs_dim=2, state_dim=2) for _ in range(3)]
+    out = []
+    for k, ep in enumerate(episodes):
+        obs, states = np.zeros(ep.obs.shape), np.zeros(ep.states.shape)
+        obs[k % 2, k, 0] = states[k, 1] = -0.0
+        out.append(rebuilt(ep, obs=obs, states=states))
+    return out
+
+
+def buffer_sample(trainer, episodes, m):
+    for _ in range(episodes):
+        trainer.collect_episode()
+    return trainer.buffer.sample(m, np.random.default_rng(3))
+
+
+STACKED_BATCHES = {
+    "skirmish-2v2, 32 episodes": lambda rng: buffer_sample(make_trainer(seed=0), 40, 32),
+    "train-chain": lambda rng: buffer_sample(chain_trainer(seed=0), 40, 32),
+    "M = 1": lambda rng: buffer_sample(make_trainer(seed=5), 40, 1),
+    "with replacement": lambda rng: buffer_sample(make_trainer(seed=1), 3, 32),
+    "uint8 and uint16 codes": mixed_code_widths,
+    "signed zeros": signed_zeros,
+}
+
+
+@pytest.mark.parametrize("case", STACKED_BATCHES)
+def test_stacked_batch_equals_the_per_episode_stack(case, rng):
+    episodes = STACKED_BATCHES[case](rng)
+    got, want = stack_episodes(episodes), slow_stack_episodes(episodes)
+    assert got.keys() == want.keys() and got["episodes"] is episodes
+    for name in FIELDS:
+        g, w = got[name], want[name]
+        assert (g.dtype, g.shape, g.flags.c_contiguous) == (w.dtype, w.shape, True), name
+        assert g.tobytes() == w.tobytes(), name
+    if case == "with replacement":
+        assert len({id(ep) for ep in episodes}) < len(episodes)
+    if case == "signed zeros":
+        assert np.signbit(got["obs"]).sum() == np.signbit(got["states"]).sum() == 3
+
+
+def bytes_per_stored_episode(trainer):
+    """The bytes freed when a buffer of 100 collected episodes with their
+    cached bootstraps is dropped, per episode."""
     tracemalloc.start()
     try:
         for _ in range(100):
@@ -255,7 +339,18 @@ def test_stored_skirmish_episodes_take_at_most_7_kb_each():
         held = tracemalloc.get_traced_memory()[0]
         trainer.buffer = ReplayBuffer(trainer.cfg.buffer_capacity)
         gc.collect()
-        per_episode = (held - tracemalloc.get_traced_memory()[0]) / 100
+        return (held - tracemalloc.get_traced_memory()[0]) / 100
     finally:
         tracemalloc.stop()
-    assert per_episode <= 7_000, f"{per_episode:.0f} bytes per stored episode"
+
+
+def test_stored_skirmish_episodes_take_at_most_4400_bytes_each():
+    """19.3 KB as float64 arrays, 5.8 KB with per-array exact codes."""
+    per_episode = bytes_per_stored_episode(make_trainer(seed=0))
+    assert per_episode <= 4_400, f"{per_episode:.0f} bytes per stored skirmish episode"
+
+
+def test_stored_chain_episodes_take_at_most_870_bytes_each():
+    """The criterion-6 chain config: 2.3 KB with per-array exact codes."""
+    per_episode = bytes_per_stored_episode(chain_trainer(seed=0))
+    assert per_episode <= 870, f"{per_episode:.0f} bytes per stored chain episode"

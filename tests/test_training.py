@@ -21,7 +21,7 @@ from goalmix.nn import (
     sync_targets,
     weighted_sq_error,
 )
-from goalmix.oracles import TabularEnv, coordination_chain, finite_diff_grad, slow_mix, slow_q_seq
+from goalmix.oracles import finite_diff_grad, slow_mix, slow_q_seq
 from goalmix.rewards import ReprNet
 from goalmix.subgoals import select_subgoals
 from goalmix.training import (
@@ -33,6 +33,7 @@ from goalmix.training import (
 )
 from tests.conftest import (
     assert_grads_close,
+    chain_trainer,
     make_batch,
     make_episode,
     make_nets,
@@ -461,13 +462,6 @@ def count_target_rows(monkeypatch, tr):
     monkeypatch.setattr(tr, "target_bootstrap", counting)
     monkeypatch.setattr(tr, "batch_bootstrap", recording)
     return calls
-
-
-def chain_trainer(seed=1, episode_limit=10, **cfg_kw):
-    """The coordination chain at H = 32; at seed 0, the train-chain benchmark's trainer."""
-    cfg = TrainConfig(seed=seed, hidden_dim=32, eps_anneal_steps=6000, **cfg_kw).validate()
-    return Trainer(cfg, lambda: TabularEnv(coordination_chain(), episode_limit=episode_limit),
-                   rng=np.random.default_rng(seed))
 
 
 @pytest.mark.parametrize("build", [

@@ -7,10 +7,10 @@ and target) by SHA-256 of its bytes. After the last block it compares 16
 greedy ``evaluate(1)`` calls by the win, the episode's length
 (``eval_env.t``) and its final game state (the units' positions and
 health), so rollout changes are checked too, and every episode the replay
-buffer then holds, in buffer order, by a SHA-256 of its arrays, length,
-uid and cached bootstrap, so the storage is checked directly and not only
-through the losses it feeds. Fourteen configurations, all
-seed 0: default skirmish-2v2, skirmish-3v3 (the eval benchmark's env),
+buffer then holds, in buffer order, by a SHA-256 of its public fields
+(arrays, length, uid and cached bootstrap), so the storage is checked
+directly and not only through the losses it feeds, however each tree lays
+it out. Fourteen configurations, all seed 0: default skirmish-2v2, skirmish-3v3 (the eval benchmark's env),
 cliff-2v2, the tabular coordination chain at H = 32 (the train-chain
 benchmark config), ``share_params`` and the nine ablation variants.
 Every run syncs its targets every 5 collected episodes, so the 25 blocks
@@ -73,12 +73,24 @@ def episode_end(env):
     return [env.t, env.s]
 
 
+def cached_bootstrap(ep):
+    """(tq_next, tot_next) of a stored episode's cached target bootstrap,
+    or () when it has none. Trees that keep the cache as a
+    ``(token, tq_next, tot_next)`` tuple in ``ep.bootstrap`` have no
+    ``tq_next`` attribute."""
+    if hasattr(ep, "tq_next"):
+        return () if ep.tq_next is None else (ep.tq_next, ep.tot_next)
+    return () if ep.bootstrap is None else ep.bootstrap[1:]
+
+
 def episode_digest(ep):
-    """SHA-256 of a stored episode: each array's dtype, shape and bytes,
-    its length and uid, and the arrays of its cached bootstrap (the token
-    is an identity, so only whether there is one)."""
+    """SHA-256 of a stored episode, read only through its public fields, so
+    that trees which store episodes differently still compare: each
+    field's dtype, shape and bytes, its length and uid, and the arrays of
+    its cached bootstrap (the token is an identity, so only whether there
+    is one)."""
     h = hashlib.sha256()
-    bootstrap = () if ep.bootstrap is None else ep.bootstrap[1:]
+    bootstrap = cached_bootstrap(ep)
     for a in (ep.obs, ep.actions, ep.avail, ep.states, ep.rewards, ep.dones, ep.valid,
               *bootstrap):
         h.update(f"{a.dtype}{a.shape}".encode())
