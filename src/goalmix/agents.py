@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, gru_cell, gru_sequence
+from .autodiff import Tensor, gru_cell, gru_layer
 from .nn import affine, linear_params, uniform_init
 
 GATES = ("z", "r", "n")  # the GRU's update, reset and candidate gates
@@ -80,19 +80,21 @@ class RecurrentQNet:
         Slot-stacked params take obs_seq (N, B, T, obs_dim) and return Q
         values (N, B, T, n_actions); a single net takes (B, T, obs_dim) and
         returns (B, T, n_actions). The result is a Tensor when ``params``
-        are Tensors, an ndarray otherwise. The input-side projections of all
-        gates are computed for every step in one batched matmul; the
-        recurrence is :func:`~goalmix.autodiff.gru_sequence`, which in graph
-        mode is a single node with a hand-written backward through time.
+        are Tensors, an ndarray otherwise. The GRU is
+        :func:`~goalmix.autodiff.gru_layer`: each gate's input projection
+        for every step in one batched matmul, then the recurrence, which in
+        graph mode is one node with a hand-written backward through time
+        that keeps only the z, r and n gates and the hidden states.
         """
         *lead, t_len, d = obs_seq.shape
         rows = (*lead[:-1], lead[-1] * t_len)  # each slot's (B * T) rows
-        hd = self.hidden_dim
         x = affine(params, "in", obs_seq.reshape(*rows, d), relu=True)
-        hidden = gru_sequence(
-            *(affine(params, f"gru.x{g}", x).reshape(*lead, t_len, hd) for g in GATES),
-            *(params[f"gru.h{g}.w"] for g in GATES),
-        ).reshape(*rows, hd)
+
+        def gates(block):
+            return [params[block.format(g)] for g in GATES]
+
+        hidden = gru_layer(x, gates("gru.x{}.w"), gates("gru.x{}.b"), gates("gru.h{}.w"),
+                           t_len).reshape(*rows, self.hidden_dim)
         return affine(params, "out", hidden).reshape(*lead, t_len, self.n_actions)
 
 

@@ -5,9 +5,11 @@ Deliberately restricted to the operations the training losses need:
 Tensor on the left), the activations, ``exp``, ``log``, ``sqrt``,
 reshape, sum, stack, gathers (``take_along_last``), ``moveaxis``,
 ``logsumexp_last``, ``affine``, a whole affine layer ``x @ w + b`` (with
-an optional relu) as one node, and ``gru_sequence``, a whole GRU
-recurrence as one node whose backward is hand-written backpropagation
-through time; no negation or division. Everything is float64.
+an optional relu) as one node, ``gru_sequence``, a whole GRU recurrence
+as one node whose backward is hand-written backpropagation through time,
+and ``gru_layer``, a whole GRU layer (the three gates' input affines and
+the recurrence) as one node that caches only the gates z, r and n and its
+output; no negation or division. Everything is float64.
 
 A :class:`Tensor` wraps an ndarray. Every op builds its node with one
 call, ``Tensor(value, parents, back)``: the op's value, its Tensor
@@ -43,6 +45,7 @@ __all__ = [
     "affine",
     "gru_cell",
     "gru_sequence",
+    "gru_layer",
 ]
 
 
@@ -304,6 +307,28 @@ def logsumexp_last(x):
     return log(exp(x - c).sum(axis=-1)) + c[..., 0]
 
 
+def _affine_value(xd, wd, bd):
+    """``xd @ wd`` with the bias added in place, and the shape the bias
+    broadcasts as: (S, 1, n_out) under slot-stacked weights."""
+    b_shape = (bd.shape[0], 1, bd.shape[1]) if wd.ndim == 3 else bd.shape
+    y = xd @ wd
+    np.add(y, bd.reshape(b_shape), out=y)
+    return y, b_shape
+
+
+def _affine_back(g, x, w, b, b_shape):
+    """The backward of ``x @ w + b`` for the upstream gradient ``g``, each
+    gradient as the add, reshape and matmul nodes of the composite would
+    form it: hands a Tensor bias and a Tensor w theirs, and returns x's (a
+    new array), or None when x is a constant."""
+    xd, wd = _value(x), _value(w)
+    if isinstance(b, Tensor):
+        b._accum(_unbroadcast(g, b_shape).reshape(b.shape))
+    if isinstance(w, Tensor):
+        w._accum(_matmul_grad_right(g, xd, wd))
+    return _matmul_grad_left(g, xd, wd) if isinstance(x, Tensor) else None
+
+
 def affine(x, w, b, relu=False):
     """``x @ w + b``, or ``relu(x @ w + b)`` with ``relu``, as one op. Weights
     (n_in, n_out) take a bias (n_out,); slot-stacked weights (S, n_in, n_out)
@@ -316,10 +341,7 @@ def affine(x, w, b, relu=False):
     backward. That hands out the bias gradient, then x's and w's, each as
     the add, reshape and matmul nodes of the composite would.
     """
-    xd, wd, bd = _value(x), _value(w), _value(b)
-    b_shape = (bd.shape[0], 1, bd.shape[1]) if wd.ndim == 3 else bd.shape
-    y = xd @ wd
-    np.add(y, bd.reshape(b_shape), out=y)
+    y, b_shape = _affine_value(_value(x), _value(w), _value(b))
     if relu:
         np.maximum(y, 0.0, out=y)
     parents = tuple(o for o in (x, w, b) if isinstance(o, Tensor))
@@ -329,14 +351,9 @@ def affine(x, w, b, relu=False):
     mask = y > 0 if relu else None
 
     def back(g):
-        if relu:
-            g = g * mask
-        if isinstance(b, Tensor):
-            b._accum(_unbroadcast(g, b_shape).reshape(bd.shape))
-        if isinstance(x, Tensor):
-            x._accum(_matmul_grad_left(g, xd, wd))
-        if isinstance(w, Tensor):
-            w._accum(_matmul_grad_right(g, xd, wd))
+        gx = _affine_back(g * mask if relu else g, x, w, b, b_shape)
+        if gx is not None:
+            x._accum(gx)
     return Tensor(y, parents, back)
 
 
@@ -344,8 +361,7 @@ def gru_cell(xz, xr, xn, h, w_hz, w_hr, w_hn, out=None):
     """One GRU step on arrays: the update, reset and candidate gates from
     their input projections xz, xr, xn and the previous state h. ``h @ w``
     broadcasts over a leading slot axis of slot-stacked weights (S, H, H).
-    Returns (h', z, r, r * h, n): the next state and the intermediates
-    that :func:`gru_sequence`'s backward pass reuses.
+    Returns (h', z, r, r * h, n): the next state and its intermediates.
 
     ``out`` is six arrays of xz's shape: the results are written into the
     first five and the sixth is scratch. Without it the step allocates
@@ -364,6 +380,73 @@ def gru_cell(xz, xr, xn, h, w_hz, w_hr, w_hn, out=None):
     return h_next, z, r, rh, n
 
 
+def _gru_forward(xs, w_h, graph):
+    """The GRU recurrence from a zero state over ``xs``, the z, r and n input
+    projections as time-major (T, ..., H) arrays, with recurrent weight
+    arrays ``w_h``; empties ``xs`` once read. Returns the hidden states
+    (..., T, H) and, in graph mode, the time-major z, r and n of every step
+    (None otherwise). Each step is one :func:`gru_cell` writing into
+    preallocated buffers; r * h and the cell's scratch are one step's."""
+    t_len, *step = xs[0].shape
+    hs = np.empty(xs[0].shape)
+    gates = [np.empty(hs.shape if graph else step) for _ in range(3)]  # z, r, n
+    rh, work = np.empty(step), np.empty(step)
+    h = np.zeros(step)
+    for t in range(t_len):
+        z, r, n = (g[t] for g in gates) if graph else gates
+        h = gru_cell(xs[0][t], xs[1][t], xs[2][t], h, *w_h, out=(hs[t], z, r, rh, n, work))[0]
+    xs.clear()
+    return np.ascontiguousarray(np.moveaxis(hs, 0, -2)), gates if graph else None
+
+
+def _gru_backward(g, hs, gates, w_h):
+    """Backpropagation through time of the upstream gradient ``g`` (..., T, H)
+    of :func:`_gru_forward`'s hidden states ``hs`` and gates. Hands each
+    Tensor among the recurrent weights ``w_h`` its gradient and returns
+    those of the z, r and n input projections, (..., T, H) each."""
+    # per step, dL/d(pre-activation) of n and z is dh times c_n and c_z,
+    # and that of r is d(r * h) times c_r:
+    # c_n = (1 - z)(1 - n^2), c_z = (h_{t-1} - n) z (1 - z), c_r = h_{t-1} r (1 - r)
+    *lead, t_len, hd = hs.shape
+    z, r, n = gates
+    hz_t, hr_t, hn_t = (np.ascontiguousarray(np.swapaxes(_value(w), -1, -2)) for w in w_h)
+    dxz, dxr, dxn = np.empty(hs.shape), np.empty(hs.shape), np.empty(hs.shape)
+    c_n, c_z, c_r, d = (np.empty((*lead, hd)) for _ in range(4))
+    dh, h0 = np.zeros((*lead, hd)), np.zeros((*lead, hd))
+    for t in range(t_len - 1, -1, -1):
+        h_prev, z_t, r_t, n_t = hs[..., t - 1, :] if t else h0, z[t], r[t], n[t]
+        np.subtract(1.0, z_t, out=d)
+        np.multiply(d, np.subtract(1.0, np.multiply(n_t, n_t, out=c_n), out=c_n), out=c_n)
+        np.multiply(np.multiply(np.subtract(h_prev, n_t, out=c_z), z_t, out=c_z), d, out=c_z)
+        np.multiply(np.multiply(h_prev, r_t, out=c_r), np.subtract(1.0, r_t, out=d), out=c_r)
+        np.add(dh, g[..., t, :], out=dh)  # dL/dh_t: its own output plus step t + 1
+        d_an = np.multiply(dh, c_n, out=dxn[..., t, :])
+        d_az = np.multiply(dh, c_z, out=dxz[..., t, :])
+        d_rh = np.matmul(d_an, hn_t, out=d)
+        d_ar = np.multiply(d_rh, c_r, out=dxr[..., t, :])
+        # dh <- dh * z + d_rh * r + d_az @ hz^T + d_ar @ hr^T, summed left to right
+        np.multiply(dh, z_t, out=dh)
+        np.add(dh, np.multiply(d_rh, r_t, out=d), out=dh)
+        np.add(dh, np.matmul(d_az, hz_t, out=d), out=dh)
+        np.add(dh, np.matmul(d_ar, hr_t, out=d), out=dh)
+    # each recurrent-weight gradient is one (H, rows) @ (rows, H) product per
+    # slot; one (..., T, H) array holds h_{t-1} for w_hz and w_hr, then
+    # (times r, in place: the bits of the forward's r * h) r * h_{t-1} for w_hn
+    if not any(isinstance(w, Tensor) for w in w_h):
+        return dxz, dxr, dxn
+    left = np.empty(hs.shape)
+    left[..., 0, :] = 0.0
+    left[..., 1:, :] = hs[..., :-1, :]
+    rows = (*lead[:-1], -1, hd)
+    for k, (w, grad) in enumerate(zip(w_h, (dxz, dxr, dxn))):
+        if k == 2:
+            np.multiply(left, np.moveaxis(r, 0, -2), out=left)
+        if isinstance(w, Tensor):
+            w_grad = np.swapaxes(left.reshape(rows), -1, -2) @ grad.reshape(rows)
+            w._accum(_unbroadcast(w_grad, w.shape))
+    return dxz, dxr, dxn
+
+
 def gru_sequence(xz, xr, xn, w_hz, w_hr, w_hn):
     """Hidden states (..., T, H) of a GRU run from a zero state over the
     time axis (second to last) of the input projections xz, xr, xn, each
@@ -374,67 +457,68 @@ def gru_sequence(xz, xr, xn, w_hz, w_hr, w_hn):
     writing into preallocated buffers, so a step reads and writes only
     contiguous (..., H) blocks and allocates nothing. Plain arrays give an
     array; the gates go to one scratch set that every step reuses. If any
-    operand is a Tensor, the whole recurrence is one graph node: the gates
-    go to time-major (T, ..., H) caches, h_{t-1} being the previous row of
-    the hidden states. The backward runs once in reverse over T, forming
-    each step's gate coefficients in preallocated scratch and writing the
-    input gradients into (..., T, H) arrays; each recurrent-weight gradient
-    is one (H, rows) @ (rows, H) product per slot over (..., T, H) copies
-    of h_{t-1} and r * h. Neither pass writes into its operands.
+    operand is a Tensor, the whole recurrence is one graph node that keeps
+    only its hidden states and time-major (T, ..., H) caches of z, r and n
+    (h_{t-1} is the previous step of the hidden states). The backward runs
+    once in reverse over T, forming each step's gate coefficients in
+    preallocated scratch and writing the input gradients into (..., T, H)
+    arrays; each recurrent-weight gradient is one (H, rows) @ (rows, H)
+    product per slot over a (..., T, H) copy of h_{t-1}, which then turns
+    into r * h_{t-1} in place. Neither pass writes into its operands.
     """
     operands = (xz, xr, xn, w_hz, w_hr, w_hn)
-    xz_d, xr_d, xn_d, hz, hr, hn = (o.data if isinstance(o, Tensor) else o for o in operands)
-    *lead, t_len, hd = xz_d.shape
-    step = (*lead, hd)
+    xs = [np.ascontiguousarray(np.moveaxis(_value(x), -2, 0)) for x in operands[:3]]
     graph = any(isinstance(o, Tensor) for o in operands)
-    xs = [np.ascontiguousarray(np.moveaxis(x, -2, 0)) for x in (xz_d, xr_d, xn_d)]
-    hs = np.empty((t_len, *step))
-    gates = [np.empty(hs.shape if graph else step) for _ in range(4)]  # z, r, r * h, n
-    work = np.empty(step)
-    h = h0 = np.zeros(step)
-    for t in range(t_len):
-        bufs = [g[t] for g in gates] if graph else gates
-        h = gru_cell(xs[0][t], xs[1][t], xs[2][t], h, hz, hr, hn, out=(hs[t], *bufs, work))[0]
-    hs_out = np.ascontiguousarray(np.moveaxis(hs, 0, -2))
+    hs, gates = _gru_forward(xs, [_value(w) for w in operands[3:]], graph)
     if not graph:
-        return hs_out
-
-    z, r, rh, n = gates
+        return hs
 
     def back(g):
-        # per step, dL/d(pre-activation) of n and z is dh times c_n and c_z,
-        # and that of r is d(r * h) times c_r:
-        # c_n = (1 - z)(1 - n^2), c_z = (h_{t-1} - n) z (1 - z), c_r = h_{t-1} r (1 - r)
-        hz_t, hr_t, hn_t = (np.ascontiguousarray(np.swapaxes(w, -1, -2)) for w in (hz, hr, hn))
-        dxz, dxr, dxn = np.empty(hs_out.shape), np.empty(hs_out.shape), np.empty(hs_out.shape)
-        c_n, c_z, c_r, d = (np.empty(step) for _ in range(4))
-        dh = np.zeros(step)
-        for t in range(t_len - 1, -1, -1):
-            h_prev, z_t, r_t, n_t = hs[t - 1] if t else h0, z[t], r[t], n[t]
-            np.subtract(1.0, z_t, out=d)
-            np.multiply(d, np.subtract(1.0, np.multiply(n_t, n_t, out=c_n), out=c_n), out=c_n)
-            np.multiply(np.multiply(np.subtract(h_prev, n_t, out=c_z), z_t, out=c_z), d, out=c_z)
-            np.multiply(np.multiply(h_prev, r_t, out=c_r), np.subtract(1.0, r_t, out=d), out=c_r)
-            np.add(dh, g[..., t, :], out=dh)  # dL/dh_t: its own output plus step t + 1
-            d_an = np.multiply(dh, c_n, out=dxn[..., t, :])
-            d_az = np.multiply(dh, c_z, out=dxz[..., t, :])
-            d_rh = np.matmul(d_an, hn_t, out=d)
-            d_ar = np.multiply(d_rh, c_r, out=dxr[..., t, :])
-            # dh <- dh * z + d_rh * r + d_az @ hz^T + d_ar @ hr^T, summed left to right
-            np.multiply(dh, z_t, out=dh)
-            np.add(dh, np.multiply(d_rh, r_t, out=d), out=dh)
-            np.add(dh, np.matmul(d_az, hz_t, out=d), out=dh)
-            np.add(dh, np.matmul(d_ar, hr_t, out=d), out=dh)
-        grads = (dxz, dxr, dxn)
-        for operand, grad in zip(operands, grads):
+        for operand, grad in zip(operands, _gru_backward(g, hs, gates, operands[3:])):
             if isinstance(operand, Tensor):
                 operand._accum(grad)
-        h_prev = np.zeros(hs_out.shape)
-        h_prev[..., 1:, :] = hs_out[..., :-1, :]
-        lefts = (h_prev, h_prev, np.ascontiguousarray(np.moveaxis(rh, 0, -2)))
-        rows = (*lead[:-1], -1, hd)
-        for operand, left, right in zip(operands[3:], lefts, grads):
-            if isinstance(operand, Tensor):
-                w_grad = np.swapaxes(left.reshape(rows), -1, -2) @ right.reshape(rows)
-                operand._accum(_unbroadcast(w_grad, operand.data.shape))
-    return Tensor(hs_out, tuple(o for o in operands if isinstance(o, Tensor)), back)
+    return Tensor(hs, tuple(o for o in operands if isinstance(o, Tensor)), back)
+
+
+def gru_layer(x, w_x, b_x, w_h, t_len):
+    """A whole GRU layer over sequences of ``t_len`` steps: the input
+    projections ``x @ w + b`` of the z, r and n gates (``w_x`` and ``b_x``,
+    three weights and biases as :func:`affine` takes them), then the
+    recurrence of :func:`gru_sequence` over them with the three recurrent
+    weights ``w_h``. x is (..., B * T, n_in), each sequence's T steps in
+    consecutive rows; the result is the hidden states (..., B, T, H).
+
+    Each projection is the bits of :func:`affine`'s: one ``x @ w`` over the
+    batch-major rows, then ``+= b``. It is copied time-major for the
+    recurrence and dropped. Plain operands give an array. If any operand is
+    a Tensor the layer is one graph node that keeps what
+    :func:`gru_sequence`'s node keeps and nothing else. Its backward runs
+    :func:`gru_sequence`'s, then each gate's, z, r and n in turn, as the
+    gate's :func:`affine` node would, dropping the gate's input gradient
+    once used; x gets the sum of the three gates' gradients, added in that
+    order in place, which is what three affine nodes accumulate into an x
+    that nothing else reads.
+    """
+    operands = (x, *w_x, *b_x, *w_h)
+    xd = _value(x)
+    lead = (*xd.shape[:-2], xd.shape[-2] // t_len)
+    xs, b_shapes = [], []
+    for w, b in zip(w_x, b_x):
+        proj, b_shape = _affine_value(xd, _value(w), _value(b))
+        xs.append(np.ascontiguousarray(np.moveaxis(proj.reshape(*lead, t_len, -1), -2, 0)))
+        b_shapes.append(b_shape)
+        del proj
+    graph = any(isinstance(o, Tensor) for o in operands)
+    hs, gates = _gru_forward(xs, [_value(w) for w in w_h], graph)
+    if not graph:
+        return hs
+
+    def back(g):
+        grads, gx = list(_gru_backward(g, hs, gates, w_h)), None
+        for k, (w, b, b_shape) in enumerate(zip(w_x, b_x, b_shapes)):
+            grad, grads[k] = grads[k].reshape(*xd.shape[:-1], -1), None
+            gate_gx = _affine_back(grad, x, w, b, b_shape)
+            gx = gate_gx if gx is None else np.add(gx, gate_gx, out=gx)
+        if gx is not None:
+            x._accum(gx)
+    return Tensor(hs, tuple(o for o in operands if isinstance(o, Tensor)), back)

@@ -19,7 +19,8 @@ at a sync. An episode's bootstrap, max_u Q̄_i(o_{t+1}, u) and
 Q̄_tot(s_{t+1}) (:meth:`Trainer.target_bootstrap`), is therefore computed
 once per target generation, kept on the episode, and reused by every
 block that samples the episode again before the next sync; a block runs
-the target nets only on its rows without a valid entry.
+the target nets only on its rows without a valid entry, and before its
+online forward, so that unroll never adds to the live graph.
 
 Each equation is one batched kernel: the subgoal score, D_Q, the
 embedded distance and the shaped rewards live in :mod:`goalmix.subgoals`
@@ -322,19 +323,20 @@ class Trainer:
 
     # -- loss (gradient side) ------------------------------------------------
 
-    def block_losses(self, batch, prep, online):
+    def block_losses(self, batch, prep, online, bootstrap):
         """Composite loss over the batch as a scalar, plus parts.
 
         ``online`` is the :meth:`forward` that ``prep`` was built from; the
-        loss is a Tensor when its values are graph nodes. Only the target
-        bootstrap is evaluated here, and only for rows without a cached entry
-        (:meth:`batch_bootstrap`).
+        loss is a Tensor when its values are graph nodes. ``bootstrap`` is
+        the batch's :meth:`batch_bootstrap`, the constants of the TD
+        targets, which :meth:`train_block` computes before the online
+        forward.
         """
         cfg = self.cfg
         n_valid = batch["valid"].sum(axis=1)
         w_ep = batch["valid"] / n_valid[:, None]                         # (M, T)
         gamma, dones = cfg.gamma, batch["dones"]
-        tq_next, tot_next = self.batch_bootstrap(batch)                  # constants
+        tq_next, tot_next = bootstrap
 
         loss_td = weighted_sq_error(
             online["q_tot"], td_targets(prep["proxy"], dones, tot_next, gamma), w_ep)
@@ -418,13 +420,17 @@ class Trainer:
 
         episodes = self.buffer.sample(cfg.batch_size, self.rng)
         batch = stack_episodes(episodes)
+        # the target bootstrap first: the rows that miss their cached entry
+        # (all of them after a sync) run the target nets before the online
+        # graph exists, so the two never peak together
+        bootstrap = self.batch_bootstrap(batch)
         tensors = self._wrap_online()
         # one online forward: its data are the block-start values the prep
         # needs (parameters change only after the gradient step below), its
         # nodes are what the losses differentiate
         online = self.forward(tensors, batch)
         prep = self.prepare_block(batch, online)
-        loss, parts = self.block_losses(batch, prep, online)
+        loss, parts = self.block_losses(batch, prep, online, bootstrap)
 
         valid = batch["valid"].astype(bool)
         report = BlockReport(

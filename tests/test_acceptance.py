@@ -136,6 +136,7 @@ def test_criterion_1_equation_exactness(rng):
     tr = zero_trainer(lam_i=0.001, lam_e=0.001, lam_d=0.001)
     batch = stack_episodes([make_episode(rng, t_max=3, length=1)])
     t_star = np.zeros((2, 1), dtype=np.int64)
+    bootstrap = tr.batch_bootstrap(batch)
 
     def block(proxy_r, r_agent0, dq_agent0):
         prep = {
@@ -145,7 +146,8 @@ def test_criterion_1_equation_exactness(rng):
             "t_star": t_star,
             "dq_targets": np.array([[[dq_agent0, 0.0, 0.0]], [[0.0, 0.0, 0.0]]]),
         }
-        total, parts = tr.block_losses(batch, prep, tr.forward(tr._wrap_online(), batch))
+        total, parts = tr.block_losses(batch, prep, tr.forward(tr._wrap_online(), batch),
+                                       bootstrap)
         return total.item(), parts
 
     total, parts = block(-0.03, 1.0, 1.0)
@@ -261,11 +263,13 @@ def _criterion_3(rng, share_params):
         rng, tr.qnet, tr.mixer, n_agents=len(slots))
     _, batch = make_batch(rng, 3, t_max=5, obs_dim=4, n_actions=3)
     prep = prepare(tr, batch)
+    bootstrap = tr.batch_bootstrap(batch)  # the target nets: constant under the perturbations
     flat = dict(tr.params.named_online())
     groups = (*(f"agent.{i}" for i in slots), "mixer", *(f"repr.{i}" for i in slots))
 
     def composite(p):
-        return tr.block_losses(batch, prep, tr.forward(ParamSet.from_named(p.items()), batch))[0]
+        online = tr.forward(ParamSet.from_named(p.items()), batch)
+        return tr.block_losses(batch, prep, online, bootstrap)[0]
 
     worst = [_check_component(rng, flat, composite, n_coords=30, groups=groups)]
 
@@ -278,7 +282,8 @@ def _criterion_3(rng, share_params):
     worst.append(_check_component(
         rng, {k: v for k, v in flat.items() if not k.startswith("repr.")},
         lambda p: plain.block_losses(batch, plain_prep,
-                                     plain.forward(ParamSet.from_named(p.items()), batch))[0],
+                                     plain.forward(ParamSet.from_named(p.items()), batch),
+                                     bootstrap)[0],
         n_coords=30, groups=[g for g in groups if not g.startswith("repr.")]))
 
     # the shaping terms alone, through the kernels block_losses calls

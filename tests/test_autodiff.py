@@ -1,13 +1,15 @@
 """Gradient engine checks against finite differences and hand derivatives."""
 
+import functools
+import itertools
 import operator
 
 import numpy as np
 import pytest
 
 from goalmix.autodiff import (
-    Tensor, _unbroadcast, absval, affine, elu, exp, gru_sequence, log, logsumexp_last, moveaxis,
-    relu, sqrt, stack, take_along_last,
+    Tensor, _unbroadcast, absval, affine, elu, exp, gru_layer, gru_sequence, log, logsumexp_last,
+    moveaxis, relu, sqrt, stack, take_along_last,
 )
 from goalmix.nn import gradient
 from goalmix.oracles import finite_diff_grad, strided_gru_sequence
@@ -409,3 +411,81 @@ def test_gru_sequence_is_bitwise_the_strided_reference(shape, tensors):
             assert np.array_equal(arg.grad, ref), f"operand {i}"
     for operand, copy in zip(operands, before):  # the kernel writes only its own buffers
         np.testing.assert_array_equal(operand, copy)
+
+
+# -- the GRU layer against three affines and the strided reference -----------------
+
+# the layer's operands by role, (x, w_x, b_x, w_h) in its argument order,
+# as indices into the flat list [x, w_xz, w_xr, w_xn, b_xz, b_xr, b_xn, w_hz, w_hr, w_hn]
+GRU_LAYER_ROLES = {"x": (0,), "w_x": (1, 2, 3), "b_x": (4, 5, 6), "w_h": (7, 8, 9)}
+
+
+@functools.lru_cache(maxsize=None)
+def gru_layer_case(shape):
+    """Operands, an upstream gradient and the reference of a GRU layer at one
+    of GRU_SHAPES: each gate's projection is ``affine(x, w, b)``, the
+    recurrence is ``strided_gru_sequence``, and each gate's affine node,
+    handed its projection's gradient, gives that gate's bias and weight
+    gradients; x's is the three gates' summed z, then r, then n. Returns
+    (operands, g, hidden states, the ten operands' gradients)."""
+    lead, slots, t_len, hd = GRU_SHAPES[shape]
+    n_in = hd + 3
+    w_lead = () if slots is None else (slots,)
+    rng = np.random.default_rng(19)
+    x = rng.normal(size=(*lead[:-1], lead[-1] * t_len, n_in))
+    w_x = [rng.normal(scale=n_in ** -0.5, size=(*w_lead, n_in, hd)) for _ in range(3)]
+    b_x = [rng.normal(size=(*w_lead, hd)) for _ in range(3)]
+    w_h = [rng.normal(scale=hd ** -0.5, size=(*w_lead, hd, hd)) for _ in range(3)]
+    g = rng.normal(size=(*lead, t_len, hd))
+    projections = [affine(x, w, b).reshape(*lead, t_len, hd) for w, b in zip(w_x, b_x)]
+    hs, (*d_proj, dw_hz, dw_hr, dw_hn) = strided_gru_sequence(*projections, *w_h, g)
+    dx, dw_x, db_x = None, [], []
+    for w, b, d in zip(w_x, b_x, d_proj):
+        xt, wt, bt = Tensor(x), Tensor(w), Tensor(b)
+        out = affine(xt, wt, bt)
+        (out * d.reshape(out.shape)).sum().backward()  # hands the node exactly d
+        dx = xt.grad if dx is None else dx + xt.grad
+        dw_x.append(wt.grad)
+        db_x.append(bt.grad)
+    return [x, *w_x, *b_x, *w_h], g, hs, [dx, *dw_x, *db_x, dw_hz, dw_hr, dw_hn]
+
+
+def assert_gru_layer_is_the_reference(shape, tensors):
+    """gru_layer with the operands at ``tensors`` (indices) as Tensors: the
+    reference's hidden states and, for each Tensor operand, its gradient,
+    bit for bit; no operand written."""
+    operands, g, hs_ref, grads_ref = gru_layer_case(shape)
+    before = [o.copy() for o in operands]
+    args = [Tensor(o) if i in tensors else o for i, o in enumerate(operands)]
+    hs = gru_layer(args[0], args[1:4], args[4:7], args[7:], GRU_SHAPES[shape][2])
+    assert isinstance(hs, Tensor) == bool(tensors)
+    if isinstance(hs, Tensor):
+        (hs * g).sum().backward()  # hands the node exactly g
+        hs = hs.data
+    assert hs.flags["C_CONTIGUOUS"]
+    np.testing.assert_array_equal(hs, hs_ref)
+    for i, (arg, ref) in enumerate(zip(args, grads_ref)):
+        if isinstance(arg, Tensor):
+            assert arg.grad.shape == ref.shape
+            assert np.array_equal(arg.grad, ref), f"operand {i}"
+    for operand, copy in zip(operands, before):
+        np.testing.assert_array_equal(operand, copy)
+
+
+@pytest.mark.parametrize("roles", [
+    "+".join(combo) or "none"
+    for k in range(len(GRU_LAYER_ROLES) + 1)
+    for combo in itertools.combinations(GRU_LAYER_ROLES, k)
+])
+@pytest.mark.parametrize("shape", list(GRU_SHAPES))
+def test_gru_layer_is_bitwise_three_affines_and_the_strided_reference(shape, roles):
+    tensors = {i for role in roles.split("+") for i in GRU_LAYER_ROLES.get(role, ())}
+    assert_gru_layer_is_the_reference(shape, tensors)
+
+
+@pytest.mark.parametrize("shape", ["shared-slot", "single-net", "one-step"])
+def test_gru_layer_is_the_reference_under_every_operand_mix(shape):
+    """Each of the 2**10 ways to make some of the ten operands Tensors,
+    gates mixed within a role too."""
+    for mask in range(2 ** 10):
+        assert_gru_layer_is_the_reference(shape, {i for i in range(10) if mask >> i & 1})

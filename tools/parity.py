@@ -73,16 +73,6 @@ def episode_end(env):
     return [env.t, env.s]
 
 
-def cached_bootstrap(ep):
-    """(tq_next, tot_next) of a stored episode's cached target bootstrap,
-    or () when it has none. Trees that keep the cache as a
-    ``(token, tq_next, tot_next)`` tuple in ``ep.bootstrap`` have no
-    ``tq_next`` attribute."""
-    if hasattr(ep, "tq_next"):
-        return () if ep.tq_next is None else (ep.tq_next, ep.tot_next)
-    return () if ep.bootstrap is None else ep.bootstrap[1:]
-
-
 def episode_digest(ep):
     """SHA-256 of a stored episode, read only through its public fields, so
     that trees which store episodes differently still compare: each
@@ -90,7 +80,7 @@ def episode_digest(ep):
     its cached bootstrap (the token is an identity, so only whether there
     is one)."""
     h = hashlib.sha256()
-    bootstrap = cached_bootstrap(ep)
+    bootstrap = () if ep.tq_next is None else (ep.tq_next, ep.tot_next)
     for a in (ep.obs, ep.actions, ep.avail, ep.states, ep.rewards, ep.dones, ep.valid,
               *bootstrap):
         h.update(f"{a.dtype}{a.shape}".encode())
