@@ -5,11 +5,11 @@ Deliberately restricted to the operations the training losses need:
 Tensor on the left), the activations, ``exp``, ``log``, ``sqrt``,
 reshape, sum, stack, gathers (``take_along_last``), ``moveaxis``,
 ``logsumexp_last``, ``affine``, a whole affine layer ``x @ w + b`` (with
-an optional relu) as one node, ``gru_sequence``, a whole GRU recurrence
-as one node whose backward is hand-written backpropagation through time,
-and ``gru_layer``, a whole GRU layer (the three gates' input affines and
-the recurrence) as one node that caches only the gates z, r and n and its
-output; no negation or division. Everything is float64.
+an optional relu) as one node, ``gru_cell``, one GRU step on arrays, and
+``gru_layer``, a whole GRU layer (the three gates' input affines and the
+recurrence) as one node that caches only the gates z, r and n and its
+output, and whose backward is hand-written backpropagation through time;
+no negation or division. Everything is float64.
 
 A :class:`Tensor` wraps an ndarray. Every op builds its node with one
 call, ``Tensor(value, parents, back)``: the op's value, its Tensor
@@ -44,7 +44,6 @@ __all__ = [
     "logsumexp_last",
     "affine",
     "gru_cell",
-    "gru_sequence",
     "gru_layer",
 ]
 
@@ -447,57 +446,27 @@ def _gru_backward(g, hs, gates, w_h):
     return dxz, dxr, dxn
 
 
-def gru_sequence(xz, xr, xn, w_hz, w_hr, w_hn):
-    """Hidden states (..., T, H) of a GRU run from a zero state over the
-    time axis (second to last) of the input projections xz, xr, xn, each
-    (..., T, H), with recurrent weights (H, H) or slot-stacked (S, H, H).
-
-    The recurrence runs time-major: the inputs are copied once into
-    contiguous (T, ..., H) arrays and every step is one :func:`gru_cell`
-    writing into preallocated buffers, so a step reads and writes only
-    contiguous (..., H) blocks and allocates nothing. Plain arrays give an
-    array; the gates go to one scratch set that every step reuses. If any
-    operand is a Tensor, the whole recurrence is one graph node that keeps
-    only its hidden states and time-major (T, ..., H) caches of z, r and n
-    (h_{t-1} is the previous step of the hidden states). The backward runs
-    once in reverse over T, forming each step's gate coefficients in
-    preallocated scratch and writing the input gradients into (..., T, H)
-    arrays; each recurrent-weight gradient is one (H, rows) @ (rows, H)
-    product per slot over a (..., T, H) copy of h_{t-1}, which then turns
-    into r * h_{t-1} in place. Neither pass writes into its operands.
-    """
-    operands = (xz, xr, xn, w_hz, w_hr, w_hn)
-    xs = [np.ascontiguousarray(np.moveaxis(_value(x), -2, 0)) for x in operands[:3]]
-    graph = any(isinstance(o, Tensor) for o in operands)
-    hs, gates = _gru_forward(xs, [_value(w) for w in operands[3:]], graph)
-    if not graph:
-        return hs
-
-    def back(g):
-        for operand, grad in zip(operands, _gru_backward(g, hs, gates, operands[3:])):
-            if isinstance(operand, Tensor):
-                operand._accum(grad)
-    return Tensor(hs, tuple(o for o in operands if isinstance(o, Tensor)), back)
-
-
 def gru_layer(x, w_x, b_x, w_h, t_len):
     """A whole GRU layer over sequences of ``t_len`` steps: the input
     projections ``x @ w + b`` of the z, r and n gates (``w_x`` and ``b_x``,
-    three weights and biases as :func:`affine` takes them), then the
-    recurrence of :func:`gru_sequence` over them with the three recurrent
-    weights ``w_h``. x is (..., B * T, n_in), each sequence's T steps in
-    consecutive rows; the result is the hidden states (..., B, T, H).
+    three weights and biases as :func:`affine` takes them), then the GRU
+    recurrence from a zero state over them with the three recurrent
+    weights ``w_h``, (H, H) or slot-stacked (S, H, H). x is
+    (..., B * T, n_in), each sequence's T steps in consecutive rows; the
+    result is the hidden states (..., B, T, H).
 
     Each projection is the bits of :func:`affine`'s: one ``x @ w`` over the
-    batch-major rows, then ``+= b``. It is copied time-major for the
-    recurrence and dropped. Plain operands give an array. If any operand is
-    a Tensor the layer is one graph node that keeps what
-    :func:`gru_sequence`'s node keeps and nothing else. Its backward runs
-    :func:`gru_sequence`'s, then each gate's, z, r and n in turn, as the
-    gate's :func:`affine` node would, dropping the gate's input gradient
-    once used; x gets the sum of the three gates' gradients, added in that
-    order in place, which is what three affine nodes accumulate into an x
-    that nothing else reads.
+    batch-major rows, then ``+= b``. It is copied once time-major for the
+    recurrence (:func:`_gru_forward`, one :func:`gru_cell` per step into
+    preallocated buffers) and dropped. Plain operands give an array. If
+    any operand is a Tensor the layer is one graph node that keeps only
+    its hidden states and time-major caches of z, r and n. Its backward
+    runs :func:`_gru_backward`, then each gate's, z, r and n in turn, as
+    the gate's :func:`affine` node would, dropping the gate's input
+    gradient once used; x gets the sum of the three gates' gradients,
+    added in that order in place, which is what three affine nodes
+    accumulate into an x that nothing else reads. Neither pass writes
+    into its operands.
     """
     operands = (x, *w_x, *b_x, *w_h)
     xd = _value(x)

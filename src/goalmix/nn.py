@@ -204,8 +204,8 @@ class ParamSet:
     ``agent``, ``repr`` and ``target_agent`` are slot-stacked: each array
     has shape (S, ...), with S the number of agents, or 1 when all agents
     share one net. ``named_online``/``named_all`` yield one view per slot,
-    named ``agent.<i>.<name>``; the optimiser's error messages and version 1
-    checkpoints use these.
+    named ``agent.<i>.<name>``; the optimiser's error messages and
+    ``goalmix eval``'s shape check use these.
     """
 
     agent: Params = field(default_factory=dict)
@@ -448,8 +448,8 @@ def _member(path, data, key):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back into a ParamSet; returns (ParamSet, meta).
-    Version 1 files (one ``param/<name>`` array per slot) still load."""
+    """Read a version-2 checkpoint back into a ParamSet; returns
+    (ParamSet, meta). Any other version is a :class:`ConfigurationError`."""
     try:
         data = np.load(path)
     except (ValueError, EOFError, zipfile.BadZipFile) as err:  # text, empty, truncated
@@ -469,24 +469,7 @@ def load_checkpoint(path):
             raise malformed_checkpoint(path, "the header has no 'version'")
         if "meta" not in header:
             raise malformed_checkpoint(path, "the header has no 'meta'")
-        if header["version"] == 1:
-            named = [(key[len("param/"):], _member(path, data, key))
-                     for key in data.files if key.startswith("param/")]
-            unknown = [name for name, _ in named if name.split(".", 1)[0] not in GROUPS]
-            if unknown:
-                raise malformed_checkpoint(path, f"unknown group in {unknown[0]!r}")
-            try:
-                ps = ParamSet.from_named(named)
-            except (KeyError, ValueError) as err:  # names or slots named_all() never gives
-                raise malformed_checkpoint(
-                    path, "param/ names are not <group>.<key> and <group>.<slot>.<key> with "
-                          f"slots 0 to S - 1 of one shape ({err!r})") from None
-            _check_slot_counts(path, header, ps)
-            stray = sorted({name for name, _ in named} - {name for name, _ in ps.named_all()})
-            if stray:  # a slot written as 01, +1 or " 1" loads as slot 1
-                raise malformed_checkpoint(path, f"param/{stray[0]} is not the name of the "
-                                                 "array it loads as")
-        elif header["version"] == CHECKPOINT_VERSION:
+        if header["version"] == CHECKPOINT_VERSION:
             if "params" not in data.files:
                 raise malformed_checkpoint(path, "no 'params' entry")
             ps = _unpack(path, header.get("layout"), _member(path, data, "params"))

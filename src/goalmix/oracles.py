@@ -57,10 +57,12 @@ def slow_mix(params, q_locals, state):
 
 
 def strided_gru_sequence(xz, xr, xn, w_hz, w_hr, w_hn, g):
-    """The GRU recurrence of :func:`goalmix.autodiff.gru_sequence` on
-    arrays, laid out as it was before the kernel went time-major: the
-    forward reads and writes (..., T, H) arrays one strided step at a time
-    through :func:`goalmix.autodiff.gru_cell` (the one GRU step, shared on
+    """The GRU recurrence of :func:`goalmix.autodiff.gru_layer` on its
+    gates' input projections xz, xr, xn (..., T, H), with recurrent
+    weights (H, H) or slot-stacked (S, H, H), laid out as it was before the
+    kernel went time-major: the forward reads and writes (..., T, H)
+    arrays one strided step at a time through
+    :func:`goalmix.autodiff.gru_cell` (the one GRU step, shared on
     purpose), caches full (..., T, H) arrays of h_{t-1} and the gates, and
     backpropagates the upstream gradient ``g`` (..., T, H) through time
     with coefficients built for all steps up front. Returns the hidden

@@ -80,21 +80,23 @@ class Episode:
     The constructor copies every field into one immutable byte string,
     ``record``, laid out as ``layout`` says. ``obs`` and ``states`` are held
     as exact codes: ``values`` is the episode's table of distinct float64
-    bit patterns (so -0.0 and +0.0 are two entries), and ``obs_codes`` and
-    ``state_codes`` index it with the narrowest unsigned dtype that
+    bit patterns (so -0.0 and +0.0 are two entries), and the obs and state
+    codes (``state_codes``) index it with the narrowest unsigned dtype that
     addresses it (uint8 for up to 256 values). The actions are held in the
     narrowest integer dtype that fits them, the other fields as given.
     Every field reads back bit for bit, in the dtype it was given: ``obs``,
-    ``states`` and ``actions`` as new arrays (``obs`` is
-    ``values.take(obs_codes)``, so a reader that goes step by step should
-    read it once), the others as read-only views of the record. No write
-    into an array passed in or read out reaches the stored episode.
+    ``states`` and ``actions`` as new arrays (``obs`` is a gather from
+    ``values``, so a reader that goes step by step should read it once),
+    the others as read-only views of the record. No write into an array
+    passed in or read out reaches the stored episode.
 
     ``bootstrap`` is the trainer's cache slot for this episode's target
-    bootstrap: one read-only (n_agents + 1, T) float64 array, ``tq_next``
-    above ``tot_next``, valid only while ``token`` is the ``generation`` of
+    bootstrap: one read-only (n_agents + 1, T) float64 array, max_u
+    Q̄_i(o_{t+1}, u) of each agent (``bootstrap[:-1]``) above Q̄_tot(s_{t+1})
+    (``bootstrap[-1]``), valid only while ``token`` is the ``generation`` of
     the trainer's packed parameters (see ``Trainer.batch_bootstrap``). It
-    lives and dies with the episode, so a FIFO eviction drops it.
+    lives and dies with the episode, so a FIFO eviction drops it, and the
+    trainer clears every entry at a target sync.
     """
 
     __slots__ = ("record", "layout", "length", "uid", "bootstrap", "token")
@@ -128,10 +130,6 @@ class Episode:
     @property
     def values(self):
         return np.frombuffer(self.record, np.float64, offset=self.layout.fixed)
-
-    @property
-    def obs_codes(self):
-        return self._view("obs")
 
     @property
     def state_codes(self):
@@ -184,16 +182,6 @@ class Episode:
         bootstrap = np.concatenate([tq_next, tot_next[None]])
         bootstrap.flags.writeable = False
         self.bootstrap, self.token = bootstrap, token
-
-    @property
-    def tq_next(self):
-        """The cached max_u Q̄_i(o_{t+1}, u), (n_agents, T), or None."""
-        return None if self.bootstrap is None else self.bootstrap[:-1]
-
-    @property
-    def tot_next(self):
-        """The cached Q̄_tot(s_{t+1}), (T,), or None."""
-        return None if self.bootstrap is None else self.bootstrap[-1]
 
     def validate(self):
         """Raise :class:`MalformedEpisodeError` with the first check that fails."""

@@ -18,9 +18,10 @@ The TD targets bootstrap from the frozen target nets, which change only
 at a sync. An episode's bootstrap, max_u Q̄_i(o_{t+1}, u) and
 Q̄_tot(s_{t+1}) (:meth:`Trainer.target_bootstrap`), is therefore computed
 once per target generation, kept on the episode, and reused by every
-block that samples the episode again before the next sync; a block runs
-the target nets only on its rows without a valid entry, and before its
-online forward, so that unroll never adds to the live graph.
+block that samples the episode again before the next sync, which clears
+every entry; a block runs the target nets only on its rows without a
+valid entry, and before its online forward, so that unroll never adds to
+the live graph.
 
 Each equation is one batched kernel: the subgoal score, D_Q, the
 embedded distance and the shaped rewards live in :mod:`goalmix.subgoals`
@@ -462,6 +463,8 @@ class Trainer:
             sync_targets(self.params)
             # a new target generation, however the sync wrote the targets
             self.params.packed().generation = object()
+            for ep in self.buffer.episodes():  # every cached bootstrap is now stale
+                ep.bootstrap = ep.token = None
             self._next_sync += cfg.target_interval
 
         self._log_subgoals(batch, prep)

@@ -10,7 +10,7 @@ from goalmix.agents import (
     local_q,
     masked_argmax,
 )
-from goalmix.autodiff import Tensor, gru_cell, gru_sequence, relu
+from goalmix.autodiff import Tensor, gru_cell, gru_layer, relu
 from goalmix.env import SkirmishEnv, preset
 from goalmix.nn import affine, as_tensors, gradient, stack_slots
 from goalmix.oracles import TabularEnv, coordination_chain, finite_diff_grad
@@ -73,7 +73,10 @@ def _check_unroll_against_steps(n_slots):
         np.testing.assert_allclose(q, q_seq[..., t, :], rtol=0, atol=1e-12)
 
 
-GRU_OPERANDS = ("xz", "xr", "xn", "gru.hz.w", "gru.hr.w", "gru.hn.w")
+# gru_layer's operands: x, then the three gates' input weights, input
+# biases and recurrent weights, each in gate order z, r, n
+GRU_ROLES = ("gru.x{}.w", "gru.x{}.b", "gru.h{}.w")
+GRU_OPERANDS = ("x", *(role.format(g) for role in GRU_ROLES for g in "zrn"))
 
 
 def _stacked_qnet_and_obs(n_slots, seed):
@@ -88,17 +91,16 @@ def _stacked_qnet_and_obs(n_slots, seed):
 
 
 @pytest.mark.parametrize("n_slots", [3, 1])
-def test_gru_sequence_gradient_matches_finite_differences(n_slots):
+def test_gru_layer_gradient_matches_finite_differences(n_slots):
     rng, qnet, params, obs = _stacked_qnet_and_obs(n_slots, seed=21)
-    x = np.maximum(affine(params, "in", obs.reshape(3, 10, 4)), 0.0)
-    operands = {f"x{g}": affine(params, f"gru.x{g}", x).reshape(3, 2, 5, 5) for g in "zrn"}
-    operands.update({k: params[k] for k in GRU_OPERANDS[3:]})
+    operands = {"x": np.maximum(affine(params, "in", obs.reshape(3, 10, 4)), 0.0)}
+    operands.update({k: params[k] for k in GRU_OPERANDS[1:]})
     # a squared loss, zero on the padded steps as in the TD losses
     weights = rng.uniform(0.5, 1.5, size=(3, 2, 5, 5))
     weights[:, 1, 3:] = 0.0
 
     def loss(p):
-        hs = gru_sequence(*(p[k] for k in GRU_OPERANDS))
+        hs = gru_layer(p["x"], *([p[role.format(g)] for g in "zrn"] for role in GRU_ROLES), 5)
         return (hs * hs * weights).sum()
 
     tensors = as_tensors(operands)
@@ -107,9 +109,9 @@ def test_gru_sequence_gradient_matches_finite_differences(n_slots):
     for name in GRU_OPERANDS:
         assert grads[name].shape == operands[name].shape
         np.testing.assert_allclose(grads[name], fd[name], rtol=1e-7, atol=2e-9, err_msg=name)
-    for name in GRU_OPERANDS[:3]:  # (the reset gate acts on h_0 = 0, so skip t = 0)
-        np.testing.assert_array_equal(grads[name][:, 1, 3:], 0.0)
-        assert np.abs(grads[name][:, 1, 1:3]).min() > 0.0
+    gx = grads["x"].reshape(3, 2, 5, -1)  # (agent, sequence, step, H)
+    np.testing.assert_array_equal(gx[:, 1, 3:], 0.0)
+    assert np.abs(gx[:, 1, :3]).min() > 0.0
 
 
 @pytest.mark.parametrize("n_slots", [None, 3, 1])

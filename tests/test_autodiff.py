@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from goalmix.autodiff import (
-    Tensor, _unbroadcast, absval, affine, elu, exp, gru_layer, gru_sequence, log, logsumexp_last,
+    Tensor, _unbroadcast, absval, affine, elu, exp, gru_layer, log, logsumexp_last,
     moveaxis, relu, sqrt, stack, take_along_last,
 )
 from goalmix.nn import gradient
@@ -371,7 +371,7 @@ def test_only_leaves_keep_their_gradient_after_backward():
     assert all(node.grad is None for node in (hidden, out, loss))
 
 
-# -- the GRU recurrence against its strided reference -------------------------------
+# -- the GRU layer against three affines and the strided reference -----------------
 
 # (lead, slots, T, H); slots None is a single net with (H, H) weights
 GRU_SHAPES = {
@@ -381,39 +381,6 @@ GRU_SHAPES = {
     "single-net": ((4,), None, 6, 5),
     "one-step": ((2, 3), 2, 1, 5),
 }
-# which of (xz, xr, xn, w_hz, w_hr, w_hn) are Tensors
-GRU_TENSORS = {"all": range(6), "weights": range(3, 6), "inputs": range(3), "none": ()}
-
-
-@pytest.mark.parametrize("tensors", list(GRU_TENSORS))
-@pytest.mark.parametrize("shape", list(GRU_SHAPES))
-def test_gru_sequence_is_bitwise_the_strided_reference(shape, tensors):
-    lead, slots, t_len, hd = GRU_SHAPES[shape]
-    rng = np.random.default_rng(11)
-    w_shape = (hd, hd) if slots is None else (slots, hd, hd)
-    operands = [rng.normal(size=(*lead, t_len, hd)) for _ in range(3)]
-    operands += [rng.normal(scale=hd ** -0.5, size=w_shape) for _ in range(3)]
-    g = rng.normal(size=(*lead, t_len, hd))
-    hs_ref, grads_ref = strided_gru_sequence(*operands, g)
-    before = [o.copy() for o in operands]
-
-    args = [Tensor(o) if i in GRU_TENSORS[tensors] else o for i, o in enumerate(operands)]
-    hs = gru_sequence(*args)
-    assert isinstance(hs, Tensor) == bool(GRU_TENSORS[tensors])
-    if isinstance(hs, Tensor):
-        (hs * g).sum().backward()  # hands the node exactly g
-        hs = hs.data
-    assert hs.flags["C_CONTIGUOUS"]
-    np.testing.assert_array_equal(hs, hs_ref)
-    for i, (arg, ref) in enumerate(zip(args, grads_ref)):
-        if isinstance(arg, Tensor):
-            assert arg.grad.shape == ref.shape
-            assert np.array_equal(arg.grad, ref), f"operand {i}"
-    for operand, copy in zip(operands, before):  # the kernel writes only its own buffers
-        np.testing.assert_array_equal(operand, copy)
-
-
-# -- the GRU layer against three affines and the strided reference -----------------
 
 # the layer's operands by role, (x, w_x, b_x, w_h) in its argument order,
 # as indices into the flat list [x, w_xz, w_xr, w_xn, b_xz, b_xr, b_xn, w_hz, w_hr, w_hn]

@@ -11,7 +11,7 @@ import pytest
 
 from goalmix.cli import main, make_trainer, resolve_env_config, run_eval
 from goalmix.config import TrainConfig
-from goalmix.nn import load_checkpoint, n_slots, save_checkpoint
+from goalmix.nn import ConfigurationError, load_checkpoint, n_slots, save_checkpoint
 from tests.conftest import MALFORMED_CHECKPOINTS, header_bytes, write_malformed_checkpoint
 
 FAST = ["--env", "skirmish-2v2", "--steps", "90"]
@@ -182,25 +182,23 @@ def test_malformed_checkpoint_meta_is_runtime_failure_exit_2(tmp_path, case, cap
     assert f"runtime failure: ConfigurationError: malformed checkpoint {path}: {problem}" in err
 
 
-def test_eval_same_on_version_1_and_2_checkpoints(tmp_path, fast_cfg_file, capsys):
-    out = tmp_path / "run"
-    assert run_cli(["train", "--config", fast_cfg_file, "--out", out, "--seed", 3]) == 0
-    v2 = out / "checkpoint.npz"
-    ps, meta = load_checkpoint(v2)
-    # the same parameters by hand in the version-1 layout, one array per slot
+def test_version_1_checkpoint_is_rejected_as_unsupported(tmp_path, capsys):
+    # a fresh policy in the version-1 layout, one param/<name> array per slot
+    cfg = TrainConfig()
+    ps = make_trainer(cfg).params
     arrays = {f"param/{name}": arr for name, arr in ps.named_all()}
+    meta = {"config": cfg.to_dict(), "env_config": resolve_env_config(cfg).to_dict()}
     arrays["header"] = header_bytes({"version": 1, "n_agents": n_slots(ps.agent),
                                      "n_reprs": n_slots(ps.repr), "meta": meta})
-    v1 = tmp_path / "v1.npz"
-    with open(v1, "wb") as fh:
+    path = tmp_path / "v1.npz"
+    with open(path, "wb") as fh:
         np.savez(fh, **arrays)
-    capsys.readouterr()
-    printed = []
-    for path in (v2, v1):
-        assert run_cli(["eval", "--checkpoint", path, "--episodes", 8, "--seed", 4]) == 0
-        printed.append(capsys.readouterr().out)
-    assert printed[0] == printed[1]
-    assert printed[0].startswith("win rate over 8 episodes: ")
+    message = f"unsupported checkpoint version 1 in {path}"
+    with pytest.raises(ConfigurationError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == message
+    assert run_cli(["eval", "--checkpoint", path, "--episodes", 1]) == 2
+    assert f"runtime failure: ConfigurationError: {message}" in capsys.readouterr().err
 
 
 def test_eval_checkpoint_roundtrip(tmp_path, fast_cfg_file, capsys):

@@ -2,7 +2,6 @@
 
 import json
 import math
-import re
 import warnings
 
 import numpy as np
@@ -470,44 +469,6 @@ def test_checkpoint_with_repr_slots_but_no_repr_group_is_configuration_error(tmp
         load_checkpoint(path)
 
 
-def test_version_1_checkpoint_with_unknown_group_is_configuration_error(tmp_path):
-    header = {"version": 1, "n_agents": 1, "n_reprs": 0, "meta": {}}
-    path = tmp_path / "old.npz"
-    with open(path, "wb") as fh:
-        np.savez(fh, **{"param/critic.w": np.ones(2), "header": header_bytes(header)})
-    with pytest.raises(ConfigurationError, match="unknown group in 'critic.w'"):
-        load_checkpoint(path)
-
-
-# version-1 member sets the writer never made, each next to a valid mixer,
-# and a pattern of the error load_checkpoint raises for it
-W, B = np.ones((3, 4)), np.zeros(4)
-MALFORMED_V1 = {
-    "slot gap": ({"agent.0.in.w": W, "agent.2.in.w": W}, "KeyError\\(1\\)"),
-    "no key": ({"agent": W}, "not enough values to unpack"),
-    "slot not a number": ({"agent.x.in.w": W}, "invalid literal for int"),
-    "ragged slots": ({"agent.0.in.w": W, "agent.1.in.w": W[:2]}, "same shape"),
-    "slot counts differ": ({"agent.0.in.w": W, "agent.1.in.w": W, "agent.0.in.b": B},
-                           "n_agents 2, but agent.in.b has shape \\(1, 4\\)"),
-    "aliased slot": ({"agent.0.in.w": W, "agent.1.in.w": W, "agent.01.in.w": W},
-                     "param/agent.01.in.w is not the name of the array it loads as"),
-}
-
-
-@pytest.mark.parametrize("case", list(MALFORMED_V1))
-def test_malformed_version_1_checkpoint_is_configuration_error(tmp_path, case):
-    members, pattern = MALFORMED_V1[case]
-    header = {"version": 1, "n_agents": 2, "n_reprs": 0, "meta": {}}
-    path = tmp_path / "old.npz"
-    with open(path, "wb") as fh:
-        np.savez(fh, header=header_bytes(header), **{"param/mixer.v2.b": np.zeros(1)},
-                 **{f"param/{name}": arr for name, arr in members.items()})
-    with pytest.raises(ConfigurationError, match="malformed checkpoint") as err:
-        load_checkpoint(path)
-    assert str(path) in str(err.value)
-    assert re.search(pattern, str(err.value))
-
-
 @pytest.mark.parametrize("field, value", [(2, [2.5]), (2, [True]), (2, [-1]), (2, [-2, -3]),
                                           (2, "ab"), (2, None), (0, ["agent"]), (1, ["in.w"]),
                                           (1, 5)])
@@ -526,38 +487,6 @@ def test_version_2_layout_entry_of_wrong_type_is_configuration_error(tmp_path, r
     with pytest.raises(ConfigurationError, match="malformed checkpoint .*two strings and a list "
                                                  "of non-negative integers"):
         load_checkpoint(path)
-
-
-def test_checkpoint_in_per_agent_layout_loads_bitwise(tmp_path, rng):
-    # a file written one array per agent slot, straight from per-agent dicts
-    qnet, mixer, repr_net = make_nets()
-    nets = {g: [net.init_params(rng) for _ in range(2)]
-            for g, net in (("agent", qnet), ("repr", repr_net), ("target_agent", qnet))}
-    mix, target_mix = mixer.init_params(rng), mixer.init_params(rng)
-    arrays = {}
-    for group in ("agent", "mixer", "repr", "target_agent", "target_mixer"):
-        if group in nets:
-            for i, p in enumerate(nets[group]):
-                arrays.update({f"param/{group}.{i}.{k}": v for k, v in p.items()})
-        else:
-            p = mix if group == "mixer" else target_mix
-            arrays.update({f"param/{group}.{k}": v for k, v in p.items()})
-    header = {"version": 1, "n_agents": 2, "n_reprs": 2, "meta": {"note": "old"}}
-    arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
-    path = tmp_path / "old.npz"
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-    loaded, meta = load_checkpoint(path)
-    assert meta == {"note": "old"}
-    named = dict(loaded.named_all())
-    assert sorted(named) == sorted(k[len("param/"):] for k in arrays if k != "header")
-    for key, arr in arrays.items():
-        if key != "header":
-            np.testing.assert_array_equal(named[key[len("param/"):]], arr)
-    for group, per_agent in nets.items():
-        for k in per_agent[0]:
-            np.testing.assert_array_equal(getattr(loaded, group)[k],
-                                          np.stack([p[k] for p in per_agent]))
 
 
 def test_checkpoint_version_guard(tmp_path, rng):

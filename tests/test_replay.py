@@ -203,7 +203,7 @@ def test_collected_episode_reads_back_bitwise(env_name, monkeypatch):
     monkeypatch.setattr(training, "Episode", recording_episode)
     ep = collected_episode(env_name)
     assert_exact(ep, built[0]["obs"], built[0]["states"])
-    assert ep.obs_codes.dtype == ep.state_codes.dtype == np.uint8
+    assert ep.layout.fields["obs"][1] == ep.state_codes.dtype == np.uint8
 
 
 def test_continuous_episode_reads_back_bitwise(rng):
@@ -212,7 +212,7 @@ def test_continuous_episode_reads_back_bitwise(rng):
     states = rng.normal(size=ep.states.shape)
     ep = rebuilt(ep, obs=obs, states=states)
     assert_exact(ep, obs, states)
-    assert ep.obs_codes.dtype == np.uint16
+    assert ep.layout.fields["obs"][1] == np.uint16
     assert len(ep.values) == obs.size + states.size
 
 
@@ -232,7 +232,7 @@ def test_more_than_256_values_take_uint16_codes(rng):
     ep = rebuilt(ep, obs=obs)
     assert obs.size > 256
     assert_exact(ep, obs, ep.states)
-    assert ep.obs_codes.dtype == ep.state_codes.dtype == np.uint16
+    assert ep.layout.fields["obs"][1] == ep.state_codes.dtype == np.uint16
 
 
 def test_decoded_arrays_are_fresh(rng):
@@ -264,13 +264,13 @@ def test_reads_cannot_write_into_a_stored_episode():
     trainer = make_trainer(seed=0)
     ep = trainer.collect_episode()
     trainer.batch_bootstrap(stack_episodes([ep]))
-    want = {name: getattr(ep, name).tobytes() for name in (*FIELDS, "tq_next", "tot_next")}
+    want = {name: getattr(ep, name).tobytes() for name in (*FIELDS, "bootstrap")}
     for name in want:
         field = getattr(ep, name)
         try:
             field[...] = 99
         except ValueError:
-            assert name in ("avail", "rewards", "dones", "valid", "tq_next", "tot_next")
+            assert name in ("avail", "rewards", "dones", "valid", "bootstrap")
     assert {name: getattr(ep, name).tobytes() for name in want} == want
     ep.validate()
 
@@ -282,7 +282,7 @@ def mixed_code_widths(rng):
     for k, ep in enumerate(episodes):
         obs = rng.normal(size=ep.obs.shape) if k % 2 else np.round(ep.obs)
         episodes[k] = rebuilt(ep, obs=obs, states=np.round(ep.states))
-    assert [ep.obs_codes.dtype for ep in episodes] == [np.uint8, np.uint16] * 2 + [np.uint8]
+    assert [ep.state_codes.dtype for ep in episodes] == [np.uint8, np.uint16] * 2 + [np.uint8]
     return episodes
 
 

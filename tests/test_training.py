@@ -543,6 +543,26 @@ def test_a_block_bootstraps_once_before_its_online_graph(monkeypatch):
         assert calls == ["bootstrap", "forward"]
 
 
+@pytest.mark.parametrize("build", [
+    lambda: make_trainer(seed=12, batch_size=8, target_interval=4),
+    lambda: chain_trainer(batch_size=8, target_interval=4),
+], ids=["skirmish", "chain"])
+def test_no_stale_entry_survives_a_sync(build):
+    """After every block, each bootstrap the buffer still caches belongs to
+    the current target generation: a sync drops the entries it makes stale."""
+    tr = build()
+    tr.collect_episode()
+    generations, cached = [], 0
+    for _ in range(12):  # syncs after the blocks that bring the count to 4, 8 and 12
+        tr.train_block()
+        generations.append(tr.params.packed().generation)
+        kept = [ep for ep in tr.buffer.episodes() if ep.bootstrap is not None]
+        assert all(ep.token is generations[-1] for ep in kept)
+        cached += len(kept)
+    assert sum(a is not b for a, b in zip(generations, generations[1:])) >= 2
+    assert cached > 0
+
+
 def test_no_stale_bootstrap_after_the_target_nets_change(tmp_path, monkeypatch):
     import goalmix.training as training
 

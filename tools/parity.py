@@ -8,9 +8,9 @@ greedy ``evaluate(1)`` calls by the win, the episode's length
 (``eval_env.t``) and its final game state (the units' positions and
 health), so rollout changes are checked too, and every episode the replay
 buffer then holds, in buffer order, by a SHA-256 of its public fields
-(arrays, length, uid and cached bootstrap), so the storage is checked
-directly and not only through the losses it feeds, however each tree lays
-it out. Fourteen configurations, all seed 0: default skirmish-2v2, skirmish-3v3 (the eval benchmark's env),
+(arrays, length, uid and a cached bootstrap of the current target
+generation), so the storage is checked directly and not only through the
+losses it feeds, however each tree lays it out. Fourteen configurations, all seed 0: default skirmish-2v2, skirmish-3v3 (the eval benchmark's env),
 cliff-2v2, the tabular coordination chain at H = 32 (the train-chain
 benchmark config), ``share_params`` and the nine ablation variants.
 Every run syncs its targets every 5 collected episodes, so the 25 blocks
@@ -73,14 +73,14 @@ def episode_end(env):
     return [env.t, env.s]
 
 
-def episode_digest(ep):
+def episode_digest(ep, generation):
     """SHA-256 of a stored episode, read only through its public fields, so
     that trees which store episodes differently still compare: each
-    field's dtype, shape and bytes, its length and uid, and the arrays of
-    its cached bootstrap (the token is an identity, so only whether there
-    is one)."""
+    field's dtype, shape and bytes, its length and uid, and its cached
+    bootstrap if that belongs to ``generation``, the trainer's current
+    target generation (a stale entry is dead data, which a tree may drop)."""
     h = hashlib.sha256()
-    bootstrap = () if ep.tq_next is None else (ep.tq_next, ep.tot_next)
+    bootstrap = (ep.bootstrap,) if ep.token is generation else ()
     for a in (ep.obs, ep.actions, ep.avail, ep.states, ep.rewards, ep.dones, ep.valid,
               *bootstrap):
         h.update(f"{a.dtype}{a.shape}".encode())
@@ -106,7 +106,8 @@ def dump():
                       for k, v in trainer.params.named_all()}
             print(json.dumps({"config": name, "block": block, "report": report,
                               "arrays": arrays}), flush=True)
-        buffer = [episode_digest(ep) for ep in trainer.buffer.episodes()]
+        generation = trainer.params.packed().generation
+        buffer = [episode_digest(ep, generation) for ep in trainer.buffer.episodes()]
         evals = []
         for _ in range(EVALS):
             won = trainer.evaluate(1)
