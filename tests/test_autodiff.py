@@ -381,6 +381,49 @@ GRU_SHAPES = {
     "single-net": ((4,), None, 6, 5),
     "one-step": ((2, 3), 2, 1, 5),
 }
+# which of the recurrence's operands, (gate inputs, w_hz, w_hr, w_hn), are Tensors
+GRU_TENSORS = {"all": range(4), "weights": range(1, 4), "inputs": (0,), "none": ()}
+
+
+@pytest.mark.parametrize("tensors", list(GRU_TENSORS))
+@pytest.mark.parametrize("shape", list(GRU_SHAPES))
+def test_gru_layer_recurrence_is_bitwise_the_strided_reference(shape, tensors):
+    """The recurrence alone: x is the z, r and n gate inputs side by side and
+    each gate's input weight selects its own third (the projections are then
+    x's own bits), so gru_layer must give strided_gru_sequence's hidden
+    states, its recurrent weights' gradients and, in x's thirds, its three
+    input gradients."""
+    lead, slots, t_len, hd = GRU_SHAPES[shape]
+    rng = np.random.default_rng(11)
+    w_lead = () if slots is None else (slots,)
+    gate_x = [rng.normal(size=(*lead, t_len, hd)) for _ in range(3)]
+    w_h = [rng.normal(scale=hd ** -0.5, size=(*w_lead, hd, hd)) for _ in range(3)]
+    g = rng.normal(size=(*lead, t_len, hd))
+    hs_ref, grads_ref = strided_gru_sequence(*gate_x, *w_h, g)
+    x = np.concatenate(gate_x, axis=-1).reshape(*lead[:-1], lead[-1] * t_len, 3 * hd)
+    select = np.eye(3 * hd).reshape(3 * hd, 3, hd)
+    w_x = [np.broadcast_to(select[:, k], (*w_lead, 3 * hd, hd)).copy() for k in range(3)]
+    b_x = [np.zeros((*w_lead, hd)) for _ in range(3)]
+    before = [o.copy() for o in (x, *w_h)]
+
+    args = [Tensor(o) if i in GRU_TENSORS[tensors] else o for i, o in enumerate((x, *w_h))]
+    hs = gru_layer(args[0], w_x, b_x, args[1:], t_len)
+    assert isinstance(hs, Tensor) == bool(GRU_TENSORS[tensors])
+    if isinstance(hs, Tensor):
+        (hs * g).sum().backward()  # hands the node exactly g
+        hs = hs.data
+    assert hs.flags["C_CONTIGUOUS"]
+    np.testing.assert_array_equal(hs, hs_ref)
+    if isinstance(args[0], Tensor):
+        dx = args[0].grad.reshape(*lead, t_len, 3, hd)
+        for k in range(3):
+            assert np.array_equal(dx[..., k, :], grads_ref[k]), f"gate input {k}"
+    for i, (arg, ref) in enumerate(zip(args[1:], grads_ref[3:])):
+        if isinstance(arg, Tensor):
+            assert arg.grad.shape == ref.shape
+            assert np.array_equal(arg.grad, ref), f"recurrent weight {i}"
+    for operand, copy in zip((x, *w_h), before):  # the layer writes only its own buffers
+        np.testing.assert_array_equal(operand, copy)
 
 # the layer's operands by role, (x, w_x, b_x, w_h) in its argument order,
 # as indices into the flat list [x, w_xz, w_xr, w_xn, b_xz, b_xr, b_xn, w_hz, w_hr, w_hn]

@@ -469,6 +469,34 @@ def test_checkpoint_with_repr_slots_but_no_repr_group_is_configuration_error(tmp
         load_checkpoint(path)
 
 
+# version-1 member sets, each of which a version-1 reader would have to
+# reject on its own, next to a valid mixer
+W, B = np.ones((3, 4)), np.zeros(4)
+MALFORMED_V1 = {
+    "unknown group": {"critic.w": np.ones(2)},
+    "slot gap": {"agent.0.in.w": W, "agent.2.in.w": W},
+    "no key": {"agent": W},
+    "slot not a number": {"agent.x.in.w": W},
+    "ragged slots": {"agent.0.in.w": W, "agent.1.in.w": W[:2]},
+    "slot counts differ": {"agent.0.in.w": W, "agent.1.in.w": W, "agent.0.in.b": B},
+    "aliased slot": {"agent.0.in.w": W, "agent.1.in.w": W, "agent.01.in.w": W},
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_V1))
+def test_malformed_version_1_checkpoint_is_configuration_error(tmp_path, case):
+    # the version is checked before any member is read, so every one of them
+    # gets the unknown-version error and none leaks another exception
+    header = {"version": 1, "n_agents": 2, "n_reprs": 0, "meta": {}}
+    path = tmp_path / "old.npz"
+    with open(path, "wb") as fh:
+        np.savez(fh, header=header_bytes(header), **{"param/mixer.v2.b": np.zeros(1)},
+                 **{f"param/{name}": arr for name, arr in MALFORMED_V1[case].items()})
+    with pytest.raises(ConfigurationError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"unsupported checkpoint version 1 in {path}"
+
+
 @pytest.mark.parametrize("field, value", [(2, [2.5]), (2, [True]), (2, [-1]), (2, [-2, -3]),
                                           (2, "ab"), (2, None), (0, ["agent"]), (1, ["in.w"]),
                                           (1, 5)])
