@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,11 @@ ABLATION_VARIANTS = {
     "no_repr": {"lam_d": 0.0},     # identity representation, no L_D
     "qmix": {"lam": 0.0, "lam_i": 0.0, "lam_e": 0.0, "lam_d": 0.0},
 }
+
+METRICS_COLUMNS = [
+    "env_steps", "block", "eval_win_rate", "L_TD",
+    "sum_Li", "sum_LE", "sum_LD", "mean_Rt", "epsilon",
+]
 
 # the fields that shape the nets and the env: no other changes greedy evaluation
 EVAL_KEYS = ("hidden_dim", "mixer_embed_dim", "repr_hidden_dim", "share_params",
@@ -64,12 +70,12 @@ def make_trainer(cfg: TrainConfig) -> Trainer:
     return Trainer(cfg, lambda: SkirmishEnv(env_cfg), rng=np.random.default_rng(cfg.seed))
 
 
-def write_manifest(out_dir: Path, cfg: TrainConfig, env_cfg: EnvConfig, seeds):
+def write_manifest(out_dir: Path, cfg: TrainConfig, env_cfg: EnvConfig):
     manifest = {
         "version": __version__,
         "config": cfg.to_dict(),
         "env_config": env_cfg.to_dict(),
-        "seeds": list(seeds),
+        "seeds": [cfg.seed],
         "outputs": {
             "metrics": "metrics.csv",
             "checkpoint": "checkpoint.npz",
@@ -83,17 +89,50 @@ def write_manifest(out_dir: Path, cfg: TrainConfig, env_cfg: EnvConfig, seeds):
     return manifest
 
 
+def write_episode_log(fh, episode):
+    """Append one episode to an open text file, one JSON object per step:
+    {"t", "obs", "actions", "r_ex", "done"}."""
+    obs, actions, rewards, dones = episode.obs, episode.actions, episode.rewards, episode.dones
+    for t in range(episode.length):
+        row = {
+            "t": t,
+            "obs": [obs[i, t].tolist() for i in range(obs.shape[0])],
+            "actions": actions[:, t].tolist(),
+            "r_ex": float(rewards[t]),
+            "done": bool(dones[t]),
+        }
+        fh.write(json.dumps(row) + "\n")
+
+
 def run_train(cfg: TrainConfig, out_dir) -> float:
-    """One full training run; writes manifest, metrics, checkpoint."""
+    """One full training run, until the env-step budget is spent; writes
+    every file of the run directory. The policy is evaluated after the
+    first collected episode, every ``eval_interval`` collected episodes and
+    at the end. Each block adds one metrics row, whose eval_win_rate is the
+    most recent evaluation. Returns the final win rate."""
     env_cfg = resolve_env_config(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_manifest(out_dir, cfg, env_cfg, [cfg.seed])
+    write_manifest(out_dir, cfg, env_cfg)
     trainer = make_trainer(cfg)
-    win_rate = trainer.run(
-        metrics_path=out_dir / "metrics.csv",
-        subgoal_log_path=(out_dir / "subgoals.jsonl") if cfg.subgoal_log else None,
-    )
+    with (open(out_dir / "metrics.csv", "w", newline="") as fh,
+          open(out_dir / "subgoals.jsonl", "w") if cfg.subgoal_log else nullcontext() as log):
+        trainer.subgoal_log = log
+        writer = csv.writer(fh)
+        writer.writerow(METRICS_COLUMNS)
+        trainer.collect_episode()
+        win_rate = trainer.evaluate()
+        next_eval = cfg.eval_interval
+        while trainer.env_steps < cfg.max_env_steps:
+            report = trainer.train_block()
+            if trainer.episodes_collected >= next_eval:
+                win_rate = trainer.evaluate()
+                next_eval += cfg.eval_interval
+            writer.writerow([repr(v) for v in (
+                report.env_steps, report.block, win_rate, report.loss_td,
+                report.loss_individual, report.loss_correction, report.loss_repr,
+                report.mean_proxy_reward, report.epsilon)])
+    win_rate = trainer.evaluate()
     save_checkpoint(
         out_dir / "checkpoint.npz",
         trainer.params,
@@ -102,7 +141,8 @@ def run_train(cfg: TrainConfig, out_dir) -> float:
     )
     if cfg.episode_log:
         with open(out_dir / "episodes.jsonl", "w") as fh:
-            trainer.buffer.dump(fh)
+            for ep in trainer.buffer.episodes():
+                write_episode_log(fh, ep)
     with open(out_dir / "result.json", "w") as fh:
         json.dump({"final_win_rate": win_rate, "env_steps": trainer.env_steps,
                    "episodes": trainer.episodes_collected}, fh, indent=2)
@@ -113,6 +153,8 @@ def run_train(cfg: TrainConfig, out_dir) -> float:
 def run_eval(checkpoint_path, episodes, seed=0, env_name=None) -> float:
     if episodes < 1:
         raise ConfigError(f"episodes must be at least 1, got {episodes}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     ps, meta = load_checkpoint(checkpoint_path)
     try:
         cfg = TrainConfig(**{k: meta["config"][k] for k in EVAL_KEYS})

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, fields, asdict
 
 from .env import REWARD_MODES
 
@@ -123,11 +123,14 @@ def parse_config(path=None, overrides=None) -> TrainConfig:
     """Defaults, overridden by a JSON config file, overridden by flags."""
     data = {}
     if path is not None:
-        with open(path) as fh:
-            text = fh.read().strip()
-        loaded = json.loads(text) if text else {}
+        try:
+            with open(path) as fh:
+                text = fh.read().strip()
+            loaded = json.loads(text) if text else {}
+        except (OSError, ValueError) as err:  # unreadable, or not JSON
+            raise ConfigError(f"config file {path}: {err}") from None
         if not isinstance(loaded, dict):
-            raise ConfigError("config file must contain a JSON object")
+            raise ConfigError(f"config file {path}: must contain a JSON object")
         data.update({_canon(k): v for k, v in loaded.items()})
     if overrides:
         data.update({_canon(k): v for k, v in overrides.items() if v is not None})

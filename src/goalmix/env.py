@@ -513,23 +513,3 @@ class SkirmishEnv:
             state += (*self._cell_obs[cell][:2], h, 1.0) if live else _NO_ENTITY
         state.append(self.t / self.cfg.episode_limit)
         return np.array(rows, dtype=np.float64), np.array(state, dtype=np.float64)
-
-
-# ---------------------------------------------------------------------------
-# episode logs (line-delimited JSON, one timestep per line)
-# ---------------------------------------------------------------------------
-
-
-def write_episode_log(fh, episode):
-    """Append one episode to an open text file, one JSON object per step:
-    {"t", "obs", "actions", "r_ex", "done"}."""
-    obs, actions, rewards, dones = episode.obs, episode.actions, episode.rewards, episode.dones
-    for t in range(episode.length):
-        row = {
-            "t": t,
-            "obs": [obs[i, t].tolist() for i in range(obs.shape[0])],
-            "actions": actions[:, t].tolist(),
-            "r_ex": float(rewards[t]),
-            "done": bool(dones[t]),
-        }
-        fh.write(json.dumps(row) + "\n")

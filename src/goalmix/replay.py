@@ -311,10 +311,3 @@ class ReplayBuffer:
 
     def episodes(self):
         return list(self._store)
-
-    def dump(self, fh):
-        """Write the whole buffer in the episode-log format (see env)."""
-        from .env import write_episode_log
-
-        for ep in self._store:
-            write_episode_log(fh, ep)

@@ -33,7 +33,6 @@ monotonic-mixing TD step (the QMIX baseline used by the ablations).
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -64,12 +63,6 @@ from .rewards import (
     repr_loss,
 )
 from .subgoals import at_subgoal, random_subgoals, select_subgoals
-
-METRICS_COLUMNS = [
-    "env_steps", "block", "eval_win_rate", "L_TD",
-    "sum_Li", "sum_LE", "sum_LD", "mean_Rt", "epsilon",
-]
-
 
 class TrainingDiverged(RuntimeError):
     """Raised when a loss or gradient turns non-finite; carries the block report."""
@@ -196,7 +189,8 @@ class Trainer:
         self.episodes_collected = 0
         self.block = 0
         self._next_sync = config.target_interval
-        self._subgoal_log_fh = None
+        # an open text file that train_block writes each block's subgoals to
+        self.subgoal_log = None
 
     # -- data collection ----------------------------------------------------
 
@@ -473,53 +467,9 @@ class Trainer:
         return report
 
     def _log_subgoals(self, batch, prep):
-        if self._subgoal_log_fh is None:
+        if self.subgoal_log is None:
             return
         for (i, m_idx), t_star in np.ndenumerate(prep["t_star"]):
             row = {"block": self.block, "episode_uid": int(batch["episodes"][m_idx].uid),
                    "agent": i, "t_star": int(t_star)}
-            self._subgoal_log_fh.write(json.dumps(row) + "\n")
-
-    # -- full run -------------------------------------------------------------
-
-    def run(self, max_env_steps=None, metrics_path=None, subgoal_log_path=None):
-        """Train until the environment-step budget is exhausted.
-
-        Writes one metrics row per block (eval_win_rate carries the most
-        recent periodic evaluation forward). Returns the final win rate.
-        """
-        cfg = self.cfg
-        if max_env_steps is None:
-            max_env_steps = cfg.max_env_steps
-        writer = fh = None
-        if metrics_path is not None:
-            fh = open(metrics_path, "w", newline="")
-            writer = csv.writer(fh)
-            writer.writerow(METRICS_COLUMNS)
-        if subgoal_log_path is not None:
-            self._subgoal_log_fh = open(subgoal_log_path, "w")
-        try:
-            if len(self.buffer) == 0:
-                self.collect_episode()
-            win_rate = self.evaluate()
-            next_eval = cfg.eval_interval
-            while self.env_steps < max_env_steps:
-                report = self.train_block()
-                if self.episodes_collected >= next_eval:
-                    win_rate = self.evaluate()
-                    next_eval += cfg.eval_interval
-                if writer is not None:
-                    writer.writerow([
-                        report.env_steps, report.block, repr(win_rate),
-                        repr(report.loss_td), repr(report.loss_individual),
-                        repr(report.loss_correction), repr(report.loss_repr),
-                        repr(report.mean_proxy_reward), repr(report.epsilon),
-                    ])
-            win_rate = self.evaluate()
-            return win_rate
-        finally:
-            if fh is not None:
-                fh.close()
-            if self._subgoal_log_fh is not None:
-                self._subgoal_log_fh.close()
-                self._subgoal_log_fh = None
+            self.subgoal_log.write(json.dumps(row) + "\n")

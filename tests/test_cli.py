@@ -4,12 +4,11 @@ import csv
 import json
 import os
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from goalmix.cli import main, make_trainer, resolve_env_config, run_eval
+from goalmix.cli import main, make_trainer, resolve_env_config, run_eval, run_train
 from goalmix.config import TrainConfig
 from goalmix.nn import ConfigurationError, load_checkpoint, n_slots, save_checkpoint
 from tests.conftest import MALFORMED_CHECKPOINTS, header_bytes, write_malformed_checkpoint
@@ -77,6 +76,42 @@ def test_subgoal_modes_recorded_and_dumps_differ(tmp_path, fast_cfg_file):
     assert outs["value"] != outs["random"]
 
 
+def test_run_writes_metrics_and_final_eval(tmp_path):
+    cfg = TrainConfig(seed=7, max_env_steps=120, eval_interval=2, eval_episodes=2).validate()
+    win = run_train(cfg, tmp_path)
+    assert 0.0 <= win <= 1.0
+    rows = (tmp_path / "metrics.csv").read_text().strip().split("\n")
+    header = rows[0].split(",")
+    assert header == ["env_steps", "block", "eval_win_rate", "L_TD",
+                      "sum_Li", "sum_LE", "sum_LD", "mean_Rt", "epsilon"]
+    assert len(rows) > 1
+    for row in rows[1:]:
+        values = [float(x) for x in row.split(",")]
+        assert all(np.isfinite(values))
+
+
+def test_run_zero_step_budget_trains_nothing(tmp_path, monkeypatch):
+    import goalmix.cli as cli_mod
+
+    trainers = []
+    monkeypatch.setattr(cli_mod, "make_trainer",
+                        lambda cfg: trainers.append(make_trainer(cfg)) or trainers[-1])
+    run_train(TrainConfig(seed=7, max_env_steps=0, eval_episodes=1).validate(), tmp_path)
+    assert trainers[0].block == 0
+    assert (tmp_path / "metrics.csv").read_text().splitlines()[1:] == []
+
+
+def test_run_episode_log_holds_the_buffer(tmp_path):
+    cfg = TrainConfig(seed=2, max_env_steps=200, buffer_capacity=4, eval_episodes=1,
+                      batch_size=4, episode_log=True).validate()
+    run_train(cfg, tmp_path)
+    assert json.loads((tmp_path / "result.json").read_text())["episodes"] > 4
+    lines = [json.loads(l) for l in (tmp_path / "episodes.jsonl").read_text().splitlines()]
+    # the episodes the buffer holds at the end, each ending on its done step
+    assert sum(r["t"] == 0 for r in lines) == sum(r["done"] for r in lines) == 4
+    assert all(set(r) == {"t", "obs", "actions", "r_ex", "done"} for r in lines)
+
+
 def test_invalid_alpha_is_config_error_exit_1(tmp_path):
     assert run_cli(["train", "--out", tmp_path / "x", "--alpha", 1.5, *FAST]) == 1
 
@@ -138,6 +173,20 @@ def test_nonfinite_or_no_clip_config_exit_1(tmp_path, command, bad, capsys):
 def test_nonfinite_flag_exit_1(tmp_path, flags, capsys):
     assert run_cli(["train", "--out", tmp_path / "x", *flags, *FAST]) == 1
     assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("case", ["truncated", "missing"])
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_unreadable_config_file_exit_1_before_any_directory(tmp_path, command, case, capsys):
+    path = tmp_path / "cfg.json"
+    if case == "truncated":
+        path.write_text('{"max_env_steps": 90, "alpha"')
+    args = ["--config", path, "--out", tmp_path / "x"]
+    if command == "ablate":
+        args += ["--seeds", "0", "--variants", "full"]
+    assert run_cli([command, *args]) == 1
+    assert f"configuration error: config file {path}: " in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
@@ -317,6 +366,13 @@ def test_eval_nonpositive_episodes_is_config_error_exit_1(tmp_path, episodes, ca
     code = run_cli(["eval", "--checkpoint", tmp_path / "absent.npz", "--episodes", episodes])
     assert code == 1
     assert "episodes must be at least 1" in capsys.readouterr().err
+
+
+def test_eval_negative_seed_is_config_error_exit_1(tmp_path, capsys):
+    ckpt = save_fresh_checkpoint(tmp_path / "ckpt.npz", TrainConfig())
+    code = run_cli(["eval", "--checkpoint", ckpt, "--episodes", 1, "--seed", -1])
+    assert code == 1
+    assert "configuration error: seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("jobs", [0, -1])

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from goalmix.cli import write_episode_log
 from goalmix.env import (
     ATTACK,
     MOVE_E,
@@ -16,7 +17,6 @@ from goalmix.env import (
     EnvConfig,
     SkirmishEnv,
     preset,
-    write_episode_log,
 )
 
 

@@ -133,20 +133,6 @@ def test_malformed_episodes_rejected_with_diagnostics(rng):
     assert len(buf) == 0
 
 
-def test_buffer_dump_uses_episode_log_format(tmp_path, rng):
-    import json
-
-    buf = ReplayBuffer(4)
-    buf.push(make_episode(rng, length=2))
-    buf.push(make_episode(rng, length=3))
-    path = tmp_path / "buffer.jsonl"
-    with open(path, "w") as fh:
-        buf.dump(fh)
-    lines = [json.loads(l) for l in path.read_text().strip().split("\n")]
-    assert len(lines) == 5
-    assert all(set(r) == {"t", "obs", "actions", "r_ex", "done"} for r in lines)
-
-
 def collected_episode(env_name="skirmish-2v2"):
     trainer = make_trainer(seed=0, env_name=env_name)
     return trainer.collect_episode()

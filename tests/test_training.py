@@ -782,27 +782,6 @@ def test_divergence_raises_with_report():
         tr.train_block()
 
 
-def test_run_writes_metrics_and_final_eval(tmp_path):
-    tr = make_trainer(seed=7, max_env_steps=120, eval_interval=2, eval_episodes=2)
-    path = tmp_path / "metrics.csv"
-    win = tr.run(metrics_path=path)
-    assert 0.0 <= win <= 1.0
-    rows = path.read_text().strip().split("\n")
-    header = rows[0].split(",")
-    assert header == ["env_steps", "block", "eval_win_rate", "L_TD",
-                      "sum_Li", "sum_LE", "sum_LD", "mean_Rt", "epsilon"]
-    assert len(rows) > 1
-    for row in rows[1:]:
-        values = [float(x) for x in row.split(",")]
-        assert all(np.isfinite(values))
-
-
-def test_run_zero_step_budget_trains_nothing():
-    tr = make_trainer(seed=7, max_env_steps=60, eval_episodes=1)
-    tr.run(max_env_steps=0)
-    assert tr.block == 0
-
-
 def test_always_noop_policy_never_wins():
     tr = make_trainer(seed=8, eval_episodes=8)
     for v in tr.params.agent.values():
