@@ -54,12 +54,13 @@ class _Parser(argparse.ArgumentParser):
 def resolve_env_config(cfg: TrainConfig) -> EnvConfig:
     """Environment from a preset name or an env spec file, with the
     training config's reward mode applied. An unknown preset, an unknown
-    key or any spec :meth:`EnvConfig.validate` rejects is a configuration
-    error, found before any work."""
+    key, a spec file that cannot be read or any spec
+    :meth:`EnvConfig.validate` rejects is a configuration error, found
+    before any work."""
     try:
         env_cfg = EnvConfig.load(cfg.env) if os.path.exists(cfg.env) else preset(cfg.env)
         env_cfg.validate()
-    except (ValueError, TypeError) as err:
+    except (OSError, ValueError, TypeError) as err:
         raise ConfigError(f"env {cfg.env!r}: {err}") from err
     env_cfg.reward_mode = cfg.reward_mode
     return env_cfg

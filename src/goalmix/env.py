@@ -144,6 +144,8 @@ class EnvConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ValueError(f"an env spec must be a JSON object, got {type(d).__name__}")
         d = dict(d)
         known = set(cls.__dataclass_fields__)
         unknown = set(d) - known

@@ -149,10 +149,9 @@ class FlatParams:
     agent, mixer and repr end to end in checkpoint-layout order, and
     ``target``, the groups target_agent and target_mixer. ``views`` lists
     ``(name, start, stop)`` of every :meth:`ParamSet.named_online` view in
-    ``online``, in that order; the optimiser and the clip take it.
-    ``generation`` marks the target nets' generation, under which
-    ``Trainer.batch_bootstrap`` caches: a new object at every packing and
-    every :func:`sync_targets`. Writing into target arrays in place keeps it."""
+    ``online``, in that order; the optimiser and the clip take it. Every
+    packing and every :func:`sync_targets` makes a new ``target`` vector,
+    whose identity ``Trainer.batch_bootstrap`` caches under."""
 
     def __init__(self, ps):
         online = [getattr(ps, g) for g in ONLINE]
@@ -167,7 +166,6 @@ class FlatParams:
         index = ParamSet(*_views(np.arange(self.online.size), online))
         self.views = tuple((name, int(v.flat[0]), int(v.flat[0]) + v.size)
                            for name, v in index.named_online())
-        self.generation = object()
 
     def holds(self, ps):
         """Whether every group array of ``ps`` is still this storage's view
@@ -264,13 +262,12 @@ class ParamSet:
 
 def sync_targets(ps: ParamSet) -> ParamSet:
     """Copy the online utility/mixer arrays onto the target copies
-    (idempotent), starting a new target generation. The target groups get
-    new arrays; the old ones are left as they were. Once ``ps`` is packed
-    (``Trainer.train_block`` packs it) this is one copy of the front of the
-    online vector, the new target arrays are views of that copy, and
-    ``FlatParams.generation`` is replaced. A set never packed is copied
-    array by array and stays unpacked (its next packing is a new
-    generation), so a trainer that only evaluates never pays for packing."""
+    (idempotent). The target groups get new arrays; the old ones are left
+    as they were. Once ``ps`` is packed (``Trainer.train_block`` packs it)
+    this is one copy of the front of the online vector, which becomes
+    ``FlatParams.target``, and the new target arrays are views of it. A set
+    never packed is copied array by array and stays unpacked, so a trainer
+    that only evaluates never pays for packing."""
     if ps._flat is None:
         ps.target_agent, ps.target_mixer = _copy_params(ps.agent), _copy_params(ps.mixer)
         return ps
@@ -278,7 +275,6 @@ def sync_targets(ps: ParamSet) -> ParamSet:
     flat.target = flat.online[:flat.n_synced].copy()
     ps.target_agent, ps.target_mixer = _views(flat.target, [ps.agent, ps.mixer])
     flat.arrays = _group_arrays(ps)
-    flat.generation = object()
     return ps
 
 

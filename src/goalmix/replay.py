@@ -88,18 +88,11 @@ class Episode:
     ``states`` and ``actions`` as new arrays (``obs`` is a gather from
     ``values``, so a reader that goes step by step should read it once),
     the others as read-only views of the record. No write into an array
-    passed in or read out reaches the stored episode.
-
-    ``bootstrap`` is the trainer's cache slot for this episode's target
-    bootstrap: one read-only (n_agents + 1, T) float64 array, max_u
-    Q̄_i(o_{t+1}, u) of each agent (``bootstrap[:-1]``) above Q̄_tot(s_{t+1})
-    (``bootstrap[-1]``), valid only while ``token`` is the ``generation`` of
-    the trainer's packed parameters (see ``Trainer.batch_bootstrap``). It
-    lives and dies with the episode, so a FIFO eviction drops it, and the
-    trainer clears every entry at a target sync.
+    passed in or read out reaches the stored episode. An episode is data
+    only: the trainer keeps its target bootstrap (``Trainer.bootstraps``).
     """
 
-    __slots__ = ("record", "layout", "length", "uid", "bootstrap", "token")
+    __slots__ = ("record", "layout", "length", "uid")
 
     def __init__(self, obs, actions, avail, states, rewards, dones, valid, length, uid=-1):
         obs = np.asarray(obs, dtype=np.float64)
@@ -119,8 +112,6 @@ class Episode:
         self.record = record.tobytes()
         self.length = length
         self.uid = uid
-        self.bootstrap = None
-        self.token = None
 
     def _view(self, name):
         """Field ``name`` as stored: a read-only view of the record."""
@@ -175,13 +166,6 @@ class Episode:
     def shapes(self):
         """The shape of each array field, by name."""
         return {name: self.layout.fields[name][3] for name in FIELDS}
-
-    def keep_bootstrap(self, token, tq_next, tot_next):
-        """Cache the target bootstrap ``tq_next`` (n_agents, T) and
-        ``tot_next`` (T,) of the generation ``token``."""
-        bootstrap = np.concatenate([tq_next, tot_next[None]])
-        bootstrap.flags.writeable = False
-        self.bootstrap, self.token = bootstrap, token
 
     def validate(self):
         """Raise :class:`MalformedEpisodeError` with the first check that fails."""

@@ -17,11 +17,11 @@ checks and the sync each run over a whole vector.
 The TD targets bootstrap from the frozen target nets, which change only
 at a sync. An episode's bootstrap, max_u Q̄_i(o_{t+1}, u) and
 Q̄_tot(s_{t+1}) (:meth:`Trainer.target_bootstrap`), is therefore computed
-once per target generation, kept on the episode, and reused by every
-block that samples the episode again before the next sync, which clears
-every entry; a block runs the target nets only on its rows without a
-valid entry, and before its online forward, so that unroll never adds to
-the live graph.
+once per target generation, kept in the trainer's ``bootstraps`` dict
+under the episode, and reused by every block that samples the episode
+again before the next sync, which empties the dict; a block runs the
+target nets only on its rows without an entry, and before its online
+forward, so that unroll never adds to the live graph.
 
 Each equation is one batched kernel: the subgoal score, D_Q, the
 embedded distance and the shaped rewards live in :mod:`goalmix.subgoals`
@@ -97,7 +97,7 @@ def stack_episodes(episodes):
     (:func:`goalmix.replay.stack_records`): obs (N, M, T, D), actions
     (N, M, T), avail (N, M, T, U), states (M, T, S), rewards (M, T), and
     dones and valid (M, T) as float64. The batch also carries the list
-    itself, whose episodes hold the cached target bootstraps
+    itself, whose episodes key the trainer's cached target bootstraps
     (:meth:`Trainer.batch_bootstrap`)."""
     return {**stack_records(episodes), "episodes": episodes}
 
@@ -154,7 +154,8 @@ def correction_window(t_star, valid, mode):
 
 
 class Trainer:
-    """Owns parameters, optimiser state, the replay buffer and both envs."""
+    """Owns parameters, optimiser state, the replay buffer, the target
+    bootstrap cache and both envs."""
 
     def __init__(self, config, env_factory, rng=None):
         self.cfg = config
@@ -189,6 +190,10 @@ class Trainer:
         self.episodes_collected = 0
         self.block = 0
         self._next_sync = config.target_interval
+        # each replayed episode's target bootstrap, a read-only (N + 1, T)
+        # array, computed under the target vector ``bootstrap_target``
+        self.bootstraps = {}
+        self.bootstrap_target = None
         # an open text file that train_block writes each block's subgoals to
         self.subgoal_log = None
 
@@ -374,19 +379,24 @@ class Trainer:
 
     def batch_bootstrap(self, batch):
         """:meth:`target_bootstrap` of a :func:`stack_episodes` batch. Each
-        episode's entry from the current target generation
-        (``params.packed().generation``, so an unpacked set is packed here)
-        is reused; the target nets run once, in batch order, on the rows
-        without one, and store their entries."""
-        episodes = batch["episodes"]
-        token = self.params.packed().generation
+        episode's entry in ``bootstraps`` is reused; the target nets run
+        once, in batch order, on the rows without one, and store their
+        entries. The entries hold while ``params.packed().target`` (so an
+        unpacked set is packed here) is ``bootstrap_target``: every packing
+        and every packed :func:`sync_targets` makes a new target vector, so
+        a new one empties the dict, and so does :meth:`train_block`'s sync."""
+        episodes, cache = batch["episodes"], self.bootstraps
+        target = self.params.packed().target
+        if target is not self.bootstrap_target:  # repacked, or synced outside a block
+            cache.clear()
+            self.bootstrap_target = target
         tq_next = np.empty(batch["obs"].shape[:3])                      # (N, M, T)
         tot_next = np.empty(batch["states"].shape[:2])                   # (M, T)
-        hit = [ep.token is token for ep in episodes]
+        hit = [ep in cache for ep in episodes]
         rows = [m for m, h in enumerate(hit) if h]
         miss = [m for m, h in enumerate(hit) if not h]
         if rows:
-            cached = np.concatenate([episodes[m].bootstrap for m in rows]).reshape(
+            cached = np.concatenate([cache[episodes[m]] for m in rows]).reshape(
                 len(rows), -1, tq_next.shape[2])                       # (H, N + 1, T)
             tq_next[:, rows] = cached[:, :-1].swapaxes(0, 1)
             tot_next[rows] = cached[:, -1]
@@ -397,7 +407,9 @@ class Trainer:
                 np.take(batch["states"], miss, axis=0))
             tq_next[:, miss], tot_next[miss] = fresh_tq, fresh_tot
             for j, m in enumerate(miss):
-                episodes[m].keep_bootstrap(token, fresh_tq[:, j], fresh_tot[j])
+                entry = np.concatenate([fresh_tq[:, j], fresh_tot[j][None]])
+                entry.flags.writeable = False
+                cache[episodes[m]] = entry
         return tq_next, tot_next
 
     # -- one block ----------------------------------------------------------
@@ -455,10 +467,7 @@ class Trainer:
 
         if self.episodes_collected >= self._next_sync:
             sync_targets(self.params)
-            # a new target generation, however the sync wrote the targets
-            self.params.packed().generation = object()
-            for ep in self.buffer.episodes():  # every cached bootstrap is now stale
-                ep.bootstrap = ep.token = None
+            self.bootstraps.clear()  # stale, however the sync wrote the targets
             self._next_sync += cfg.target_interval
 
         self._log_subgoals(batch, prep)

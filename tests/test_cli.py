@@ -338,6 +338,10 @@ BAD_ENVS = {
     "text-damage": {"ally_damage": "2"},
     "cliff-outside-grid": {"cliff_cells": [[9, 9]]},
     "unknown-reward-mode": {"reward_mode": "sprase"},
+    # spec paths that hold no spec: a directory, and JSON that is no object
+    "directory": ".",
+    "json-list": [7, 7],
+    "json-pairs": [["episode_limit", 20]],
 }
 
 
@@ -345,7 +349,7 @@ BAD_ENVS = {
 @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
 def test_bad_env_is_config_error_exit_1(tmp_path, fast_cfg_file, command, spec, capsys):
     env = spec
-    if isinstance(spec, dict):
+    if not isinstance(spec, str):
         env = tmp_path / "env.json"
         env.write_text(json.dumps(spec))
     out = tmp_path / "out"
@@ -406,6 +410,7 @@ def test_ablation_matrix_rows_and_aggregates(tmp_path, fast_cfg_file):
         wins = [float(r["final_win_rate"]) for r in seed_rows if r["variant"] == name]
         agg = [r for r in agg_rows if r["variant"] == name][0]
         assert float(agg["final_win_rate"]) == pytest.approx(np.mean(wins), abs=1e-12)
+        assert float(agg["std"]) == np.std(wins)
     qmix_manifest = json.loads((out / "qmix-seed0" / "manifest.json").read_text())
     for key in ("lam", "lam_i", "lam_e", "lam_d"):
         assert qmix_manifest["config"][key] == 0.0
@@ -439,6 +444,32 @@ def test_ablation_dead_worker_is_an_error_row(tmp_path, monkeypatch):
         rows = list(csv.DictReader(fh))
     assert [(r["seed"], r["status"]) for r in rows[:2]] == [("0", status[0]), ("1", status[1])]
     assert np.isnan(float(rows[1]["final_win_rate"]))
+
+
+def _win_by_seed(args):
+    """An ablation run that trains nothing: it wins a quarter per seed, and
+    fails on seed 3."""
+    variant, seed, _, _ = args
+    if seed == 3:
+        return variant, seed, float("nan"), "error: no run"
+    return variant, seed, 0.25 * seed, "ok"
+
+
+def test_ablation_aggregates_are_mean_and_std_of_ok_wins(tmp_path, monkeypatch):
+    """The runs of the real matrix above all win 0, whose std is 0 however
+    it is worked out; these wins spread."""
+    import goalmix.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "_run_variant", _win_by_seed)
+    path, _ = cli_mod.run_ablation_matrix(TrainConfig(), [0, 1, 3, 4], ["full", "qmix"],
+                                          tmp_path / "abl")
+    with open(path) as fh:
+        agg = {r["variant"]: r for r in csv.DictReader(fh) if r["seed"] == "all"}
+    wins = [0.0, 0.25, 1.0]
+    for name in ("full", "qmix"):
+        assert float(agg[name]["final_win_rate"]) == np.mean(wins)
+        assert float(agg[name]["std"]) == np.std(wins) > 0
+        assert agg[name]["status"] == "3 runs"
 
 
 def test_env_flag_accepts_env_config_file(tmp_path, fast_cfg_file):

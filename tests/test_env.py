@@ -504,6 +504,12 @@ def test_env_config_unknown_key_rejected():
         EnvConfig.from_dict({"widht": 5})
 
 
+@pytest.mark.parametrize("spec", [[7, 7], [["width", 5]], "width", 5])
+def test_env_config_that_is_no_object_rejected(spec):
+    with pytest.raises(ValueError, match="an env spec must be a JSON object, got "):
+        EnvConfig.from_dict(spec)
+
+
 @pytest.mark.parametrize("mode", ["sprase", "Sparse", "", None, 0])
 def test_unknown_reward_mode_rejected(mode):
     with pytest.raises(ValueError, match="reward_mode must be one of"):

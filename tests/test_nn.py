@@ -277,19 +277,20 @@ def test_targets_follow_online_after_step_then_sync(rng):
 def test_packed_generation_is_new_at_each_packing_and_sync(rng):
     qnet, mixer, repr_net = make_nets()
     ps = make_paramset(rng, qnet, mixer, repr_net)
-    first = ps.packed().generation
-    assert ps.packed().generation is first
+    # a target generation is the identity of the packed target vector
+    first = ps.packed().target
+    assert ps.packed().target is first
     ps.agent["in.w"][0] += 1.0  # writing into a view is no new packing
-    assert ps.packed().generation is first
+    assert ps.packed().target is first
     sync_targets(ps)
-    synced = ps.packed().generation
+    synced = ps.packed().target
     assert synced is not first
-    assert ps.packed().generation is synced
+    assert ps.packed().target is synced
     ps.target_mixer = {k: v.copy() for k, v in ps.target_mixer.items()}
-    repacked = ps.packed().generation
+    repacked = ps.packed().target
     assert repacked is not synced and repacked is not first
     ps.agent = {k: v.copy() for k, v in ps.agent.items()}
-    assert ps.packed().generation is not repacked
+    assert ps.packed().target is not repacked
 
 
 @pytest.mark.parametrize("n_agents", [1, 2])

@@ -250,14 +250,17 @@ def test_reads_cannot_write_into_a_stored_episode():
     trainer = make_trainer(seed=0)
     ep = trainer.collect_episode()
     trainer.batch_bootstrap(stack_episodes([ep]))
-    want = {name: getattr(ep, name).tobytes() for name in (*FIELDS, "bootstrap")}
-    for name in want:
-        field = getattr(ep, name)
+    reads = {name: lambda name=name: getattr(ep, name) for name in FIELDS}
+    reads["bootstrap"] = lambda: trainer.bootstraps[ep]
+    want = {name: read().tobytes() for name, read in reads.items()}
+    for name, read in reads.items():
+        field = read()
         try:
             field[...] = 99
         except ValueError:
             assert name in ("avail", "rewards", "dones", "valid", "bootstrap")
-    assert {name: getattr(ep, name).tobytes() for name in want} == want
+    assert not trainer.bootstraps[ep].flags.writeable
+    assert {name: read().tobytes() for name, read in reads.items()} == want
     ep.validate()
 
 
@@ -315,17 +318,24 @@ def test_stacked_batch_equals_the_per_episode_stack(case, rng):
 
 def bytes_per_stored_episode(trainer):
     """The bytes freed when a buffer of 100 collected episodes with their
-    cached bootstraps is dropped, per episode."""
+    cached bootstraps is dropped, per episode. The trainer's cache holds
+    the episodes too, so it is dropped with the buffer; the freed bytes
+    must at least cover each episode's record and bootstrap data."""
     tracemalloc.start()
     try:
         for _ in range(100):
             trainer.collect_episode()
         trainer.batch_bootstrap(stack_episodes(trainer.buffer.episodes()))
+        assert len(trainer.bootstraps) == 100
+        data = sum(len(ep.record) + b.nbytes for ep, b in trainer.bootstraps.items())
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
         trainer.buffer = ReplayBuffer(trainer.cfg.buffer_capacity)
+        trainer.bootstraps.clear()
         gc.collect()
-        return (held - tracemalloc.get_traced_memory()[0]) / 100
+        freed = held - tracemalloc.get_traced_memory()[0]
+        assert freed >= data, f"{freed} bytes freed, the episodes' data alone is {data}"
+        return freed / 100
     finally:
         tracemalloc.stop()
 

@@ -546,21 +546,44 @@ def test_a_block_bootstraps_once_before_its_online_graph(monkeypatch):
 @pytest.mark.parametrize("build", [
     lambda: make_trainer(seed=12, batch_size=8, target_interval=4),
     lambda: chain_trainer(batch_size=8, target_interval=4),
-], ids=["skirmish", "chain"])
-def test_no_stale_entry_survives_a_sync(build):
-    """After every block, each bootstrap the buffer still caches belongs to
-    the current target generation: a sync drops the entries it makes stale."""
+    lambda: make_trainer(seed=12, batch_size=8, target_interval=4, buffer_capacity=4),
+], ids=["skirmish", "chain", "evicting"])
+def test_no_stale_entry_survives_a_sync(monkeypatch, build):
+    """After every block, the trainer's bootstrap cache holds only entries
+    of the current target generation: it is empty right after a sync, and
+    otherwise its entries were computed under the packed target vector,
+    from episodes sampled since the last sync. So an episode the buffer
+    evicted stays a key only until the next sync."""
+    import goalmix.training as training
+
     tr = build()
     tr.collect_episode()
-    generations, cached = [], 0
+    synced, sampled = [], set()
+    monkeypatch.setattr(training, "sync_targets",
+                        lambda ps, sync=training.sync_targets: synced.append(ps) or sync(ps))
+    sample = tr.buffer.sample
+
+    def recording(m, rng):
+        episodes = sample(m, rng)
+        sampled.update(episodes)
+        return episodes
+
+    monkeypatch.setattr(tr.buffer, "sample", recording)
+    cached = evicted = 0
     for _ in range(12):  # syncs after the blocks that bring the count to 4, 8 and 12
+        before = len(synced)
         tr.train_block()
-        generations.append(tr.params.packed().generation)
-        kept = [ep for ep in tr.buffer.episodes() if ep.bootstrap is not None]
-        assert all(ep.token is generations[-1] for ep in kept)
-        cached += len(kept)
-    assert sum(a is not b for a, b in zip(generations, generations[1:])) >= 2
-    assert cached > 0
+        if len(synced) > before:
+            assert tr.bootstraps == {}
+            sampled.clear()
+            continue
+        assert tr.bootstrap_target is tr.params.packed().target
+        keys = set(tr.bootstraps)
+        assert keys <= sampled, "an entry, evicted or not, from before the last sync"
+        cached += len(keys)
+        evicted += len(keys - set(tr.buffer.episodes()))
+    assert len(synced) >= 2 and cached > 0
+    assert (evicted > 0) == (tr.cfg.buffer_capacity < tr.episodes_collected)
 
 
 def test_no_stale_bootstrap_after_the_target_nets_change(tmp_path, monkeypatch):
@@ -963,8 +986,7 @@ def traced_block_peak_mib(post_sync):
     trainer.train_block()  # warm-up: first-block packing and the bootstrap cache
     if post_sync:
         sync_targets(trainer.params)  # a new target generation: every entry is stale
-        token = trainer.params.packed().generation
-        assert all(ep.token is not token for ep in trainer.buffer.episodes())
+        assert trainer.bootstrap_target is not trainer.params.packed().target
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]

@@ -3,14 +3,15 @@
 Runs the same seeded training in each tree's ``src`` (one subprocess per
 tree, so each imports its own ``goalmix``) and compares, after every block,
 the ``BlockReport`` field by field and every ``named_all()`` array (online
-and target) by SHA-256 of its bytes. After the last block it compares 16
-greedy ``evaluate(1)`` calls by the win, the episode's length
-(``eval_env.t``) and its final game state (the units' positions and
-health), so rollout changes are checked too, and every episode the replay
-buffer then holds, in buffer order, by a SHA-256 of its public fields
-(arrays, length, uid and a cached bootstrap of the current target
-generation), so the storage is checked directly and not only through the
-losses it feeds, however each tree lays it out. Fourteen configurations, all seed 0: default skirmish-2v2, skirmish-3v3 (the eval benchmark's env),
+and target) by SHA-256 of its bytes, and every episode the replay buffer
+holds, in buffer order, by a SHA-256 of its public fields (arrays,
+length, uid and a cached bootstrap of the current target generation), so
+the storage and the bootstrap cache are checked directly and not only
+through the losses they feed, however each tree lays them out. After the
+last block it compares 16 greedy ``evaluate(1)`` calls by the win, the
+episode's length (``eval_env.t``) and its final game state (the units'
+positions and health), so rollout changes are checked too. Fourteen
+configurations, all seed 0: default skirmish-2v2, skirmish-3v3 (the eval benchmark's env),
 cliff-2v2, the tabular coordination chain at H = 32 (the train-chain
 benchmark config), ``share_params`` and the nine ablation variants.
 Every run syncs its targets every 5 collected episodes, so the 25 blocks
@@ -73,14 +74,25 @@ def episode_end(env):
     return [env.t, env.s]
 
 
-def episode_digest(ep, generation):
+def cached_bootstrap(trainer, ep):
+    """The episode's cached bootstrap of the current target generation, or
+    None (a stale entry is dead data, which a tree may drop): the entry in
+    ``trainer.bootstraps`` while ``bootstrap_target`` is the packed target
+    vector, or, in a tree whose episodes carry the cache, ``ep.bootstrap``
+    while ``ep.token`` is the packing's ``generation``."""
+    flat = trainer.params.packed()
+    if hasattr(trainer, "bootstraps"):
+        return trainer.bootstraps.get(ep) if trainer.bootstrap_target is flat.target else None
+    return ep.bootstrap if ep.token is flat.generation else None
+
+
+def episode_digest(ep, bootstrap):
     """SHA-256 of a stored episode, read only through its public fields, so
     that trees which store episodes differently still compare: each
-    field's dtype, shape and bytes, its length and uid, and its cached
-    bootstrap if that belongs to ``generation``, the trainer's current
-    target generation (a stale entry is dead data, which a tree may drop)."""
+    field's dtype, shape and bytes, its length and uid, and its
+    :func:`cached_bootstrap` ``bootstrap`` unless that is None."""
     h = hashlib.sha256()
-    bootstrap = (ep.bootstrap,) if ep.token is generation else ()
+    bootstrap = () if bootstrap is None else (bootstrap,)
     for a in (ep.obs, ep.actions, ep.avail, ep.states, ep.rewards, ep.dones, ep.valid,
               *bootstrap):
         h.update(f"{a.dtype}{a.shape}".encode())
@@ -91,9 +103,10 @@ def episode_digest(ep, generation):
 
 def dump():
     """Print one JSON line per block and configuration: the report fields
-    (floats as exact reprs) and the digest of every named array; then one
-    line per configuration with the win and :func:`episode_end` of each
-    evaluation and the :func:`episode_digest` of each stored episode."""
+    (floats as exact reprs), the digest of every named array, the
+    :func:`episode_digest` of each stored episode and how many of them
+    hold a cached bootstrap; then one line per configuration with the win
+    and :func:`episode_end` of each evaluation."""
     import goalmix
 
     print(json.dumps({"goalmix": goalmix.__file__}), flush=True)
@@ -104,15 +117,16 @@ def dump():
             report = {k: repr(v) for k, v in dataclasses.asdict(trainer.train_block()).items()}
             arrays = {k: hashlib.sha256(v.tobytes()).hexdigest()
                       for k, v in trainer.params.named_all()}
+            cached = [cached_bootstrap(trainer, ep) for ep in trainer.buffer.episodes()]
+            buffer = [episode_digest(ep, b) for ep, b in zip(trainer.buffer.episodes(), cached)]
             print(json.dumps({"config": name, "block": block, "report": report,
-                              "arrays": arrays}), flush=True)
-        generation = trainer.params.packed().generation
-        buffer = [episode_digest(ep, generation) for ep in trainer.buffer.episodes()]
+                              "arrays": arrays, "buffer": buffer,
+                              "cached": sum(b is not None for b in cached)}), flush=True)
         evals = []
         for _ in range(EVALS):
             won = trainer.evaluate(1)
             evals.append([won, *episode_end(trainer.eval_env)])
-        print(json.dumps({"config": name, "evals": evals, "buffer": buffer}), flush=True)
+        print(json.dumps({"config": name, "evals": evals}), flush=True)
 
 
 def run(tree):
@@ -132,10 +146,12 @@ def run(tree):
 
 def differences(a, b):
     """Names of the report fields and arrays that differ between two rows,
-    in report and ``named_all()`` order."""
+    in report and ``named_all()`` order, then "buffer" if a stored episode
+    differs."""
     return [f"report.{k}" for k in a["report"] if a["report"][k] != b["report"].get(k)] + [
         k for k in dict.fromkeys([*a["arrays"], *b["arrays"]])
-        if a["arrays"].get(k) != b["arrays"].get(k)]
+        if a["arrays"].get(k) != b["arrays"].get(k)] + (
+        ["buffer"] if a["buffer"] != b.get("buffer") else [])
 
 
 def main(argv):
@@ -155,7 +171,6 @@ def main(argv):
                       if differences(r, o)), None)
         end, other_end = our_ends[name], their_ends.get(name, {})
         evals, other_evals = end["evals"], other_end.get("evals", [])
-        buffer, other_buffer = end["buffer"], other_end.get("buffer", [])
         if first is not None:
             ok = False
             block, names = first
@@ -168,17 +183,11 @@ def main(argv):
             theirs_k = other_evals[k] if k < len(other_evals) else "nothing"
             print(f"{name:28s} bitwise over {len(rows)} blocks; evaluation {k} differs "
                   f"([win, length, final state]): {evals[k]} vs {theirs_k}")
-        elif buffer != other_buffer:
-            ok = False
-            k = next((k for k, (a, b) in enumerate(zip(buffer, other_buffer)) if a != b),
-                     min(len(buffer), len(other_buffer)))
-            print(f"{name:28s} bitwise over {len(rows)} blocks, {len(evals)} evaluations "
-                  f"equal; stored episode {k} differs ({len(buffer)} vs "
-                  f"{len(other_buffer)} stored)")
         else:
-            print(f"{name:28s} bitwise over {len(rows)} blocks "
-                  f"({len(rows[-1]['arrays'])} arrays each), {len(evals)} evaluations equal, "
-                  f"{len(buffer)} stored episodes equal")
+            print(f"{name:28s} bitwise over {len(rows)} blocks ({len(rows[-1]['arrays'])} "
+                  f"arrays and up to {len(rows[-1]['buffer'])} stored episodes each, "
+                  f"{sum(r['cached'] for r in rows)} cached bootstraps), "
+                  f"{len(evals)} evaluations equal")
     return 0 if ok else 1
 
 
